@@ -17,8 +17,8 @@ FRONTEND_GATE=1 FRONTEND_APPEND=0 cargo bench -p bench --bench frontend
 
 # Telemetry smoke: run the 17 detectors (table1) and the CCD sweep
 # (table9) in one process with telemetry on, then validate the emitted
-# JSON report — it must parse and contain a span for every CCC detector
-# plus the CCD score-cache and edit-distance pruning counters.
+# JSON report — it must parse and contain a stage histogram for every CCC
+# detector plus the CCD score-cache and edit-distance pruning counters.
 ./target/release/tables table1 table9 --telemetry --out /tmp/t.txt \
   --telemetry-out /tmp/BENCH_ci_run.json >/dev/null
 ./target/release/validate_telemetry /tmp/BENCH_ci_run.json

@@ -6,10 +6,9 @@
 //!
 //! Checks, against the schema emitted by `telemetry::Snapshot::to_json`:
 //!
-//! 1. the document parses and carries schema `version` 1,
-//! 2. every one of the 17 CCC detectors ([`ccc::QueryId::ALL`]) has a span
-//!    whose path ends in `query/{QueryId:?}` (suffix match — the prefix
-//!    depends on which pipeline stage invoked the checker),
+//! 1. the document parses and carries schema `version` 2,
+//! 2. every one of the 17 CCC detectors ([`ccc::QueryId::ALL`]) has a
+//!    non-empty stage histogram `stage_duration_ns|stage={QueryId:?}`,
 //! 3. the CCD sweep score-cache and banded edit-distance pruning counters
 //!    are present.
 //!
@@ -25,21 +24,21 @@ fn main() {
         .unwrap_or_else(|error| fail(&format!("cannot read {path}: {error}")));
     let doc = parse(&text).unwrap_or_else(|error| fail(&format!("{path} is not JSON: {error}")));
 
-    if doc.get("version").and_then(Value::as_f64) != Some(1.0) {
+    if doc.get("version").and_then(Value::as_f64) != Some(2.0) {
         fail(&format!("{path}: missing or unexpected schema version"));
     }
 
-    let span_paths: Vec<&str> = doc
-        .get("spans")
+    let histograms: Vec<(&str, f64)> = doc
+        .get("histograms")
         .and_then(Value::as_array)
-        .unwrap_or_else(|| fail(&format!("{path}: no spans array")))
+        .unwrap_or_else(|| fail(&format!("{path}: no histograms array")))
         .iter()
-        .filter_map(|s| s.get("path").and_then(Value::as_str))
+        .filter_map(|h| Some((h.get("name")?.as_str()?, h.get("count")?.as_f64()?)))
         .collect();
     for query in QueryId::ALL {
-        let suffix = format!("query/{query:?}");
-        if !span_paths.iter().any(|p| p.ends_with(&suffix)) {
-            fail(&format!("{path}: no span for detector {query:?} (suffix {suffix})"));
+        let name = telemetry::stage_metric(query.name());
+        if !histograms.iter().any(|&(n, count)| n == name && count > 0.0) {
+            fail(&format!("{path}: no stage histogram for detector {query:?} ({name})"));
         }
     }
 
@@ -65,8 +64,8 @@ fn main() {
     }
 
     println!(
-        "{path}: ok — {} spans ({} detectors), {} counters",
-        span_paths.len(),
+        "{path}: ok — {} histograms ({} detector stages), {} counters",
+        histograms.len(),
         QueryId::ALL.len(),
         counter_names.len()
     );

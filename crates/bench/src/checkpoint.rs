@@ -17,7 +17,7 @@
 //! the study scale); a journal written under a different key is ignored
 //! rather than replayed wrongly.
 
-use telemetry::json::Value;
+use telemetry::json::{escape, Value};
 
 /// Version tag of the journal format.
 pub const JOURNAL_VERSION: u32 = 1;
@@ -123,22 +123,6 @@ impl Journal {
             eprintln!("[checkpoint] cannot persist {}: {error}", self.path.display());
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

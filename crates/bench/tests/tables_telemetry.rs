@@ -45,7 +45,7 @@ fn out_flag_tees_stdout_to_file() {
 fn telemetry_flag_appends_report_and_writes_json() {
     let json_path = scratch_path("run.json");
     let stdout = run_tables(
-        &["figure5", "--telemetry", "--telemetry-out", json_path.to_str().unwrap()],
+        &["figure5", "table1", "--telemetry", "--telemetry-out", json_path.to_str().unwrap()],
         &[],
     );
     assert!(stdout.contains("== Telemetry"), "telemetry tables appended: {stdout}");
@@ -54,11 +54,18 @@ fn telemetry_flag_appends_report_and_writes_json() {
     let doc = telemetry::json::parse(&text).expect("report parses");
     assert_eq!(
         doc.get("version").and_then(telemetry::json::Value::as_f64),
-        Some(1.0)
+        Some(2.0)
     );
     // figure5 fingerprints two snippets through the CCD frontend.
     let counters = doc.get("counters").and_then(telemetry::json::Value::as_array).unwrap();
     assert!(counters.iter().any(|c| {
         c.get("name").and_then(telemetry::json::Value::as_str) == Some("ccd.fingerprints")
+    }));
+    // table1 runs the 17 CCC detectors, each timed by its stage.
+    let histograms = doc.get("histograms").and_then(telemetry::json::Value::as_array).unwrap();
+    let reentrancy = telemetry::stage_metric("Reentrancy");
+    assert!(histograms.iter().any(|h| {
+        h.get("name").and_then(telemetry::json::Value::as_str) == Some(reentrancy.as_str())
+            && h.get("count").and_then(telemetry::json::Value::as_f64) > Some(0.0)
     }));
 }

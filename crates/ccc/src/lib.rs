@@ -164,8 +164,8 @@ impl Checker {
         static FINDINGS: telemetry::Counter = telemetry::Counter::new("ccc.findings");
         static DETECTOR_PANICS: telemetry::Counter =
             telemetry::Counter::new("ccc.detector_panics");
-        let _span = telemetry::span("ccc/check");
-        let _stage = telemetry::trace::stage("ccc-check");
+        static STAGE: telemetry::Stage = telemetry::Stage::new("ccc-check");
+        let _stage = STAGE.enter();
         CHECKS.incr();
         let ctx = Ctx::new(cpg, self.config.max_path);
         let queries: &[QueryId] = match &self.config.queries {

@@ -16,20 +16,52 @@ use crate::dasp::QueryId;
 use crate::helpers::Ctx;
 use crate::Finding;
 
+/// The telemetry handles of one detector: its stage (named like the
+/// query) and its `ccc.findings.<Query>` counter.
+struct Instruments {
+    stage: telemetry::Stage,
+    findings: telemetry::Counter,
+}
+
+macro_rules! instruments {
+    ($($query:ident),* $(,)?) => {
+        [$(Instruments {
+            stage: telemetry::Stage::new(stringify!($query)),
+            findings: telemetry::Counter::new(concat!("ccc.findings.", stringify!($query))),
+        }),*]
+    };
+}
+
+/// Per-detector handles, indexed by `QueryId as usize` (declaration
+/// order of [`QueryId`]).
+static INSTRUMENTS: [Instruments; 17] = instruments![
+    AcUnrestrictedWrite,
+    AcSelfDestruct,
+    AcDefaultProxyDelegate,
+    AcTxOrigin,
+    ShortAddressCall,
+    ShortAddressStateWrite,
+    BadRandomnessSource,
+    DosExternalCallTransfer,
+    DosExternalCallState,
+    DosExpensiveLoop,
+    DosClearableCollection,
+    UncheckedCall,
+    FrontRunnableBenefit,
+    UninitializedStoragePointer,
+    ArithmeticOverflow,
+    Reentrancy,
+    TimestampDependence,
+];
+
 /// Run a single query against a context.
 pub fn run_query(ctx: &Ctx, query: QueryId) -> Vec<Finding> {
-    let _span = if telemetry::enabled() {
-        Some(telemetry::span(format!("query/{query:?}")))
-    } else {
-        None
-    };
-    let _stage = telemetry::trace::stage(query.name());
+    let instruments = &INSTRUMENTS[query as usize];
+    let _stage = instruments.stage.enter();
     let findings = dispatch_query(ctx, query);
     if !findings.is_empty() {
         telemetry::trace::annotate("findings", findings.len());
-    }
-    if telemetry::enabled() && !findings.is_empty() {
-        telemetry::counter_add(&format!("ccc.findings.{query:?}"), findings.len() as u64);
+        instruments.findings.add(findings.len() as u64);
     }
     findings
 }
@@ -53,5 +85,17 @@ fn dispatch_query(ctx: &Ctx, query: QueryId) -> Vec<Finding> {
         QueryId::ArithmeticOverflow => arithmetic::arithmetic_overflow(ctx),
         QueryId::Reentrancy => reentrancy::reentrancy(ctx),
         QueryId::TimestampDependence => time::timestamp_dependence(ctx),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn instruments_follow_query_declaration_order() {
+        for &query in QueryId::ALL {
+            assert_eq!(INSTRUMENTS[query as usize].stage.name(), query.name());
+        }
     }
 }

@@ -230,7 +230,8 @@ impl CloneDetector {
         static FINGERPRINTS: telemetry::Counter = telemetry::Counter::new("ccd.fingerprints");
         static FAILURES: telemetry::Counter =
             telemetry::Counter::new("ccd.fingerprint_failures");
-        let _stage = telemetry::trace::stage("ccd-fingerprint");
+        static STAGE: telemetry::Stage = telemetry::Stage::new("ccd-fingerprint");
+        let _stage = STAGE.enter();
         let fingerprint = (|| {
             let mut unit = solidity::parse_snippet(source)?;
             normalize_unit(&mut unit);
@@ -288,7 +289,8 @@ impl CloneDetector {
         static QUERIES: telemetry::Counter = telemetry::Counter::new("ccd.matcher.queries");
         static MATCHES: telemetry::Counter = telemetry::Counter::new("ccd.matcher.matches");
         QUERIES.incr();
-        let _stage = telemetry::trace::stage("ccd-match");
+        static STAGE: telemetry::Stage = telemetry::Stage::new("ccd-match");
+        let _stage = STAGE.enter();
         // Chaos hook: matching is infallible, so an injected *error* at
         // `ccd/match` escalates to a panic for the isolation layer.
         if let Some(message) = faultinject::fire("ccd/match") {

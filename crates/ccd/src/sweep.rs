@@ -255,7 +255,9 @@ impl SweepEngine {
             telemetry::Counter::new("ccd.sweep.score_cache.hits");
         static CACHE_MISSES: telemetry::Counter =
             telemetry::Counter::new("ccd.sweep.score_cache.misses");
-        let _span = telemetry::span("ccd/sweep");
+        static SWEEP: telemetry::Stage = telemetry::Stage::new("ccd/sweep");
+        static INDEX: telemetry::Stage = telemetry::Stage::new("ccd/sweep/index");
+        let _stage = SWEEP.enter();
         // Chaos hook: the sweep is infallible, so an injected *error* at
         // `ccd/sweep` escalates to a panic for the isolation layer.
         if let Some(message) = faultinject::fire("ccd/sweep") {
@@ -267,12 +269,12 @@ impl SweepEngine {
         let mut scores: HashMap<(usize, usize), (f64, f64)> = HashMap::new();
         for n in NGRAM_SIZES {
             // One index per N; documents are keyed by position.
-            let _span = telemetry::span("index");
+            let indexing = INDEX.enter();
             let index = NgramIndex::from_documents(
                 n,
                 self.indexed.iter().enumerate().map(|(i, text)| (i as DocId, text.as_str())),
             );
-            drop(_span);
+            drop(indexing);
             for eta in ETAS {
                 // One candidate retrieval per (N, η): directed candidacy
                 // flags per unordered pair.

@@ -121,7 +121,8 @@ const DEPLOY_DAYS: u32 = TIMELINE_DAYS + 14;
 
 /// Generate the contract corpus against a Q&A corpus.
 pub fn generate_contracts(config: SanctuaryConfig, qa: &QaCorpus) -> ContractCorpus {
-    let _span = telemetry::span("corpus/generate_contracts");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("corpus/generate_contracts");
+    let _stage = STAGE.enter();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = (FULL_CONTRACTS * config.scale).round().max(1.0) as usize;
     let benign = benign_templates();

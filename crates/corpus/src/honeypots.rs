@@ -128,7 +128,8 @@ const FAMILY_PLAN: &[(HoneypotType, usize, usize)] = &[
 /// Generate the honeypot dataset (deterministic; 379 contracts with the
 /// default plan).
 pub fn honeypot_dataset(seed: u64) -> HoneypotDataset {
-    let _span = telemetry::span("corpus/honeypot_dataset");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("corpus/honeypot_dataset");
+    let _stage = STAGE.enter();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut dataset = HoneypotDataset::default();
     for &(ty, clusters, members) in FAMILY_PLAN {

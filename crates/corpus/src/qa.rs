@@ -160,7 +160,8 @@ pub const TIMELINE_DAYS: u32 = 3_000;
 
 /// Generate a corpus.
 pub fn generate_qa(config: QaConfig) -> QaCorpus {
-    let _span = telemetry::span("corpus/generate_qa");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("corpus/generate_qa");
+    let _stage = STAGE.enter();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut corpus = QaCorpus::default();
     let vulnerable = vulnerable_templates();

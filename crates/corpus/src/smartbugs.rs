@@ -124,7 +124,8 @@ const CATEGORY_PLAN: &[(Dasp, usize, usize, usize, usize)] = &[
 
 /// Build the curated dataset deterministically.
 pub fn smartbugs_curated(seed: u64) -> CuratedDataset {
-    let _span = telemetry::span("corpus/smartbugs_curated");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("corpus/smartbugs_curated");
+    let _stage = STAGE.enter();
     let mut rng = StdRng::seed_from_u64(seed);
     let checker = Checker::new();
     let easy_templates = vulnerable_templates();

@@ -19,7 +19,7 @@
 
 use crate::expand::{collect_modifiers, expand_modifiers};
 use crate::graph::{Graph, NodeId, Props};
-use crate::kinds::{AstRole, EdgeKind, NodeKind};
+use crate::kinds::{AstRole, EdgeKind, NodeKind, ALL_KINDS};
 use intern::{intern_fmt, sym, FxHashMap, Symbol};
 use solidity::ast::*;
 use solidity::printer;
@@ -85,8 +85,8 @@ impl Cpg {
         static NODES: telemetry::Counter = telemetry::Counter::new("cpg.nodes");
         static EDGES: telemetry::Counter = telemetry::Counter::new("cpg.edges");
         static INFERRED: telemetry::Counter = telemetry::Counter::new("cpg.inferred_decls");
-        let _span = telemetry::span("cpg/build");
-        let _stage = telemetry::trace::stage("cpg-build");
+        static STAGE: telemetry::Stage = telemetry::Stage::new("cpg-build");
+        let _stage = STAGE.enter();
         let cpg = Builder::new(unit, options).build(unit);
         telemetry::trace::annotate("nodes", cpg.graph.node_count());
         if telemetry::enabled() {
@@ -99,11 +99,14 @@ impl Cpg {
                 .filter(|id| cpg.graph.node(*id).props.is_inferred)
                 .count();
             INFERRED.add(inferred as u64);
+            let mut per_kind = [0u64; ALL_KINDS.len()];
             for id in cpg.graph.node_ids() {
-                telemetry::counter_add(
-                    &format!("cpg.nodes.{:?}", cpg.graph.node(id).kind),
-                    1,
-                );
+                per_kind[cpg.graph.node(id).kind as usize] += 1;
+            }
+            for (kind, &count) in ALL_KINDS.iter().zip(&per_kind) {
+                if count > 0 {
+                    telemetry::counter_add(&format!("cpg.nodes.{kind:?}"), count);
+                }
             }
         }
         cpg

@@ -44,13 +44,10 @@ pub fn expand_modifiers<'f, M: std::borrow::Borrow<ModifierDef>>(
     if let Some(message) = faultinject::fire("cpg/expand") {
         panic!("faultinject: {message}");
     }
-    // Traced only when there is something to expand: the no-modifier
+    // Timed only when there is something to expand: the no-modifier
     // common case would burn the per-trace span budget on no-ops.
-    let _stage = if function.modifiers.is_empty() {
-        telemetry::trace::StageGuard::inert()
-    } else {
-        telemetry::trace::stage("cpg-expand")
-    };
+    static STAGE: telemetry::Stage = telemetry::Stage::new("cpg-expand");
+    let _stage = (!function.modifiers.is_empty()).then(|| STAGE.enter());
     let mut body = Cow::Borrowed(function.body.as_ref()?);
     // Apply right-to-left so the leftmost modifier ends up outermost.
     for invocation in function.modifiers.iter().rev() {

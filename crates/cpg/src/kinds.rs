@@ -174,7 +174,8 @@ impl NodeKind {
     }
 }
 
-/// Every node kind, for iteration in tests and label lookup.
+/// Every node kind in declaration order (`ALL_KINDS[kind as usize] ==
+/// kind`), for iteration, label lookup and per-kind tallies.
 pub const ALL_KINDS: &[NodeKind] = &[
     NodeKind::TranslationUnit,
     NodeKind::RecordDeclaration,
@@ -393,8 +394,9 @@ mod tests {
 
     #[test]
     fn label_roundtrip() {
-        for kind in ALL_KINDS {
+        for (i, kind) in ALL_KINDS.iter().enumerate() {
             assert_eq!(NodeKind::from_label(kind.label()), Some(*kind));
+            assert_eq!(*kind as usize, i, "ALL_KINDS follows declaration order");
         }
         for role in ALL_ROLES {
             assert_eq!(

@@ -41,7 +41,8 @@ pub fn run<S: GraphSource>(query: &Query, source: &S) -> Vec<Bindings> {
     static SOLUTIONS: telemetry::Counter = telemetry::Counter::new("graphquery.solutions");
     static ROWS: telemetry::Counter = telemetry::Counter::new("graphquery.rows");
     QUERIES.incr();
-    let _stage = telemetry::trace::stage("query-eval");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("query-eval");
+    let _stage = STAGE.enter();
     // Chaos hook: evaluation is infallible, so an injected error at
     // `query/eval` escalates to a panic for the isolation layer to catch.
     if let Some(message) = faultinject::fire("query/eval") {

@@ -153,7 +153,8 @@ impl SnapshotStore {
     pub fn load_generation(&self, generation: u64) -> Result<Snapshot, AnalysisError> {
         static LOADS: telemetry::Counter = telemetry::Counter::new("index_store.loads");
         static LOAD_BYTES: telemetry::Counter = telemetry::Counter::new("index_store.load_bytes");
-        let _span = telemetry::span("index-store/load");
+        static STAGE: telemetry::Stage = telemetry::Stage::new("index-store/load");
+        let _stage = STAGE.enter();
         let path = self.generation_path(generation);
         let mapped = Mapped::open(&path).map_err(|e| {
             AnalysisError::index_corrupt(format!("cannot map {}: {e}", path.display()))
@@ -197,7 +198,8 @@ impl SnapshotStore {
         static COMMITS: telemetry::Counter = telemetry::Counter::new("index_store.commits");
         static COMMIT_BYTES: telemetry::Counter =
             telemetry::Counter::new("index_store.commit_bytes");
-        let _span = telemetry::span("index-store/commit");
+        static STAGE: telemetry::Stage = telemetry::Stage::new("index-store/commit");
+        let _stage = STAGE.enter();
         let bytes = format::encode(generation, &detector.shared_fingerprints(), detector.index())?;
         let path = self.generation_path(generation);
         write_atomic(&path, &bytes)?;

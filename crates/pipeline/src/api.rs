@@ -27,7 +27,7 @@ use solidity::AnalysisError;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use telemetry::json::Value;
+use telemetry::json::{escape, Value};
 
 /// Version tag of the JSON wire encoding.
 pub const API_VERSION: u32 = 1;
@@ -228,7 +228,7 @@ impl AnalysisRequest {
             AnalysisRequest::Scan { source, detectors } => {
                 let mut out = format!(
                     "{{\"v\":{API_VERSION},\"kind\":\"scan\",\"source\":\"{}\"",
-                    escape_json(source)
+                    escape(source)
                 );
                 if let Some(detectors) = detectors {
                     out.push_str(",\"detectors\":[");
@@ -247,7 +247,7 @@ impl AnalysisRequest {
             }
             AnalysisRequest::CloneCheck { source } => format!(
                 "{{\"v\":{API_VERSION},\"kind\":\"clone_check\",\"source\":\"{}\"}}",
-                escape_json(source)
+                escape(source)
             ),
         }
     }
@@ -383,7 +383,7 @@ impl AnalysisResponse {
                         f.detector.name(),
                         f.category().name(),
                         f.line,
-                        escape_json(&f.code)
+                        escape(&f.code)
                     ));
                 }
                 out.push_str("]}");
@@ -473,14 +473,14 @@ pub fn error_to_json(error: &AnalysisError) -> String {
     let mut out = format!(
         "{{\"v\":{API_VERSION},\"kind\":\"error\",\"code\":\"{}\",\"message\":\"{}\"",
         error.code(),
-        escape_json(&error.to_string())
+        escape(&error.to_string())
     );
     match error {
         AnalysisError::Parse { line, col, .. } => {
             out.push_str(&format!(",\"line\":{line},\"col\":{col}"));
         }
         AnalysisError::Timeout { stage, budget_ms } => {
-            out.push_str(&format!(",\"stage\":\"{}\",\"budget_ms\":{budget_ms}", escape_json(stage)));
+            out.push_str(&format!(",\"stage\":\"{}\",\"budget_ms\":{budget_ms}", escape(stage)));
         }
         AnalysisError::IndexVersion { found, expected } => {
             out.push_str(&format!(",\"found\":{found},\"expected\":{expected}"));
@@ -526,23 +526,6 @@ fn check_version(value: &Value) -> Result<(), AnalysisError> {
         Some(v) => Err(AnalysisError::invalid(format!("unsupported API version {v}"))),
         None => Err(AnalysisError::invalid("missing API version \"v\"")),
     }
-}
-
-/// Escape a string for embedding in a JSON document.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// FNV-1a content hash — the cache key of parsed CPGs.
@@ -731,7 +714,8 @@ impl AnalysisEngine {
         static REQUESTS: telemetry::Counter = telemetry::Counter::new("api.requests");
         static ERRORS: telemetry::Counter = telemetry::Counter::new("api.errors");
         static PANICS: telemetry::Counter = telemetry::Counter::new("api.panics_isolated");
-        let _span = telemetry::span("api/analyze");
+        static STAGE: telemetry::Stage = telemetry::Stage::new("api/analyze");
+        let _stage = STAGE.enter();
         REQUESTS.incr();
         // Panic isolation: a panic anywhere below the facade (a poisoned
         // input, an injected fault) becomes a typed internal error instead
@@ -1035,12 +1019,6 @@ mod tests {
             .with_detector_names(&["NoSuchDetector"])
             .unwrap_err();
         assert_eq!(err.code(), "query");
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -38,7 +38,8 @@ impl ToolResult {
 /// service serves — so batch tables and service responses are built from
 /// identical findings. Files that fail to analyze count zero findings.
 pub fn evaluate_ccc(dataset: &CuratedDataset) -> ToolResult {
-    let _span = telemetry::span("pipeline/eval_ccc");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("pipeline/eval_ccc");
+    let _stage = STAGE.enter();
     let engine = AnalysisEngine::new(AnalysisConfig::default());
     evaluate_with(dataset, "CCC", |source, category| {
         match engine.analyze(&AnalysisRequest::scan(source)) {

@@ -75,7 +75,8 @@ fn agreed_pairs(directed: &HashSet<(u64, u64)>) -> HashSet<(u64, u64)> {
 /// Evaluate CCD on the honeypot dataset: every contract matched against
 /// all others (§5.7.1), at the given parameters.
 pub fn evaluate_ccd(dataset: &HoneypotDataset, params: CcdParams) -> HoneypotResult {
-    let _span = telemetry::span("pipeline/eval_ccd");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("pipeline/eval_ccd");
+    let _stage = STAGE.enter();
     // The warm engine of the [`crate::api`] facade: corpus fingerprinted
     // once, matched through the same detector the analysis service
     // serves. The all-pairs batch iterates the stored fingerprints
@@ -107,7 +108,8 @@ pub fn evaluate_ccd(dataset: &HoneypotDataset, params: CcdParams) -> HoneypotRes
 
 /// Evaluate the SmartEmbed baseline at its recommended 0.9 threshold.
 pub fn evaluate_smartembed(dataset: &HoneypotDataset) -> HoneypotResult {
-    let _span = telemetry::span("pipeline/eval_smartembed");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("pipeline/eval_smartembed");
+    let _stage = STAGE.enter();
     let mut se = SmartEmbed::new();
     for contract in &dataset.contracts {
         se.insert(contract.id, &contract.source);
@@ -145,7 +147,8 @@ pub struct SweepRow {
 /// when *both* directions of Algorithm 1 pass (the same agreement rule as
 /// Table 3's [`evaluate_ccd`]).
 pub fn sweep_ccd(dataset: &HoneypotDataset) -> Vec<SweepRow> {
-    let _span = telemetry::span("pipeline/sweep_ccd");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("pipeline/sweep_ccd");
+    let _stage = STAGE.enter();
     // Fingerprint through the same front half as every other consumer
     // ([`crate::corpus_index::CorpusBuilder`]) and hand the sweep engine
     // finished fingerprints — one normalization pass, shared idiom.

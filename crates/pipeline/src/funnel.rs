@@ -64,7 +64,8 @@ pub struct FunnelOutput {
 
 /// Run the funnel over a Q&A corpus.
 pub fn run_funnel(qa: &QaCorpus) -> FunnelOutput {
-    let _span = telemetry::span("pipeline/funnel");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("pipeline/funnel");
+    let _stage = STAGE.enter();
     let mut rows = Vec::new();
     let mut unique: Vec<UniqueSnippet> = Vec::new();
     let mut seen_texts: HashMap<String, u64> = HashMap::new();

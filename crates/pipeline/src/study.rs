@@ -147,7 +147,8 @@ pub fn run_study(
     unique: &[UniqueSnippet],
     config: StudyConfig,
 ) -> StudyResult {
-    let _span = telemetry::span("pipeline/study");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("pipeline/study");
+    let _stage = STAGE.enter();
     // ---- Step 1: CCD mapping ------------------------------------------------
     let mapping = map_snippets(unique, contracts, config.ccd);
     let dedup = dedup_contracts(contracts);

@@ -7,7 +7,8 @@
 use crate::report::Table;
 use telemetry::Snapshot;
 
-/// Render the span, counter, gauge and histogram tables of a snapshot.
+/// Render the counter, gauge and histogram tables of a snapshot (stage
+/// timings are the `stage_duration_ns|stage=<name>` histograms).
 /// Sections with no entries are omitted; an entirely empty snapshot
 /// renders a single explanatory line instead.
 pub fn render(snapshot: &Snapshot) -> String {
@@ -16,30 +17,10 @@ pub fn render(snapshot: &Snapshot) -> String {
             .to_string();
     }
     let mut out = String::new();
-    if !snapshot.spans.is_empty() {
-        let mut table = Table::new("Telemetry: spans").header(&[
-            "path",
-            "count",
-            "total ms",
-            "mean µs",
-        ]);
-        for span in &snapshot.spans {
-            table.row(vec![
-                span.path.clone(),
-                span.count.to_string(),
-                format!("{:.3}", span.total_ns as f64 / 1e6),
-                format!("{:.1}", span.mean_ns() / 1e3),
-            ]);
-        }
-        out.push_str(&table.render());
-    }
     if !snapshot.counters.is_empty() {
         let mut table = Table::new("Telemetry: counters").header(&["name", "value"]);
         for (name, value) in &snapshot.counters {
             table.row(vec![name.clone(), value.to_string()]);
-        }
-        if !out.is_empty() {
-            out.push('\n');
         }
         out.push_str(&table.render());
     }
@@ -104,15 +85,10 @@ fn bucket_bound(layout: telemetry::BucketLayout, buckets: &[u64], rank: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::{HistogramStat, SpanStat};
+    use telemetry::HistogramStat;
 
     fn sample() -> Snapshot {
         Snapshot {
-            spans: vec![SpanStat {
-                path: "ccc/check/query/Reentrancy".into(),
-                count: 4,
-                total_ns: 8_000_000,
-            }],
             counters: vec![("ccd.fingerprints".into(), 12)],
             gauges: vec![("par.workers".into(), 8)],
             histograms: vec![HistogramStat {
@@ -132,8 +108,6 @@ mod tests {
     #[test]
     fn renders_all_sections() {
         let text = render(&sample());
-        assert!(text.contains("== Telemetry: spans =="));
-        assert!(text.contains("ccc/check/query/Reentrancy"));
         assert!(text.contains("== Telemetry: counters =="));
         assert!(text.contains("ccd.fingerprints"));
         assert!(text.contains("== Telemetry: gauges =="));

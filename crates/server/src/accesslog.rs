@@ -23,6 +23,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
+use telemetry::json::escape;
 
 /// One access-log record, already resolved to strings.
 #[derive(Debug, Clone)]
@@ -140,19 +141,6 @@ fn render_line(rec: &AccessRecord, slow: bool) -> String {
         rec.outcome,
         rec.body_bytes,
     )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

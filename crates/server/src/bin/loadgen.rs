@@ -43,8 +43,9 @@
 //! with a caller-chosen `X-Trace-Id`, asserts the id is echoed, fetches
 //! the span tree from `/debug/trace/<id>` (plain and Chrome formats),
 //! checks `/debug/traces/recent`, and validates the full `/metrics`
-//! Prometheus exposition including the per-endpoint RED series. Ids must
-//! also appear on error responses. In-process daemons get tracing
+//! Prometheus exposition including the per-endpoint RED series and the
+//! `parse`, `cpg-build` and `ccc-check` stage histograms. Ids must also
+//! appear on error responses. In-process daemons get tracing
 //! enabled automatically; external ones must run with tracing on.
 //!
 //! `--trace-overhead` is the performance gate: runs the measured burst
@@ -737,7 +738,8 @@ fn smoke_checks(addr: &str, dataset: &corpus::honeypots::HoneypotDataset) {
 
 /// End-to-end tracing/metrics smoke against a tracing-enabled daemon:
 /// id adoption and echo, span-tree retrieval in both formats, recent
-/// summaries, Prometheus exposition validity, and ids on error paths.
+/// summaries, Prometheus exposition validity with stage histograms, and
+/// ids on error paths.
 fn observability_smoke(addr: &str) {
     use telemetry::json::{parse, Value};
     const TRACE_HEX: &str = "deadbeefcafef00d";
@@ -813,6 +815,11 @@ fn observability_smoke(addr: &str) {
         ["http_requests_total", "http_request_duration_us_bucket", "endpoint=\"/v1/scan\""]
     {
         assert!(metrics.contains(needle), "metrics missing {needle}:\n{metrics}");
+    }
+    // ...and the stage histograms the traced scan's stages fed.
+    for stage in ["parse", "cpg-build", "ccc-check"] {
+        let needle = format!("{}_count{{stage=\"{stage}\"}}", telemetry::STAGE_METRIC);
+        assert!(metrics.contains(&needle), "metrics missing {needle}:\n{metrics}");
     }
 
     // Error responses carry ids too (satellite: every response does).
@@ -1202,7 +1209,7 @@ fn insert_rate(args: &Args, policy: &str) -> f64 {
             let source = format!(
                 "contract D{i} {{ uint total; function add(uint v) public {{ total += v + {i}; }} }}"
             );
-            format!("{{\"v\":1,\"source\":\"{}\"}}", pipeline::api::escape_json(&source))
+            format!("{{\"v\":1,\"source\":\"{}\"}}", telemetry::json::escape(&source))
         })
         .collect();
     let cursor = AtomicUsize::new(0);

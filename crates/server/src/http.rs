@@ -9,13 +9,7 @@
 //! per-header allocation) plus the number of bytes consumed, or reports
 //! that the request is still incomplete. The reactor calls it in a loop
 //! over its per-connection read buffer, which is what makes pipelined
-//! requests in one TCP segment work. The blocking [`read_request`] used
-//! by the non-Linux fallback path and the tests is a thin loop over the
-//! same parser, so both transports share one grammar and one set of
-//! limits.
-
-use std::io::{Read, Write};
-use std::net::TcpStream;
+//! requests in one TCP segment work.
 
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -27,8 +21,9 @@ pub const MAX_REQUEST_LINE_BYTES: usize = 4 * 1024;
 /// Upper bound on a request body.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
-/// A parsed request (owned form, used at the dispatch boundary and by
-/// the blocking fallback path).
+/// A parsed request (owned form, used at the dispatch boundary). The
+/// correlation ids are read from the [`ReqView`] before the copy, and
+/// routing never consults headers, so none are kept.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Request {
     /// Request method, upper-case as sent (`GET`, `POST`).
@@ -37,24 +32,11 @@ pub struct Request {
     pub path: String,
     /// The raw query string (without the `?`; empty when absent).
     pub query: String,
-    /// Request headers as `(lowercased-name, trimmed-value)` pairs, in
-    /// arrival order. The reactor's service path dispatches with an
-    /// empty vector (correlation ids are extracted from the borrowed
-    /// view before the copy), so routing must not depend on headers.
-    pub headers: Vec<(String, String)>,
     /// The request body (empty without `Content-Length`).
     pub body: Vec<u8>,
 }
 
 impl Request {
-    /// First value of a header, by case-insensitive name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
     /// First value of a query parameter (`?format=chrome`); values are
     /// taken verbatim (no percent-decoding — the debug endpoints only
     /// take simple tokens).
@@ -74,8 +56,6 @@ pub enum HttpError {
     Malformed(String),
     /// Head or body exceeded its size bound.
     TooLarge,
-    /// The peer closed or the socket failed mid-request.
-    Io(String),
 }
 
 impl std::fmt::Display for HttpError {
@@ -83,7 +63,6 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge => f.write_str("request too large"),
-            HttpError::Io(m) => write!(f, "connection error: {m}"),
         }
     }
 }
@@ -121,31 +100,6 @@ impl<'a> ReqView<'a> {
         })
     }
 
-    /// All headers as `(name, value)` pairs, in arrival order (names in
-    /// original case — callers lowercase if they need to).
-    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
-        let head = self.head;
-        head.split("\r\n").filter_map(|line| {
-            let (n, v) = line.split_once(':')?;
-            Some((n.trim(), v.trim()))
-        })
-    }
-
-    /// Owned copy carrying every header (the blocking fallback path and
-    /// the tests want the full set).
-    pub fn to_request(&self) -> Request {
-        Request {
-            method: self.method.to_string(),
-            path: self.path.to_string(),
-            query: self.query.to_string(),
-            headers: self
-                .headers()
-                .map(|(n, v)| (n.to_ascii_lowercase(), v.to_string()))
-                .collect(),
-            body: self.body.to_vec(),
-        }
-    }
-
     /// Owned copy without headers — the reactor's dispatch form. The
     /// correlation ids are read from the view before this copy, and
     /// routing never consults headers, so dropping them saves two to
@@ -155,7 +109,6 @@ impl<'a> ReqView<'a> {
             method: self.method.to_string(),
             path: self.path.to_string(),
             query: self.query.to_string(),
-            headers: Vec::new(),
             body: self.body.to_vec(),
         }
     }
@@ -273,27 +226,6 @@ pub fn parse_request_bytes(buf: &[u8]) -> Result<Parsed<'_>, HttpError> {
     })
 }
 
-/// Read one request from the stream (blocking form): a loop feeding the
-/// incremental parser. Used by the non-Linux fallback transport and the
-/// protocol tests.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        // The owned copy must be made before `buf` grows again, hence
-        // the parse-then-read shape.
-        match parse_request_bytes(&buf)? {
-            Parsed::Complete { view, .. } => return Ok(view.to_request()),
-            Parsed::Partial => {}
-        }
-        let n = stream.read(&mut chunk).map_err(|e| HttpError::Io(e.to_string()))?;
-        if n == 0 {
-            return Err(HttpError::Io("connection closed mid-request".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// Locate the `\r\n\r\n` head terminator.
 pub(crate) fn find_header_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n")
@@ -332,27 +264,6 @@ pub fn render_response(
     out
 }
 
-/// Write a complete JSON response and flush. Errors are swallowed — the
-/// peer may already be gone, and there is nobody left to tell.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) {
-    respond(stream, status, "application/json", body, &[]);
-}
-
-/// Write a complete `Connection: close` response with an explicit
-/// content type and extra headers, then flush. Errors are swallowed —
-/// the peer may already be gone, and there is nobody left to tell.
-pub fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-) {
-    let bytes = render_response(status, content_type, body, extra_headers, false);
-    let _ = stream.write_all(&bytes);
-    let _ = stream.flush();
-}
-
 /// Canonical reason phrase of the status codes the daemon emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -387,54 +298,49 @@ mod tests {
         }
     }
 
-    /// Feed raw bytes through a real socket pair into `read_request`.
-    fn read_raw(raw: Vec<u8>) -> Result<Request, HttpError> {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let _ = stream.write_all(&raw);
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            stream // keep alive until the reader is done
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let result = read_request(&mut stream);
-        let _ = writer.join();
-        result
+    /// Parse one complete request, or return the parser's error.
+    fn parse_one(raw: &[u8]) -> Result<ReqView<'_>, HttpError> {
+        match parse_request_bytes(raw)? {
+            Parsed::Complete { view, consumed } => {
+                assert_eq!(consumed, raw.len());
+                Ok(view)
+            }
+            Parsed::Partial => panic!("request incomplete"),
+        }
     }
 
     #[test]
     fn overlong_request_line_is_too_large() {
         let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_REQUEST_LINE_BYTES));
-        assert_eq!(read_raw(raw.into_bytes()), Err(HttpError::TooLarge));
-        // Even without a terminating newline the reader bails early.
+        assert_eq!(parse_one(raw.as_bytes()).unwrap_err(), HttpError::TooLarge);
+        // Even without a terminating newline the parser bails early.
         let unterminated = vec![b'G'; MAX_REQUEST_LINE_BYTES + 1024];
-        assert_eq!(read_raw(unterminated), Err(HttpError::TooLarge));
+        assert_eq!(parse_one(&unterminated).unwrap_err(), HttpError::TooLarge);
     }
 
     #[test]
     fn headers_and_query_are_captured() {
-        let raw = b"GET /debug/trace/abc?format=chrome&x=1 HTTP/1.1\r\nX-Trace-Id: DEADBEEF\r\nHost: localhost\r\n\r\n".to_vec();
-        let request = read_raw(raw).unwrap();
-        assert_eq!(request.path, "/debug/trace/abc");
-        assert_eq!(request.query, "format=chrome&x=1");
+        let raw = b"GET /debug/trace/abc?format=chrome&x=1 HTTP/1.1\r\nX-Trace-Id: DEADBEEF\r\nHost: localhost\r\n\r\n";
+        let view = parse_one(raw).unwrap();
+        assert_eq!(view.path, "/debug/trace/abc");
+        assert_eq!(view.query, "format=chrome&x=1");
+        assert_eq!(view.header("x-trace-id"), Some("DEADBEEF"));
+        assert_eq!(view.header("X-TRACE-ID"), Some("DEADBEEF"));
+        assert_eq!(view.header("host"), Some("localhost"));
+        assert_eq!(view.header("absent"), None);
+        let request = view.to_request_lean();
         assert_eq!(request.query_param("format"), Some("chrome"));
         assert_eq!(request.query_param("x"), Some("1"));
         assert_eq!(request.query_param("missing"), None);
-        assert_eq!(request.header("x-trace-id"), Some("DEADBEEF"));
-        assert_eq!(request.header("X-TRACE-ID"), Some("DEADBEEF"));
-        assert_eq!(request.header("host"), Some("localhost"));
-        assert_eq!(request.header("absent"), None);
     }
 
     #[test]
     fn conflicting_content_lengths_are_malformed() {
-        let raw = b"POST /v1/scan HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}".to_vec();
-        assert!(matches!(read_raw(raw), Err(HttpError::Malformed(_))));
+        let raw = b"POST /v1/scan HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}";
+        assert!(matches!(parse_request_bytes(raw), Err(HttpError::Malformed(_))));
         // Agreeing duplicates are harmless and accepted.
-        let raw = b"POST /v1/scan HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}".to_vec();
-        let request = read_raw(raw).unwrap();
-        assert_eq!(request.body, b"{}");
+        let raw = b"POST /v1/scan HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
+        assert_eq!(parse_one(raw).unwrap().body, b"{}");
     }
 
     #[test]
@@ -443,7 +349,7 @@ mod tests {
             "POST /v1/scan HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert_eq!(read_raw(raw.into_bytes()), Err(HttpError::TooLarge));
+        assert_eq!(parse_one(raw.as_bytes()).unwrap_err(), HttpError::TooLarge);
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!   thread hands connections round-robin to N shard threads, each
 //!   running an event loop with non-blocking reads, an incremental
 //!   zero-copy HTTP/1.1 parser, keep-alive and pipelining with a
-//!   bounded in-flight depth, and responses written in request order.
-//!   Non-Linux targets fall back to the original blocking
-//!   accept-then-dispatch loop,
+//!   bounded in-flight depth, and responses written in request order,
 //! * bounded per-shard [`WorkerPool`]s (`pipeline::par`) running the
 //!   analysis — overload is shed at the edge with HTTP 429 instead of
 //!   queueing without bound,
@@ -52,18 +50,20 @@ pub mod accesslog;
 pub mod breaker;
 pub mod client;
 pub mod http;
-#[cfg(target_os = "linux")]
 pub mod reactor;
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("the server's transport is an epoll reactor: it builds on Linux only");
 
 use accesslog::{AccessLog, AccessRecord};
 use breaker::{BreakerConfig, CircuitBreaker};
-use http::{read_request, respond, HttpError, Request};
+use http::{HttpError, Request};
 use pipeline::api::{error_to_json, AnalysisRequest, AnalysisResponse, TraceContext};
 use pipeline::par::{PoolFull, PoolMonitor, WorkerPool};
 use pipeline::AnalysisEngine;
 use solidity::AnalysisError;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -146,7 +146,6 @@ pub fn signal_stop_requested() -> bool {
 /// Install SIGTERM/SIGINT handlers that flip the shutdown flag, turning
 /// `kill -TERM` into a graceful drain. Uses the C `signal` entry point
 /// directly (std already links libc), so no extra dependency is needed.
-#[cfg(unix)]
 pub fn install_signal_handlers() {
     extern "C" fn on_signal(_signum: i32) {
         SIGNAL_STOP.store(true, Ordering::SeqCst);
@@ -161,10 +160,6 @@ pub fn install_signal_handlers() {
         signal(SIGINT, on_signal as *const () as usize);
     }
 }
-
-/// No-op on non-Unix targets.
-#[cfg(not(unix))]
-pub fn install_signal_handlers() {}
 
 /// Per-endpoint circuit breakers for the four analysis endpoints and the
 /// index-management surface.
@@ -300,23 +295,10 @@ impl Server {
     }
 
     /// Serve until shutdown is requested, then drain in-flight requests
-    /// and join shards and workers.
+    /// and join shards and workers. Shard threads own the connections;
+    /// this thread accepts and hands them out round-robin through the
+    /// shard inboxes.
     pub fn run(self) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        {
-            self.run_reactor()
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            self.run_blocking()
-        }
-    }
-
-    /// The sharded event-loop transport: shard threads own connections,
-    /// one acceptor distributes them round-robin through the shard
-    /// inboxes.
-    #[cfg(target_os = "linux")]
-    fn run_reactor(self) -> io::Result<()> {
         use reactor::{Shard, ShardConfig, ShardInbox};
         let shard_cfg =
             ShardConfig { read_timeout: self.read_timeout, max_pipeline: self.max_pipeline };
@@ -384,87 +366,11 @@ impl Server {
         }
     }
 
-    /// The original blocking accept-then-dispatch transport, kept as
-    /// the fallback for non-Linux targets (one request per connection,
-    /// `Connection: close`).
-    #[cfg_attr(target_os = "linux", allow(dead_code))]
-    fn run_blocking(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let pool = &self.pools[0];
-        while !self.state.shutdown.is_shutdown() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    ACCEPTED.incr();
-                    // A duplicate handle so load shedding can still
-                    // answer after the job (owning the original) is
-                    // refused and dropped.
-                    let reject_handle = stream.try_clone().ok();
-                    let state = Arc::clone(&self.state);
-                    let submitted =
-                        pool.try_submit(move || handle_connection(stream, &state));
-                    if let Err(PoolFull(job)) = submitted {
-                        drop(job);
-                        SHED.incr();
-                        if let Some(mut stream) = reject_handle {
-                            let started = Instant::now();
-                            let _ = stream.set_nonblocking(false);
-                            // Drain the request before answering: closing
-                            // with unread data makes the kernel send RST,
-                            // which would destroy the 429 in flight.
-                            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                            let request = read_request(&mut stream);
-                            // Shed requests still get correlatable ids,
-                            // RED metrics and an access-log line — refused
-                            // load must not vanish without a trace.
-                            let ids = match &request {
-                                Ok(request) => RequestIds::from_request(request),
-                                Err(_) => RequestIds::fresh(),
-                            };
-                            respond(
-                                &mut stream,
-                                429,
-                                "application/json",
-                                OVERLOADED_BODY,
-                                &ids.headers(),
-                            );
-                            let (method, path) = match &request {
-                                Ok(r) => (r.method.clone(), r.path.clone()),
-                                Err(_) => ("?".to_string(), "?".to_string()),
-                            };
-                            observe_request(&path, 429, started.elapsed());
-                            log_access(
-                                &self.state,
-                                &ids,
-                                &method,
-                                &path,
-                                429,
-                                started.elapsed(),
-                                "shed",
-                                OVERLOADED_BODY.len(),
-                            );
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // Graceful drain: queued connections are still served.
-        for pool in self.pools {
-            if let Some(pool) = Arc::into_inner(pool) {
-                pool.shutdown();
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The per-shard service half of the reactor: routes parsed requests to
 /// this shard's worker pool, sheds with 429 when the pool is full, and
 /// renders the protocol-level error classes.
-#[cfg(target_os = "linux")]
 struct ShardService {
     state: Arc<ServiceState>,
     pool: Arc<WorkerPool>,
@@ -472,7 +378,6 @@ struct ShardService {
     read_timeout: Duration,
 }
 
-#[cfg(target_os = "linux")]
 impl reactor::ShardHandler for ShardService {
     fn handle(
         &self,
@@ -532,7 +437,6 @@ impl reactor::ShardHandler for ShardService {
         let (status, body) = match err {
             HttpError::TooLarge => (413, error_body("too_large", "request too large")),
             HttpError::Malformed(m) => (400, error_body("bad_request", m)),
-            HttpError::Io(m) => (400, error_body("bad_request", m)),
         };
         observe_request("?", status, Duration::ZERO);
         log_access(&self.state, &ids, "?", "?", status, Duration::ZERO, "error", body.len());
@@ -567,7 +471,6 @@ impl reactor::ShardHandler for ShardService {
 /// Run one request end to end on a worker thread: trace, chaos hook,
 /// route, render, metrics, access log. Returns the rendered response
 /// bytes for the shard to write in pipeline order.
-#[cfg(target_os = "linux")]
 fn run_request(
     state: &ServiceState,
     request: &Request,
@@ -631,22 +534,8 @@ impl RequestIds {
         RequestIds { trace, trace_hex: trace.to_hex(), request_id }
     }
 
-    fn from_request(request: &Request) -> RequestIds {
-        let trace = request
-            .header("x-trace-id")
-            .and_then(TraceId::from_hex)
-            .unwrap_or_else(trace::new_trace_id);
-        let request_id = request
-            .header("x-request-id")
-            .map(sanitize_id)
-            .filter(|id| !id.is_empty())
-            .unwrap_or_else(|| trace::new_trace_id().to_hex());
-        RequestIds::new(trace, request_id)
-    }
-
-    /// Same adoption logic as [`RequestIds::from_request`], but reading
-    /// the zero-copy view (no header materialization on the hot path).
-    #[cfg(target_os = "linux")]
+    /// Adopt the ids from the request's `X-Trace-Id` / `X-Request-Id`
+    /// headers, read from the zero-copy view.
     fn from_view(view: &http::ReqView<'_>) -> RequestIds {
         let trace = view
             .header("X-Trace-Id")
@@ -764,66 +653,11 @@ fn log_access(
     });
 }
 
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn handle_connection(mut stream: TcpStream, state: &ServiceState) {
-    let started = Instant::now();
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    match read_request(&mut stream) {
-        Ok(request) => {
-            let ids = RequestIds::from_request(&request);
-            let trace_guard = trace::start(ids.trace, "request");
-            trace::annotate("method", &request.method);
-            trace::annotate("path", &request.path);
-            trace::annotate("request_id", &ids.request_id);
-            let (status, content_type, body) = match faultinject::fire("server/request") {
-                Some(message) => (500, "application/json", error_body("internal", &message)),
-                None => route(&request, state),
-            };
-            trace::annotate("status", status);
-            if status >= 500 {
-                trace::mark_error();
-            }
-            drop(trace_guard);
-            respond(&mut stream, status, content_type, &body, &ids.headers());
-            let elapsed = started.elapsed();
-            observe_request(&request.path, status, elapsed);
-            log_access(
-                state,
-                &ids,
-                &request.method,
-                &request.path,
-                status,
-                elapsed,
-                outcome_of(status, &body),
-                body.len(),
-            );
-        }
-        Err(HttpError::TooLarge) => {
-            let ids = RequestIds::fresh();
-            let body = error_body("too_large", "request too large");
-            respond(&mut stream, 413, "application/json", &body, &ids.headers());
-            observe_request("?", 413, started.elapsed());
-            log_access(state, &ids, "?", "?", 413, started.elapsed(), "error", body.len());
-        }
-        Err(HttpError::Malformed(m)) => {
-            let ids = RequestIds::fresh();
-            let body = error_body("bad_request", &m);
-            respond(&mut stream, 400, "application/json", &body, &ids.headers());
-            observe_request("?", 400, started.elapsed());
-            log_access(state, &ids, "?", "?", 400, started.elapsed(), "error", body.len());
-        }
-        // The peer vanished; nothing to answer.
-        Err(HttpError::Io(_)) => {}
-    }
-}
-
 fn error_body(code: &str, message: &str) -> String {
     format!(
         "{{\"v\":1,\"kind\":\"error\",\"code\":\"{}\",\"message\":\"{}\"}}",
         code,
-        pipeline::api::escape_json(message)
+        telemetry::json::escape(message)
     )
 }
 
@@ -1404,16 +1238,17 @@ mod tests {
 
     #[test]
     fn request_ids_adopt_and_sanitize_headers() {
-        let mut request = get("/health");
-        request.headers.push(("x-trace-id".into(), "DEADBEEFCAFEF00D".into()));
-        request.headers.push(("x-request-id".into(), "abc\u{7}def".into()));
-        let ids = RequestIds::from_request(&request);
+        let ids_of = |raw: &[u8]| match http::parse_request_bytes(raw).expect("parses") {
+            http::Parsed::Complete { view, .. } => RequestIds::from_view(&view),
+            http::Parsed::Partial => panic!("incomplete request"),
+        };
+        let ids = ids_of(
+            b"GET /health HTTP/1.1\r\nx-trace-id: DEADBEEFCAFEF00D\r\nX-Request-Id: abc\x07def\r\n\r\n",
+        );
         assert_eq!(ids.trace_hex(), "deadbeefcafef00d");
         assert_eq!(ids.request_id, "abcdef");
         // A malformed trace id is replaced, not adopted.
-        let mut request = get("/health");
-        request.headers.push(("x-trace-id".into(), "not-hex".into()));
-        let ids = RequestIds::from_request(&request);
+        let ids = ids_of(b"GET /health HTTP/1.1\r\nX-Trace-Id: not-hex\r\n\r\n");
         assert_ne!(ids.trace_hex(), "not-hex");
         assert_eq!(ids.trace_hex().len(), 16);
     }

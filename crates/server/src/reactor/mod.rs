@@ -7,9 +7,6 @@
 //! strictly in request order. Analysis work runs on per-shard worker
 //! pools; finished responses come back through the shard's
 //! [`ShardInbox`].
-//!
-//! On non-Linux targets the daemon falls back to the original blocking
-//! accept-then-dispatch loop (`Server::run_blocking`).
 
 mod conn;
 mod shard;

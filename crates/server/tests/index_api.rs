@@ -55,7 +55,7 @@ fn insert_compact_and_warm_restart_roundtrip() {
     // Insert a new document; the id is echoed and the delta counted.
     let insert = format!(
         "{{\"v\":1,\"source\":\"{}\",\"id\":9}}",
-        pipeline::api::escape_json(NEW_CONTRACT)
+        telemetry::json::escape(NEW_CONTRACT)
     );
     let (status, body) = client::post(&addr, "/v1/index/insert", &insert).unwrap();
     assert_eq!(status, 200, "{body}");
@@ -154,7 +154,7 @@ fn uncompacted_inserts_survive_an_abrupt_restart() {
 
     let insert = format!(
         "{{\"v\":1,\"source\":\"{}\",\"id\":9}}",
-        pipeline::api::escape_json(NEW_CONTRACT)
+        telemetry::json::escape(NEW_CONTRACT)
     );
     let (status, body) = client::post(&addr, "/v1/index/insert", &insert).unwrap();
     assert_eq!(status, 200, "{body}");

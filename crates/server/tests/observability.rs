@@ -117,6 +117,7 @@ fn every_response_class_carries_correlation_ids() {
 #[test]
 fn adopted_trace_id_round_trips_through_debug_endpoints() {
     with_tracing(true, || {
+        telemetry::enable();
         let (addr, handle, join) = start(ServerConfig::default());
         // A snippet unique to this test: a CPG cache hit would elide the
         // parse/cpg-build spans the assertions below require.
@@ -153,7 +154,16 @@ fn adopted_trace_id_round_trips_through_debug_endpoints() {
         assert!(chrome.contains("traceEvents"), "not a Chrome trace document: {chrome}");
         telemetry::json::parse(&chrome).unwrap_or_else(|e| panic!("{e}: {chrome}"));
 
+        // The same stage guards fed the histograms /metrics exports.
+        let (status, metrics) = client::get(&addr, "/metrics").expect("metrics");
+        assert_eq!(status, 200);
+        assert!(
+            metrics.contains("stage_duration_ns_count{stage=\"parse\"}"),
+            "metrics miss the parse stage histogram:\n{metrics}"
+        );
+
         stop(handle, join);
+        telemetry::disable();
     });
 }
 

@@ -102,7 +102,8 @@ pub fn parse_snippet(src: &str) -> Result<SourceUnit, ParseError> {
 
 /// Parse with explicit options.
 pub fn parse_with(src: &str, opts: ParserOptions) -> Result<SourceUnit, ParseError> {
-    let _stage = telemetry::trace::stage("parse");
+    static STAGE: telemetry::Stage = telemetry::Stage::new("parse");
+    let _stage = STAGE.enter();
     telemetry::trace::annotate("bytes", src.len());
     let result = (|| {
         if let Some(message) = faultinject::fire("parse") {

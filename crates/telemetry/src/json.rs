@@ -1,7 +1,9 @@
-//! A minimal JSON parser for validating emitted run reports.
+//! Minimal JSON support: the workspace's one string escaper and a parser
+//! for validating emitted documents.
 //!
 //! The workspace is offline (no serde_json); this covers exactly what the
-//! report consumers need: parse a complete document into a [`Value`] tree
+//! emitters and report consumers need: [`escape`] a string for embedding
+//! in a document, and parse a complete document into a [`Value`] tree
 //! with object key lookup. Numbers are `f64`, strings support the
 //! standard escapes, and trailing garbage is an error.
 
@@ -56,6 +58,24 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Escape a string for embedding between the quotes of a JSON string
+/// literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Parse a complete JSON document.
@@ -253,6 +273,15 @@ mod tests {
     fn unicode_escapes_and_multibyte_characters() {
         assert_eq!(parse(r#""é""#).unwrap(), Value::String("é".into()));
         assert_eq!(parse("\"η ≥ ε\"").unwrap(), Value::String("η ≥ ε".into()));
+    }
+
+    #[test]
+    fn escape_handles_specials_and_roundtrips() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        let hostile = "q\"\\\r\t\u{7}é";
+        let doc = format!("\"{}\"", escape(hostile));
+        assert_eq!(parse(&doc).unwrap(), Value::String(hostile.into()));
     }
 
     #[test]

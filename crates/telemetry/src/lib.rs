@@ -2,11 +2,11 @@
 //!
 //! Three building blocks (DESIGN.md §4d):
 //!
-//! * **Spans** — hierarchical wall-clock timing with a scoped-guard API:
-//!   [`span`] pushes a segment onto a thread-local path stack and the
-//!   returned [`SpanGuard`] records `(path, elapsed)` into a global
-//!   aggregate on drop. Paths use `/` separators (`ccc/query/Reentrancy`),
-//!   so the aggregate forms a tree.
+//! * **Stages** — a static [`Stage`] handle times one pipeline stage:
+//!   [`Stage::enter`] returns a guard that on drop adds the elapsed
+//!   nanoseconds to the histogram `stage_duration_ns|stage=<name>` and
+//!   closes a span of the same name in the active request trace
+//!   ([`trace`]), each only while its switch is on.
 //! * **Metrics** — a global registry of named [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket (power-of-two) [`Histogram`]s. Handles cache their
 //!   registry slot in a `OnceLock`, so the hot path is one relaxed atomic
@@ -28,14 +28,16 @@
 //! ```
 //! telemetry::reset();
 //! telemetry::enable();
+//! static PARSE: telemetry::Stage = telemetry::Stage::new("demo/parse");
 //! static PARSED: telemetry::Counter = telemetry::Counter::new("demo.parsed");
 //! {
-//!     let _span = telemetry::span("demo/parse");
+//!     let _stage = PARSE.enter();
 //!     PARSED.add(3);
 //! }
 //! let snap = telemetry::snapshot();
 //! assert_eq!(snap.counter("demo.parsed"), Some(3));
-//! assert_eq!(snap.span("demo/parse").unwrap().count, 1);
+//! let parse = snap.histogram("stage_duration_ns|stage=demo/parse").unwrap();
+//! assert_eq!(parse.count, 1);
 //! telemetry::disable();
 //! ```
 
@@ -45,15 +47,15 @@ pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod report;
-pub mod span;
+pub mod stage;
 pub mod trace;
 
 pub use metrics::{
     counter_add, duration_observe_us, gauge_set, histogram_observe, BucketLayout, Counter, Gauge,
     Histogram,
 };
-pub use report::{reset, snapshot, HistogramStat, Snapshot, SpanStat};
-pub use span::{span, SpanGuard};
+pub use report::{reset, snapshot, HistogramStat, Snapshot};
+pub use stage::{stage_metric, Stage, StageGuard, STAGE_METRIC};
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
@@ -157,18 +159,22 @@ mod tests {
     fn disabled_is_the_default_and_everything_is_a_noop() {
         let _guard = test_lock::hold();
         disable();
+        trace::set_enabled(false);
         reset();
+        trace::reset();
         static C: Counter = Counter::new("lib.noop");
         C.add(41);
         gauge_set("lib.noop_gauge", 7);
         histogram_observe("lib.noop_hist", 3);
-        let _span = span("lib/noop");
-        drop(_span);
+        static S: Stage = Stage::new("lib/noop");
+        let t = trace::start(trace::TraceId(9), "request");
+        drop(S.enter());
+        drop(t);
         let snap = snapshot();
         assert!(snap.counters.is_empty(), "{snap:?}");
         assert!(snap.gauges.is_empty(), "{snap:?}");
         assert!(snap.histograms.is_empty(), "{snap:?}");
-        assert!(snap.spans.is_empty(), "{snap:?}");
+        assert_eq!(trace::buffered(), 0, "no trace recorded");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (`&'static`) so handles can cache a direct pointer: after the first
 //! touch, a [`Counter::add`] is one enabled-check plus one relaxed
 //! `fetch_add`. Dynamic names ([`counter_add`] and friends) pay one
-//! registry lock per call and are meant for cold paths (per-node-kind
-//! totals, per-query findings).
+//! registry lock per call and are meant for cold paths (per-build node
+//! kind totals, per-shard gauges).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,7 +176,7 @@ fn gauge_cell(name: &str) -> &'static AtomicU64 {
         .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
 }
 
-fn histogram_cell(name: &str, layout: BucketLayout) -> &'static HistogramCore {
+pub(crate) fn histogram_cell(name: &str, layout: BucketLayout) -> &'static HistogramCore {
     let mut map = lock(&registry().histograms);
     // First registration wins the layout; mixed-layout reuse of one name
     // is a programming error and keeps the original mapping.

@@ -8,9 +8,9 @@
 //! in a name, label key or label value position is mangled to `_`
 //! (values keep their text, only escaped). Counters get the canonical
 //! `_total` suffix; histograms render cumulative `_bucket{le=...}`
-//! series from their [`BucketLayout`] upper bounds plus `_sum`/`_count`;
-//! span aggregates are exported as `telemetry_span_count` /
-//! `telemetry_span_total_ns` labeled by path.
+//! series from their [`BucketLayout`](crate::BucketLayout) upper bounds
+//! plus `_sum`/`_count` (stage timings are the
+//! `stage_duration_ns{stage="..."}` family).
 //!
 //! Empty histogram buckets are skipped (cumulative values stay correct;
 //! `+Inf` is always present), which keeps the 105-bucket duration
@@ -195,25 +195,6 @@ pub fn render(snapshot: &Snapshot) -> String {
             fam.out
                 .push_str(&format!("{base}_count{} {}\n", render_labels(labels), h.count));
             i += 1;
-        }
-    }
-
-    if !snapshot.spans.is_empty() {
-        fam.type_line("telemetry_span_count", "counter");
-        for s in &snapshot.spans {
-            fam.out.push_str(&format!(
-                "telemetry_span_count_total{} {}\n",
-                labels_with(&[], "path", &s.path),
-                s.count
-            ));
-        }
-        fam.type_line("telemetry_span_total_ns", "counter");
-        for s in &snapshot.spans {
-            fam.out.push_str(&format!(
-                "telemetry_span_total_ns_total{} {}\n",
-                labels_with(&[], "path", &s.path),
-                s.total_ns
-            ));
         }
     }
 
@@ -440,7 +421,7 @@ fn split_label_pairs(labels: &str) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::report::HistogramStat;
-    use crate::{BucketLayout, Snapshot, SpanStat};
+    use crate::{BucketLayout, Snapshot};
 
     fn sample_snapshot() -> Snapshot {
         let mut buckets = vec![0u64; crate::metrics::DURATION_BUCKETS];
@@ -448,7 +429,6 @@ mod tests {
         buckets[crate::metrics::duration_bucket_of(27_000)] = 2;
         buckets[crate::metrics::DURATION_BUCKETS - 1] = 1;
         Snapshot {
-            spans: vec![SpanStat { path: "ccc/query/Reentrancy".into(), count: 4, total_ns: 99 }],
             counters: vec![
                 ("api.requests".into(), 10),
                 ("http.requests|endpoint=/v1/scan|status=2xx".into(), 7),
@@ -483,10 +463,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("pool_workers 8"), "{text}");
-        assert!(
-            text.contains("telemetry_span_count_total{path=\"ccc/query/Reentrancy\"} 4"),
-            "{text}"
-        );
         validate(&text).expect("emitted exposition validates");
     }
 
@@ -537,9 +513,12 @@ mod tests {
         crate::gauge_set("prom.test.depth", 5);
         crate::duration_observe_us("prom.test.lat|endpoint=/x", 17_012);
         crate::histogram_observe("prom.test.sizes", 1024);
+        static STAGE: crate::Stage = crate::Stage::new("prom/test");
+        drop(STAGE.enter());
         let text = render(&crate::snapshot());
         validate(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
         assert!(text.contains("prom_test_hits_total{endpoint=\"/x\"} 2"), "{text}");
+        assert!(text.contains("stage_duration_ns_count{stage=\"prom/test\"} 1"), "{text}");
         crate::disable();
     }
 }

@@ -1,48 +1,28 @@
 //! Run reports: freeze the global telemetry state into a [`Snapshot`]
 //! and render it as a stable JSON document.
 //!
-//! The JSON schema (version 1) is the machine-readable interface every
+//! The JSON schema (version 2) is the machine-readable interface every
 //! bench/CI consumer reads (`BENCH_run.json`):
 //!
 //! ```json
 //! {
-//!   "version": 1,
-//!   "spans":      [{"path": "ccc/query/Reentrancy", "count": 1, "total_ns": 2, "mean_ns": 2.0}],
+//!   "version": 2,
 //!   "counters":   [{"name": "ccd.fingerprints", "value": 3}],
 //!   "gauges":     [{"name": "par.workers", "value": 8}],
-//!   "histograms": [{"name": "par.tasks_per_worker", "count": 8, "sum": 64, "buckets": [...]}]
+//!   "histograms": [{"name": "stage_duration_ns|stage=parse", "count": 8, "sum": 64,
+//!                   "layout": "pow2", "buckets": [...]}]
 //! }
 //! ```
 //!
-//! All lists are sorted by name/path (the backing maps are `BTreeMap`s),
-//! so two runs over the same corpus produce structurally identical
+//! Stage timings are the `stage_duration_ns|stage=<name>` histograms
+//! (see [`crate::Stage`]); version 1 also carried a `spans` array.
+//! All lists are sorted by name (the backing maps are `BTreeMap`s), so
+//! two runs over the same corpus produce structurally identical
 //! documents modulo timing values.
 
+use crate::json::escape;
 use crate::metrics::{registry, BucketLayout, HistogramCore};
-use crate::span::spans;
 use std::sync::atomic::Ordering;
-
-/// Aggregated statistics of one span path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanStat {
-    /// `/`-separated span path.
-    pub path: String,
-    /// Number of completed spans at this path.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across them.
-    pub total_ns: u64,
-}
-
-impl SpanStat {
-    /// Mean nanoseconds per span.
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-}
 
 /// Frozen state of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,13 +39,11 @@ pub struct HistogramStat {
     pub buckets: Vec<u64>,
 }
 
-/// A frozen copy of the telemetry state: spans, counters, gauges and
+/// A frozen copy of the telemetry state: counters, gauges and
 /// histograms, each sorted by name. Zero-valued counters/gauges and empty
 /// histograms are omitted, so a [`reset`] registry snapshots as empty.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    /// Span aggregates, sorted by path.
-    pub spans: Vec<SpanStat>,
     /// `(name, value)` counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` gauges, sorted by name.
@@ -90,48 +68,27 @@ impl Snapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// A span aggregate by path, if present.
-    pub fn span(&self, path: &str) -> Option<&SpanStat> {
-        self.spans.iter().find(|s| s.path == path)
-    }
-
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Render the stable JSON document (schema version 1).
+    /// Render the stable JSON document (schema version 2).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"version\": 1,\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"path\": {}, \"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}}}",
-                escape(&s.path),
-                s.count,
-                s.total_ns,
-                s.mean_ns()
-            ));
-        }
-        out.push_str("\n  ],\n  \"counters\": [");
+        out.push_str("{\n  \"version\": 2,\n  \"counters\": [");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {{\"name\": {}, \"value\": {value}}}", escape(name)));
+            out.push_str(&format!("\n    {{\"name\": \"{}\", \"value\": {value}}}", escape(name)));
         }
         out.push_str("\n  ],\n  \"gauges\": [");
         for (i, (name, value)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {{\"name\": {}, \"value\": {value}}}", escape(name)));
+            out.push_str(&format!("\n    {{\"name\": \"{}\", \"value\": {value}}}", escape(name)));
         }
         out.push_str("\n  ],\n  \"histograms\": [");
         for (i, h) in self.histograms.iter().enumerate() {
@@ -140,7 +97,7 @@ impl Snapshot {
             }
             let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "\n    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"layout\": \"{}\", \"buckets\": [{}]}}",
+                "\n    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"layout\": \"{}\", \"buckets\": [{}]}}",
                 escape(&h.name),
                 h.count,
                 h.sum,
@@ -153,37 +110,9 @@ impl Snapshot {
     }
 }
 
-/// JSON string literal with escapes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Freeze the current telemetry state. Can be taken while disabled (it
 /// reads whatever was recorded before the switch-off).
 pub fn snapshot() -> Snapshot {
-    let spans: Vec<SpanStat> = spans()
-        .iter()
-        .filter(|(_, agg)| agg.count > 0)
-        .map(|(path, agg)| SpanStat {
-            path: path.clone(),
-            count: agg.count,
-            total_ns: agg.total_ns,
-        })
-        .collect();
     let reg = registry();
     let counters: Vec<(String, u64)> = lock_map(&reg.counters)
         .iter()
@@ -200,7 +129,7 @@ pub fn snapshot() -> Snapshot {
         .map(|(n, h)| freeze_histogram(n, h))
         .filter(|h| h.count > 0)
         .collect();
-    Snapshot { spans, counters, gauges, histograms }
+    Snapshot { counters, gauges, histograms }
 }
 
 fn lock_map<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -218,12 +147,10 @@ fn freeze_histogram(name: &str, h: &HistogramCore) -> HistogramStat {
     }
 }
 
-/// Zero every metric and drop every span aggregate. Metric cells are
-/// zeroed in place (handles cache `&'static` pointers into the registry,
-/// which must stay valid), so the registry keys survive but snapshot as
-/// empty until touched again.
+/// Zero every metric. Metric cells are zeroed in place (handles cache
+/// `&'static` pointers into the registry, which must stay valid), so the
+/// registry keys survive but snapshot as empty until touched again.
 pub fn reset() {
-    spans().clear();
     let reg = registry();
     for cell in lock_map(&reg.counters).values() {
         cell.store(0, Ordering::Relaxed);
@@ -253,13 +180,13 @@ mod tests {
         crate::counter_add("report.test.counter", 7);
         crate::gauge_set("report.test.gauge", 9);
         crate::histogram_observe("report.test.hist", 140);
-        {
-            let _span = crate::span("report.test/phase \"quoted\"");
-        }
+        static QUOTED: crate::Stage = crate::Stage::new("report.test/phase \"quoted\"");
+        drop(QUOTED.enter());
         let snap = snapshot();
         let doc = parse(&snap.to_json()).expect("emitted JSON parses");
         let Value::Object(root) = &doc else { panic!("not an object: {doc:?}") };
-        assert_eq!(root.get("version"), Some(&Value::Number(1.0)));
+        assert_eq!(root.get("version"), Some(&Value::Number(2.0)));
+        assert!(root.get("spans").is_none(), "schema 2 has no spans array");
         let Some(Value::Array(counters)) = root.get("counters") else {
             panic!("no counters array")
         };
@@ -268,17 +195,18 @@ mod tests {
                 if o.get("name") == Some(&Value::String("report.test.counter".into()))
                 && o.get("value") == Some(&Value::Number(7.0)))
         }));
-        let Some(Value::Array(spans)) = root.get("spans") else { panic!("no spans array") };
-        assert!(spans.iter().any(|s| {
-            matches!(s, Value::Object(o)
-                if o.get("path") == Some(&Value::String("report.test/phase \"quoted\"".into())))
-        }));
         let Some(Value::Array(hists)) = root.get("histograms") else {
             panic!("no histograms array")
         };
         assert!(hists.iter().any(|h| {
             matches!(h, Value::Object(o)
                 if o.get("sum") == Some(&Value::Number(140.0)))
+        }));
+        let stage = crate::stage_metric("report.test/phase \"quoted\"");
+        assert!(hists.iter().any(|h| {
+            matches!(h, Value::Object(o)
+                if o.get("name") == Some(&Value::String(stage.clone()))
+                && o.get("count") == Some(&Value::Number(1.0)))
         }));
         crate::disable();
     }

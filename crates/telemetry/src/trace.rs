@@ -1,24 +1,25 @@
 //! Per-request distributed-style tracing: bounded span trees in a
 //! lock-sharded ring buffer with tail sampling.
 //!
-//! The aggregate spans of [`crate::span`] answer "where does the *run*
+//! The stage histograms of [`crate::Stage`] answer "where does the *run*
 //! spend time"; this module answers "why was *this request* slow". A
 //! request handler opens a trace with [`start`] (adopting or minting a
 //! 64-bit [`TraceId`]), the analysis stages below it open child spans
-//! with [`stage`] (thread-local, no signature plumbing), and annotations
-//! ([`annotate`], [`mark_error`]) attach outcomes, cache hits and
-//! injected faults to the innermost open span. When the root guard
-//! drops, the finished span tree is submitted to a process-global,
-//! lock-sharded ring buffer under a tail-sampling policy that **always**
-//! retains error traces and traces slower than a configurable threshold
-//! (normal traces are kept 1-in-`keep_every` and evicted first under
-//! buffer pressure).
+//! through [`crate::Stage::enter`] (thread-local, no signature
+//! plumbing), and annotations ([`annotate`], [`mark_error`]) attach
+//! outcomes, cache hits and injected faults to the innermost open span.
+//! When the root guard drops, the finished span tree is submitted to a
+//! process-global, lock-sharded ring buffer under a tail-sampling policy
+//! that **always** retains error traces and traces slower than a
+//! configurable threshold (normal traces are kept 1-in-`keep_every` and
+//! evicted first under buffer pressure).
 //!
 //! Tracing is **off** by default and independent of the metrics switch:
 //! [`set_enabled`]`(true)` (the daemon's `--trace` flag) or `TRACING=1`
-//! turns it on. While off, [`start`]/[`stage`]/[`annotate`] are a single
-//! relaxed atomic load — no allocation, no thread-local touch — so the
-//! instrumentation stays compiled into release binaries.
+//! turns it on. While off, [`start`]/[`annotate`] and the trace half of
+//! [`crate::Stage::enter`] are a single relaxed atomic load — no
+//! allocation, no thread-local touch — so the instrumentation stays
+//! compiled into release binaries.
 //!
 //! Ids are deterministic under a fixed seed ([`seed_ids`], or the
 //! `TRACE_SEED` environment variable), which tests use to assert stable
@@ -29,13 +30,14 @@
 //! a Chrome `trace_event` document ([`to_chrome_json`]) that loads
 //! directly in Perfetto / `chrome://tracing`.
 
+use crate::json::escape;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Hard cap on recorded spans per trace; further [`stage`] calls count
+/// Hard cap on recorded spans per trace; further stage entries count
 /// into `dropped_spans` instead of growing the tree without bound.
 pub const MAX_TRACE_SPANS: usize = 256;
 
@@ -246,21 +248,6 @@ pub struct TraceGuard {
     live: bool,
 }
 
-/// Guard of one stage span: closes the span on drop.
-#[must_use = "a stage span measures until its guard is dropped"]
-#[derive(Debug)]
-pub struct StageGuard {
-    idx: Option<usize>,
-}
-
-impl StageGuard {
-    /// An inert guard recording nothing — for call sites that trace only
-    /// conditionally.
-    pub const fn inert() -> StageGuard {
-        StageGuard { idx: None }
-    }
-}
-
 impl TraceGuard {
     /// An inert guard recording nothing — for call sites that resolve
     /// the trace id lazily and must not consume one while tracing is
@@ -286,20 +273,25 @@ pub fn start(trace_id: TraceId, name: &'static str) -> TraceGuard {
             .elapsed()
             .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
             .unwrap_or(0);
-        let root = SpanRec {
+        // Sized for a request's usual stage depth, so recording its
+        // first spans does not reallocate.
+        let mut spans = Vec::with_capacity(8);
+        spans.push(SpanRec {
             id: SpanId(next_id()),
             parent: None,
             name,
             start_ns: 0,
             dur_ns: 0,
             notes: Vec::new(),
-        };
+        });
+        let mut open = Vec::with_capacity(8);
+        open.push(0);
         *active = Some(ActiveTrace {
             trace_id,
             start: Instant::now(),
             started_unix_us,
-            spans: vec![root],
-            open: vec![0],
+            spans,
+            open,
             error: false,
             dropped: 0,
         });
@@ -332,24 +324,26 @@ impl Drop for TraceGuard {
 }
 
 fn elapsed_ns(start: Instant) -> u64 {
-    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    ns_between(start, Instant::now())
 }
 
-/// Open a stage span under the innermost open span of this thread's
-/// active trace. Inert (one atomic load) while tracing is disabled or no
-/// trace is active; counts into `dropped_spans` past [`MAX_TRACE_SPANS`].
-pub fn stage(name: &'static str) -> StageGuard {
-    if !enabled() {
-        return StageGuard { idx: None };
-    }
+/// Nanoseconds from `start` to `end` (0 if `end` is earlier).
+pub(crate) fn ns_between(start: Instant, end: Instant) -> u64 {
+    end.saturating_duration_since(start).as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Open a span named `name`, started at `now`, under the innermost open
+/// span of this thread's active trace, returning its index for
+/// [`close_span`]. `None` when no trace is active, or past
+/// [`MAX_TRACE_SPANS`] (counted into `dropped_spans`). Callers check
+/// [`enabled`] first.
+pub(crate) fn open_span(name: &'static str, now: Instant) -> Option<usize> {
     ACTIVE.with(|active| {
         let mut active = active.borrow_mut();
-        let Some(trace) = active.as_mut() else {
-            return StageGuard { idx: None };
-        };
+        let trace = active.as_mut()?;
         if trace.spans.len() >= MAX_TRACE_SPANS {
             trace.dropped += 1;
-            return StageGuard { idx: None };
+            return None;
         }
         let parent = trace.open.last().map(|&i| trace.spans[i].id);
         let idx = trace.spans.len();
@@ -357,31 +351,29 @@ pub fn stage(name: &'static str) -> StageGuard {
             id: SpanId(next_id()),
             parent,
             name,
-            start_ns: elapsed_ns(trace.start),
+            start_ns: ns_between(trace.start, now),
             dur_ns: 0,
             notes: Vec::new(),
         });
         trace.open.push(idx);
-        StageGuard { idx: Some(idx) }
+        Some(idx)
     })
 }
 
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        let Some(idx) = self.idx else { return };
-        ACTIVE.with(|active| {
-            let mut active = active.borrow_mut();
-            let Some(trace) = active.as_mut() else { return };
-            let now = elapsed_ns(trace.start);
-            let span = &mut trace.spans[idx];
-            span.dur_ns = now.saturating_sub(span.start_ns).max(1);
-            // Guards drop LIFO within a thread; a panic unwind may skip
-            // inner drops, so close (don't assert) position.
-            if let Some(pos) = trace.open.iter().rposition(|&i| i == idx) {
-                trace.open.truncate(pos);
-            }
-        });
-    }
+/// Close the span [`open_span`] returned, ended at `now`.
+pub(crate) fn close_span(idx: usize, now: Instant) {
+    ACTIVE.with(|active| {
+        let mut active = active.borrow_mut();
+        let Some(trace) = active.as_mut() else { return };
+        let end_ns = ns_between(trace.start, now);
+        let span = &mut trace.spans[idx];
+        span.dur_ns = end_ns.saturating_sub(span.start_ns).max(1);
+        // Guards drop LIFO within a thread; a panic unwind may skip
+        // inner drops, so close (don't assert) position.
+        if let Some(pos) = trace.open.iter().rposition(|&i| i == idx) {
+            trace.open.truncate(pos);
+        }
+    });
 }
 
 /// Attach `key=value` to the innermost open span of the active trace.
@@ -528,22 +520,6 @@ pub fn buffered() -> usize {
 // Rendering
 // ---------------------------------------------------------------------
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn notes_json(notes: &[(&'static str, String)]) -> String {
     let mut out = String::from("{");
     for (i, (k, v)) in notes.iter().enumerate() {
@@ -669,6 +645,12 @@ pub fn recent_json(limit: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stage;
+
+    static PARSE: Stage = Stage::new("parse");
+    static CHECK: Stage = Stage::new("check");
+    static QUERY: Stage = Stage::new("query");
+    static TICK: Stage = Stage::new("tick");
 
     /// Tracing state is process-global; tests serialize through the same
     /// lock the telemetry switch tests use.
@@ -690,7 +672,7 @@ mod tests {
         reset();
         set_enabled(false);
         let t = start(TraceId(7), "request");
-        let s = stage("parse");
+        let s = PARSE.enter();
         annotate("k", "v");
         mark_error();
         assert!(current_trace_id().is_none());
@@ -707,11 +689,11 @@ mod tests {
             let _t = start(TraceId(42), "request");
             assert_eq!(current_trace_id(), Some(TraceId(42)));
             {
-                let _parse = stage("parse");
+                let _parse = PARSE.enter();
                 annotate("bytes", 123);
             }
-            let _check = stage("check");
-            let _inner = stage("query");
+            let _check = CHECK.enter();
+            let _inner = QUERY.enter();
         }
         set_enabled(false);
         let trace = find(TraceId(42)).expect("trace buffered");
@@ -754,7 +736,7 @@ mod tests {
         {
             let _t = start(TraceId(5), "request");
             for _ in 0..(MAX_TRACE_SPANS + 10) {
-                let _s = stage("tick");
+                let _s = TICK.enter();
             }
         }
         set_enabled(false);
