@@ -9,6 +9,12 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
 
+# perfbench is a package of its own outside the workspace, so the steps
+# above never compile it. Build and test it from its manifest, so that a
+# change to a service API it calls fails here and not when the benchmark
+# runs.
+cargo test --release --offline --manifest-path crates/server/examples/perfbench/Cargo.toml
+
 # Frontend perf smoke: re-measure the parse+CPG pass and fail on a >20%
 # throughput regression against the last `interned` point recorded in
 # BENCH_trajectory.json. Measures only (no append), so CI runs do not

@@ -9,7 +9,7 @@
 use crate::fingerprint::Fingerprint;
 use crate::normalize::normalize_unit;
 use crate::tokenize::tokenize_unit;
-use fuzzyhash::similarity_above;
+use fuzzyhash::Pattern;
 use ngram_index::{DocId, NgramIndex};
 use serde::{Deserialize, Serialize};
 use solidity::AnalysisError;
@@ -55,26 +55,43 @@ impl Default for CcdParams {
 /// The per-`s1` running best is threaded into the δ computation as a lower
 /// bound ([`fuzzyhash::similarity_above`]): sub-fingerprints whose length
 /// gap already caps δ at or below the best are skipped outright, the rest
-/// run a banded edit distance that aborts once the band is exceeded. Both
+/// get an exact distance that is discarded once it exceeds the bound. Both
 /// prunings only discard scores that provably cannot raise the maximum, so
-/// the result is bit-identical to the exhaustive double loop.
+/// the result is bit-identical to the exhaustive double loop. Each `s1` is
+/// prepared for δ once ([`fuzzyhash::Pattern`]), not once per `s2`.
 pub fn order_independent_similarity(f1: &Fingerprint, f2: &Fingerprint) -> f64 {
-    let subs1 = f1.sub_fingerprints();
-    let subs2 = f2.sub_fingerprints();
-    if subs1.is_empty() || subs2.is_empty() {
-        return if subs1.is_empty() && subs2.is_empty() { 100.0 } else { 0.0 };
+    PreparedQuery::new(f1).score(f2)
+}
+
+/// A query fingerprint prepared for Algorithm 1 against many others: split
+/// into sub-fingerprints once, each prepared for δ once.
+struct PreparedQuery<'q> {
+    subs: Vec<Pattern<'q>>,
+}
+
+impl<'q> PreparedQuery<'q> {
+    fn new(query: &'q Fingerprint) -> PreparedQuery<'q> {
+        PreparedQuery { subs: query.sub_fingerprints().into_iter().map(Pattern::new).collect() }
     }
-    let mut total = 0.0;
-    for s1 in &subs1 {
-        let mut best = 0.0f64;
-        for s2 in &subs2 {
-            if let Some(score) = similarity_above(s1, s2, best) {
-                best = best.max(score);
-            }
+
+    /// `order_independent_similarity(query, other)`.
+    fn score(&self, other: &Fingerprint) -> f64 {
+        let subs2 = other.sub_fingerprints();
+        if self.subs.is_empty() || subs2.is_empty() {
+            return if self.subs.is_empty() && subs2.is_empty() { 100.0 } else { 0.0 };
         }
-        total += best;
+        let mut total = 0.0;
+        for s1 in &self.subs {
+            let mut best = 0.0f64;
+            for s2 in &subs2 {
+                if let Some(score) = s1.similarity_above(s2, best) {
+                    best = best.max(score);
+                }
+            }
+            total += best;
+        }
+        total / self.subs.len() as f64
     }
-    total / subs1.len() as f64
 }
 
 /// Both directions of Algorithm 1 in a single pass over the
@@ -88,7 +105,7 @@ pub fn order_independent_similarity(f1: &Fingerprint, f2: &Fingerprint) -> f64 {
 /// bit-identity with two independent [`order_independent_similarity`]
 /// calls.
 pub fn order_independent_similarity_pair(f1: &Fingerprint, f2: &Fingerprint) -> (f64, f64) {
-    let subs1 = f1.sub_fingerprints();
+    let subs1 = PreparedQuery::new(f1).subs;
     let subs2 = f2.sub_fingerprints();
     if subs1.is_empty() || subs2.is_empty() {
         let score = if subs1.is_empty() && subs2.is_empty() { 100.0 } else { 0.0 };
@@ -100,7 +117,7 @@ pub fn order_independent_similarity_pair(f1: &Fingerprint, f2: &Fingerprint) -> 
         let mut row_best = 0.0f64;
         for (j, s2) in subs2.iter().enumerate() {
             let floor = row_best.min(col_best[j]);
-            if let Some(score) = similarity_above(s1, s2, floor) {
+            if let Some(score) = s1.similarity_above(s2, floor) {
                 row_best = row_best.max(score);
                 col_best[j] = col_best[j].max(score);
             }
@@ -124,10 +141,15 @@ pub struct CloneMatch {
 /// A corpus of fingerprinted documents with N-gram-accelerated clone
 /// search — the CCD pipeline of Figure 4.
 ///
-/// `Clone` is cheap-ish: the fingerprint vector is shared by reference
-/// count (copy-on-write on the next insert); only the postings map is
-/// deep-copied. The corpus handle in `pipeline` relies on this for its
-/// `Arc::make_mut` insert path.
+/// The N-gram index numbers documents by slot, and slot *i* is entry *i*
+/// of the fingerprint vector, so a candidate slot addresses its
+/// fingerprint directly.
+///
+/// `Clone` shares the fingerprint vector by reference count
+/// (copy-on-write on the next insert) but deep-copies the N-gram index:
+/// its postings map of `u32` slot lists and its slot table. The corpus
+/// handle in `pipeline` relies on this for its `Arc::make_mut` insert
+/// path.
 #[derive(Clone)]
 pub struct CloneDetector {
     params: CcdParams,
@@ -135,6 +157,7 @@ pub struct CloneDetector {
     /// Shared so that several detectors (e.g. per-parameter sweeps or the
     /// analysis service's warm state) can point at one corpus without
     /// cloning every fingerprint; uniquely owned during the build phase.
+    /// In slot order.
     fingerprints: Arc<Vec<(DocId, Fingerprint)>>,
 }
 
@@ -163,10 +186,12 @@ impl CloneDetector {
     /// Reassemble a detector from an already-built N-gram index and its
     /// corpus — the snapshot warm-start path: nothing is re-grammed.
     ///
-    /// The caller (the validated snapshot loader in `index-store`)
-    /// guarantees `index` was built over exactly `corpus`; a detector
-    /// assembled from mismatched parts silently misses candidates, so the
-    /// `n`-vs-params mismatch is at least rejected here.
+    /// The caller (the validated snapshot loader in `index-store`, or a
+    /// shard split) guarantees `index` was built over exactly `corpus`.
+    /// What can be checked cheaply is: the index's `n` must match the
+    /// parameters, and slot *i* of the index must hold the id of corpus
+    /// entry *i* — matching reads candidate slots straight out of the
+    /// corpus. Either mismatch is a typed `index_corrupt` error.
     pub fn from_parts(
         params: CcdParams,
         corpus: Arc<Vec<(DocId, Fingerprint)>>,
@@ -184,6 +209,14 @@ impl CloneDetector {
                 "snapshot index covers {} docs, corpus has {}",
                 index.len(),
                 corpus.len()
+            )));
+        }
+        let mismatch = index.ids().iter().zip(corpus.iter()).position(|(id, (doc, _))| id != doc);
+        if let Some(slot) = mismatch {
+            return Err(AnalysisError::index_corrupt(format!(
+                "index slot {slot} holds doc {}, corpus entry {slot} is doc {}",
+                index.ids()[slot],
+                corpus[slot].0
             )));
         }
         Ok(CloneDetector { params, index, fingerprints: corpus })
@@ -296,15 +329,16 @@ impl CloneDetector {
         if let Some(message) = faultinject::fire("ccd/match") {
             panic!("faultinject: {message}");
         }
-        let candidates = self.index.candidates(&query.indexed_text(), self.params.eta);
-        let candidate_set: std::collections::HashSet<DocId> = candidates.into_iter().collect();
-        telemetry::trace::annotate("candidates", candidate_set.len());
-        let mut matches: Vec<CloneMatch> = self
-            .fingerprints
+        let slots = self.index.candidate_slots(&query.indexed_text(), self.params.eta);
+        telemetry::trace::annotate("candidates", slots.len());
+        let query = PreparedQuery::new(query);
+        // Ascending slots are corpus order, the tie order of the stable
+        // sort below.
+        let mut matches: Vec<CloneMatch> = slots
             .iter()
-            .filter(|(doc, _)| candidate_set.contains(doc))
-            .filter_map(|(doc, fp)| {
-                let score = order_independent_similarity(query, fp);
+            .filter_map(|&slot| {
+                let (doc, fp) = &self.fingerprints[slot as usize];
+                let score = query.score(fp);
                 (score >= self.params.epsilon).then_some(CloneMatch { doc: *doc, score })
             })
             .collect();
@@ -316,11 +350,12 @@ impl CloneDetector {
     /// Brute-force variant without the N-gram pre-filter — the baseline of
     /// the "Execution Time" challenge (§5.5), kept for the ablation bench.
     pub fn matches_bruteforce(&self, query: &Fingerprint) -> Vec<CloneMatch> {
+        let query = PreparedQuery::new(query);
         let mut matches: Vec<CloneMatch> = self
             .fingerprints
             .iter()
             .filter_map(|(doc, fp)| {
-                let score = order_independent_similarity(query, fp);
+                let score = query.score(fp);
                 (score >= self.params.epsilon).then_some(CloneMatch { doc: *doc, score })
             })
             .collect();
@@ -491,6 +526,90 @@ mod tests {
         // … while the previously shared corpus is untouched.
         assert_eq!(shared.len(), before);
         assert!(!Arc::ptr_eq(&shared, &d.shared_fingerprints()));
+    }
+
+    #[test]
+    fn from_parts_rejects_a_slot_table_out_of_corpus_order() {
+        let d = detector_with_corpus();
+        let corpus = d.shared_fingerprints();
+        // The same index over the same documents, listed in another order.
+        let mut reordered = (*corpus).clone();
+        reordered.swap(0, 2);
+        let err = CloneDetector::from_parts(d.params(), Arc::new(reordered), d.index().clone())
+            .err()
+            .expect("slot 0 holds doc 0, corpus entry 0 is doc 2");
+        assert_eq!(err.code(), "index_corrupt");
+        assert!(err.to_string().contains("slot 0"), "{err}");
+        // In order, the parts reassemble into an equivalent detector.
+        let rebuilt = CloneDetector::from_parts(d.params(), corpus, d.index().clone()).unwrap();
+        let q = CloneDetector::fingerprint_source(SNIPPET).unwrap();
+        assert_eq!(rebuilt.matches(&q), d.matches(&q));
+    }
+
+    /// Algorithm 1 the slow way: every pair through the full-DP
+    /// [`fuzzyhash::similarity`], no pruning, no preparation.
+    fn naive_score(f1: &Fingerprint, f2: &Fingerprint) -> f64 {
+        let (subs1, subs2) = (f1.sub_fingerprints(), f2.sub_fingerprints());
+        if subs1.is_empty() || subs2.is_empty() {
+            return if subs1.is_empty() && subs2.is_empty() { 100.0 } else { 0.0 };
+        }
+        let best = |s1: &str| {
+            subs2.iter().map(|s2| fuzzyhash::similarity(s1, s2)).fold(0.0f64, f64::max)
+        };
+        subs1.iter().map(|s1| best(s1)).sum::<f64>() / subs1.len() as f64
+    }
+
+    /// Random fingerprints: up to four pieces of a four-letter alphabet
+    /// (so pieces resemble each other), some longer than the 64-byte word.
+    fn fingerprint_strategy() -> impl proptest::strategy::Strategy<Value = Fingerprint> {
+        let piece = ("[ABCD]{0,12}", 0usize..10, 0usize..2);
+        proptest::collection::vec(piece, 0..5).prop_map(|pieces| {
+            let mut text = String::new();
+            for (i, (piece, stretch, colon)) in pieces.into_iter().enumerate() {
+                if i > 0 {
+                    text.push(if colon == 1 { ':' } else { '.' });
+                }
+                // About one piece in ten is stretched past 64 bytes.
+                let copies = if stretch == 0 { 7 } else { 1 };
+                text.push_str(&piece.repeat(copies));
+            }
+            Fingerprint(text)
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn matches_agree_with_a_naive_reference(
+            corpus in proptest::collection::vec(fingerprint_strategy(), 1..12),
+            query in fingerprint_strategy(),
+            n in 1usize..4,
+            quarter in 1usize..4,
+            epsilon in prop_oneof![Just(0.0), Just(50.0), Just(70.0), Just(90.0)],
+        ) {
+            // Quarters are exact in binary, so the reference's `share >= η`
+            // and the index's `shared >= ⌈η·grams⌉` agree without rounding.
+            let params = CcdParams { ngram_size: n, eta: quarter as f64 / 4.0, epsilon };
+            let mut detector = CloneDetector::new(params);
+            for (i, fp) in corpus.iter().enumerate() {
+                detector.insert_fingerprint(1000 - 7 * i as DocId, fp.clone());
+            }
+            let grams = NgramIndex::new(n);
+            let text = query.indexed_text();
+            let mut expected: Vec<(DocId, u64)> = Vec::new();
+            let mut scored: Vec<CloneMatch> = detector
+                .iter_fingerprints()
+                .filter(|(_, fp)| grams.share(&text, &fp.indexed_text()) >= params.eta)
+                .map(|(doc, fp)| CloneMatch { doc, score: naive_score(&query, fp) })
+                .filter(|m| m.score >= epsilon)
+                .collect();
+            scored.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+            expected.extend(scored.iter().map(|m| (m.doc, m.score.to_bits())));
+            let got: Vec<(DocId, u64)> =
+                detector.matches(&query).iter().map(|m| (m.doc, m.score.to_bits())).collect();
+            prop_assert_eq!(got, expected);
+        }
     }
 
     #[test]

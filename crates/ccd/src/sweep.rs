@@ -268,7 +268,7 @@ impl SweepEngine {
         // spans the entire grid.
         let mut scores: HashMap<(usize, usize), (f64, f64)> = HashMap::new();
         for n in NGRAM_SIZES {
-            // One index per N; documents are keyed by position.
+            // One index per N; a document's slot is its position.
             let indexing = INDEX.enter();
             let index = NgramIndex::from_documents(
                 n,
@@ -280,8 +280,8 @@ impl SweepEngine {
                 // flags per unordered pair.
                 let mut pairs: HashMap<(usize, usize), (bool, bool)> = HashMap::new();
                 for (i, text) in self.indexed.iter().enumerate() {
-                    for cand in index.candidates(text, eta) {
-                        let j = cand as usize;
+                    for slot in index.candidate_slots(text, eta) {
+                        let j = slot as usize;
                         if j == i {
                             continue;
                         }

@@ -258,9 +258,10 @@ fn edit_distance_slices<T: Eq>(a: &[T], b: &[T]) -> usize {
 /// `None` as soon as the distance provably exceeds the bound.
 ///
 /// Only the `2·max_dist + 1` diagonals around the main one are evaluated,
-/// so a tight bound turns the O(n·m) table into O(max_dist·n) — the hot
-/// path of the all-pairs matcher, where most comparisons are far apart
-/// and the per-query best score keeps shrinking the band.
+/// so a tight bound turns the O(n·m) table into O(max_dist·n). This is
+/// the fallback kernel of [`similarity_above`] for inputs the
+/// bit-parallel kernel cannot take (a non-ASCII side, or a first side
+/// longer than 64 bytes).
 pub fn edit_distance_bounded(a: &str, b: &str, max_dist: usize) -> Option<usize> {
     if a.is_ascii() && b.is_ascii() {
         return edit_distance_bounded_slices(a.as_bytes(), b.as_bytes(), max_dist);
@@ -270,7 +271,9 @@ pub fn edit_distance_bounded(a: &str, b: &str, max_dist: usize) -> Option<usize>
     edit_distance_bounded_slices(&a, &b, max_dist)
 }
 
-/// Banded-DP calls that ended before completing the table, by exit.
+/// Bounded-distance outcomes, recorded by both kernels: the length gap
+/// alone proved the distance over the bound, the distance was found over
+/// the bound, or it was computed within it.
 static PRUNE_LENGTH_GAP: telemetry::Counter =
     telemetry::Counter::new("fuzzyhash.prune.length_gap");
 static PRUNE_BAND_ABORT: telemetry::Counter =
@@ -323,8 +326,48 @@ fn edit_distance_bounded_slices<T: Eq>(a: &[T], b: &[T], k: usize) -> Option<usi
         }
         std::mem::swap(&mut prev, &mut current);
     }
-    DP_COMPLETED.incr();
-    (prev[m] <= k).then_some(prev[m])
+    within(prev[m], k)
+}
+
+/// Record and apply the bound to an exact distance.
+fn within(d: usize, k: usize) -> Option<usize> {
+    if d > k {
+        PRUNE_BAND_ABORT.incr();
+        None
+    } else {
+        DP_COMPLETED.incr();
+        Some(d)
+    }
+}
+
+/// Longest pattern the bit-parallel kernel takes: one machine word.
+const WORD: usize = 64;
+
+/// Levenshtein distance between a pattern of `m` (1..=64) ASCII bytes,
+/// given by its match masks, and the ASCII `text` — Myers' bit-vector
+/// algorithm in Hyyrö's edit-distance form. One DP column per text byte
+/// is held as two words of vertical +1/−1 deltas; `d` tracks the bottom
+/// cell. Bits above `m` carry garbage that never flows down: every
+/// operation moves information toward higher bits only.
+fn bit_parallel_distance(masks: &[u64; 128], m: usize, text: &[u8]) -> usize {
+    let last = 1u64 << (m - 1);
+    let (mut vp, mut vn) = (!0u64, 0u64);
+    let mut d = m;
+    for &byte in text {
+        let eq = masks[usize::from(byte)];
+        let d0 = (((eq & vp).wrapping_add(vp)) ^ vp) | eq | vn;
+        let hp = vn | !(d0 | vp);
+        let hn = vp & d0;
+        // At most one of the two is set; branch-free, as either is a coin
+        // flip for the predictor.
+        d = d + usize::from(hp & last != 0) - usize::from(hn & last != 0);
+        // The top row D[0][j] = j contributes a +1 horizontal delta.
+        let hp = (hp << 1) | 1;
+        let hn = hn << 1;
+        vp = hn | !(d0 | hp);
+        vn = hp & d0;
+    }
+    d
 }
 
 /// The paper's sub-fingerprint similarity (§5.5):
@@ -344,32 +387,98 @@ pub fn similarity(s1: &str, s2: &str) -> f64 {
 /// Pruned [`similarity`]: `Some(δ)` — exactly the value `similarity`
 /// would return — whenever `δ` could exceed `floor`, `None` only when the
 /// score is provably `<= floor` (scores just below the floor may still be
-/// returned; the band is padded to stay conservative).
+/// returned; the bound is padded to stay conservative).
 ///
-/// Since `d >= |len1 − len2|`, the length gap alone often proves
-/// `δ <= floor` without touching the DP table; otherwise the banded
-/// [`edit_distance_bounded`] is run with the tightest band that still
-/// guarantees exactness (one extra diagonal absorbs the float rounding
-/// of the band computation). Callers folding a running maximum can pass
-/// the current best as `floor`: skipped scores can never raise the max,
-/// and surviving scores are bit-identical to the unpruned ones.
+/// `δ > floor` translates into a bound on the distance; one extra unit
+/// absorbs the float rounding of that translation. Since
+/// `d >= |len1 − len2|`, the length gap alone often proves `δ <= floor`
+/// without computing anything. Otherwise the distance comes from one of
+/// two exact kernels, chosen from the input: the bit-parallel kernel
+/// when both sides are ASCII and `s1` is at most 64 bytes (every
+/// fingerprint piece in practice), else the banded
+/// [`edit_distance_bounded`]. Either
+/// way the result is `Some` exactly when `d` is within the bound, so
+/// callers folding a running maximum can pass the current best as
+/// `floor`: skipped scores can never raise the max, and surviving scores
+/// are bit-identical to the unpruned ones.
 pub fn similarity_above(s1: &str, s2: &str, floor: f64) -> Option<f64> {
-    static CALLS: telemetry::Counter = telemetry::Counter::new("fuzzyhash.similarity.calls");
-    CALLS.incr();
-    let max_len = s1.chars().count().max(s2.chars().count());
-    if max_len == 0 {
-        return Some(100.0);
+    Pattern::new(s1).similarity_above(s2, floor)
+}
+
+/// One side of δ prepared for many comparisons: Algorithm 1 scores every
+/// sub-fingerprint of one fingerprint against every sub-fingerprint of
+/// another, so the per-side work — the character count and, for an
+/// ASCII side of at most 64 bytes, the bit-parallel kernel's match masks
+/// (`masks[c]` has bit `i` set iff byte `i` is `c`) — is done once per
+/// side instead of once per pair.
+#[derive(Debug, Clone)]
+pub struct Pattern<'a> {
+    text: &'a str,
+    chars: usize,
+    masks: Option<[u64; 128]>,
+}
+
+impl<'a> Pattern<'a> {
+    /// Prepare `text` as the first argument of [`similarity_above`].
+    pub fn new(text: &'a str) -> Pattern<'a> {
+        let masks = (text.is_ascii() && text.len() <= WORD).then(|| {
+            let mut masks = [0u64; 128];
+            for (i, byte) in text.bytes().enumerate() {
+                masks[byte as usize] |= 1 << i;
+            }
+            masks
+        });
+        let chars = if masks.is_some() { text.len() } else { text.chars().count() };
+        Pattern { text, chars, masks }
     }
-    // δ > floor  ⇔  d < max_len·(1 − floor/100); pad by one for float slack.
-    let max_dist = if floor <= 0.0 {
-        max_len
-    } else if floor >= 100.0 {
-        1
-    } else {
-        ((max_len as f64 * (1.0 - floor / 100.0)).floor() as usize + 1).min(max_len)
-    };
-    let d = edit_distance_bounded(s1, s2, max_dist)?;
-    Some((max_len.saturating_sub(d)) as f64 / max_len as f64 * 100.0)
+
+    /// [`similarity_above`] with this pattern as `s1`: same contract,
+    /// same bits.
+    pub fn similarity_above(&self, other: &str, floor: f64) -> Option<f64> {
+        static CALLS: telemetry::Counter = telemetry::Counter::new("fuzzyhash.similarity.calls");
+        CALLS.incr();
+        let other_ascii = other.is_ascii();
+        let other_chars = if other_ascii { other.len() } else { other.chars().count() };
+        let max_len = self.chars.max(other_chars);
+        if max_len == 0 {
+            return Some(100.0);
+        }
+        // δ > floor  ⇔  d < max_len·(1 − floor/100); pad by one for float slack.
+        let max_dist = if floor <= 0.0 {
+            max_len
+        } else if floor >= 100.0 {
+            1
+        } else {
+            ((max_len as f64 * (1.0 - floor / 100.0)).floor() as usize + 1).min(max_len)
+        };
+        let d = self.distance_within(other, other_ascii, other_chars, max_dist)?;
+        Some((max_len.saturating_sub(d)) as f64 / max_len as f64 * 100.0)
+    }
+
+    /// `Some(d)` iff the edit distance to `other` (of `other_chars`
+    /// characters) is at most `k`: the bit-parallel kernel when both sides
+    /// are ASCII and this one fits a word, else the banded DP.
+    fn distance_within(
+        &self,
+        other: &str,
+        other_ascii: bool,
+        other_chars: usize,
+        k: usize,
+    ) -> Option<usize> {
+        let Some(masks) = self.masks.as_ref().filter(|_| other_ascii) else {
+            return edit_distance_bounded(self.text, other, k);
+        };
+        if self.chars.abs_diff(other_chars) > k {
+            PRUNE_LENGTH_GAP.incr();
+            return None;
+        }
+        let d = if self.chars == 0 {
+            other_chars
+        } else {
+            bit_parallel_distance(masks, self.chars, other.as_bytes())
+        };
+        within(d, k)
+    }
 }
 
 #[cfg(test)]
@@ -497,6 +606,43 @@ mod tests {
     }
 
     #[test]
+    fn word_boundary_lengths_match_the_full_dp_bitwise() {
+        // 63 and 64 bytes fit the bit-parallel word and 65 does not, so
+        // pairing them every way runs both kernels (a 65-byte first side
+        // takes the DP).
+        let base: String = (0..65u32).map(|i| char::from(b'a' + (i * 7 % 26) as u8)).collect();
+        let mut lengths = Vec::new();
+        for len in [63usize, 64, 65] {
+            let text = &base[..len];
+            let mut near: Vec<u8> = text.bytes().collect();
+            near[len / 2] = b'Z';
+            near.swap(3, len - 4);
+            lengths.push((text.to_string(), String::from_utf8(near).unwrap()));
+        }
+        for (a, a_near) in &lengths {
+            for (b, b_near) in &lengths {
+                for (x, y) in [(a, b), (a, b_near), (a_near, b), (a_near, b_near), (a, a_near)] {
+                    let exact = similarity(x, y);
+                    for floor in [0.0, 50.0, exact - 1e-9, exact] {
+                        match similarity_above(x, y, floor) {
+                            Some(s) => assert_eq!(s.to_bits(), exact.to_bits(), "{x} vs {y}"),
+                            None => assert!(exact <= floor, "{x} vs {y} pruned at {floor}"),
+                        }
+                    }
+                    assert_eq!(
+                        similarity_above(x, y, 0.0).map(f64::to_bits),
+                        Some(exact.to_bits()),
+                        "{x} vs {y}"
+                    );
+                }
+            }
+        }
+        // Both sides over 64 bytes with one non-ASCII: only the DP applies.
+        let long = format!("{}é", &base[..65]);
+        assert_eq!(similarity_above(&long, &base, 0.0), Some(similarity(&long, &base)));
+    }
+
+    #[test]
     fn token_boundaries_enforce_context() {
         // `ab`,`c` and `a`,`bc` must hash differently despite identical
         // concatenation.
@@ -579,8 +725,8 @@ mod tests {
 
         #[test]
         fn similarity_above_is_exact_or_provably_below(
-            a in "[a-zA-Z0-9]{0,40}",
-            b in "[a-zA-Z0-9]{0,40}",
+            a in "[a-zA-Z0-9]{0,100}",
+            b in "[a-zA-Z0-9]{0,100}",
             floor in 0.0f64..100.0,
         ) {
             let exact = similarity(&a, &b);
@@ -588,6 +734,48 @@ mod tests {
                 // Surviving scores must be bit-identical to the unpruned value.
                 Some(s) => prop_assert_eq!(s.to_bits(), exact.to_bits()),
                 None => prop_assert!(exact <= floor, "pruned {} at floor {}", exact, floor),
+            }
+        }
+
+        #[test]
+        fn close_pairs_across_the_word_boundary_are_exact(
+            a in "[ab]{0,100}",
+            edits in proptest::collection::vec((0usize..100, "[abc]{0,2}"), 0..6),
+            floor in 0.0f64..100.0,
+        ) {
+            // Near-copies score high, so the bound is tight and both
+            // kernels must land exactly on it.
+            let mut b = a.clone();
+            for (at, with) in edits {
+                let at = at.min(b.len());
+                let end = (at + 1).min(b.len());
+                b.replace_range(at..end, &with);
+            }
+            let exact = similarity(&a, &b);
+            match similarity_above(&a, &b, floor) {
+                Some(s) => prop_assert_eq!(s.to_bits(), exact.to_bits()),
+                None => prop_assert!(exact <= floor, "pruned {} at floor {}", exact, floor),
+            }
+            // δ and its bound are symmetric, so either side can be the
+            // prepared one.
+            prop_assert_eq!(Pattern::new(&b).similarity_above(&a, floor), similarity_above(&a, &b, floor));
+        }
+
+        #[test]
+        fn both_kernels_match_the_full_dp(a in ".{0,64}", b in ".{0,90}") {
+            // An ASCII pair whose prepared side fits the 64-bit word takes
+            // the bit-parallel kernel; any non-ASCII side, or a prepared
+            // side over 64 bytes, takes the banded DP.
+            let ascii = |s: &str| -> String { s.chars().filter(char::is_ascii).collect() };
+            let pairs = [(ascii(&a), ascii(&b)), (ascii(&a), b.clone()), (a.clone(), b.clone())];
+            for (x, y) in &pairs {
+                let exact = edit_distance(x, y);
+                let max_len = x.chars().count().max(y.chars().count());
+                for (p, q) in [(x, y), (y, x)] {
+                    let (ascii, chars) = (q.is_ascii(), q.chars().count());
+                    let d = Pattern::new(p).distance_within(q, ascii, chars, max_len);
+                    prop_assert_eq!(d, Some(exact));
+                }
             }
         }
 

@@ -25,7 +25,9 @@
 //! Every table is fixed-width and every string is an `(offset, length)`
 //! into an interned blob ([`intern::StrTable`]), so a reader seeks
 //! directly without parsing; postings reference doc-table *positions*
-//! (u32), not 8-byte doc ids, halving the dominant section. The decoder
+//! (u32), not 8-byte doc ids, halving the dominant section. Doc-table
+//! position *i* is slot *i* of the in-memory [`NgramIndex`], so postings
+//! are written and read back as slots with no translation. The decoder
 //! trusts nothing: lengths, offsets, UTF-8 boundaries, positions and the
 //! checksum are all validated and every failure is a typed
 //! [`AnalysisError`] (`index_corrupt` / `index_version`) — hostile bytes
@@ -69,12 +71,12 @@ pub struct Decoded {
     pub generation: u64,
     /// N-gram size the postings were built with.
     pub n: usize,
-    /// `(doc id, fingerprint)` in original corpus order.
+    /// `(doc id, fingerprint)` in original corpus (slot) order.
     pub fingerprints: Vec<(DocId, Fingerprint)>,
-    /// Per-document distinct-gram counts, as stored.
+    /// `(doc id, distinct-gram count)` in slot order, as stored.
     pub doc_grams: Vec<(DocId, usize)>,
-    /// Postings lists keyed by gram.
-    pub postings: Vec<(Box<str>, Vec<DocId>)>,
+    /// Postings lists keyed by gram, as slots (doc-table positions).
+    pub postings: Vec<(Box<str>, Vec<u32>)>,
 }
 
 impl Decoded {
@@ -90,40 +92,39 @@ impl Decoded {
 /// `docs` is the corpus in its canonical order (preserved on decode, so a
 /// detector rebuilt from the snapshot matches in the same tie-break order
 /// as the in-memory original); `index` must be the N-gram index built
-/// over exactly those documents.
+/// over exactly those documents, slot *i* holding `docs[i]`.
 pub fn encode(
     generation: u64,
     docs: &[(DocId, Fingerprint)],
     index: &NgramIndex,
 ) -> Result<Vec<u8>, AnalysisError> {
-    let mut positions = intern::FxHashMap::default();
-    for (pos, (doc, _)) in docs.iter().enumerate() {
-        let pos = u32::try_from(pos)
-            .map_err(|_| AnalysisError::internal("snapshot exceeds u32 documents"))?;
-        if positions.insert(*doc, pos).is_some() {
-            return Err(AnalysisError::internal(format!("duplicate doc id {doc} in corpus")));
-        }
-    }
-    let grams_per_doc: intern::FxHashMap<DocId, usize> =
-        index.doc_grams_sorted().into_iter().collect();
-    if grams_per_doc.len() != docs.len() {
+    u32::try_from(docs.len())
+        .map_err(|_| AnalysisError::internal("snapshot exceeds u32 documents"))?;
+    if index.len() != docs.len() {
         return Err(AnalysisError::internal(format!(
             "index covers {} docs, corpus has {}",
-            grams_per_doc.len(),
+            index.len(),
             docs.len()
         )));
+    }
+    let mut seen = intern::FxHashSet::default();
+    for (slot, ((doc, _), id)) in docs.iter().zip(index.ids()).enumerate() {
+        if !seen.insert(*doc) {
+            return Err(AnalysisError::internal(format!("duplicate doc id {doc} in corpus")));
+        }
+        if doc != id {
+            return Err(AnalysisError::internal(format!(
+                "index slot {slot} holds doc {id}, corpus position {slot} is doc {doc}"
+            )));
+        }
     }
 
     // String sections: every distinct fingerprint and gram written once.
     let mut fp_table = StrTable::new();
     let mut doc_table = Vec::with_capacity(docs.len() * DOC_ENTRY);
-    for (doc, fp) in docs {
+    for ((doc, fp), (_, count)) in docs.iter().zip(index.documents()) {
         let id = fp_table.intern(fp.as_str());
         let (off, len) = fp_table.spans()[id as usize];
-        let count = grams_per_doc
-            .get(doc)
-            .copied()
-            .ok_or_else(|| AnalysisError::internal(format!("doc {doc} missing from index")))?;
         let count = u32::try_from(count)
             .map_err(|_| AnalysisError::internal("gram count exceeds u32"))?;
         doc_table.extend_from_slice(&doc.to_le_bytes());
@@ -137,18 +138,15 @@ pub fn encode(
     let mut gram_table = Vec::with_capacity(sorted.len() * GRAM_ENTRY);
     let mut postings = Vec::new();
     let mut gram_strings = StrTable::new();
-    for (gram, ids) in &sorted {
+    for (gram, slots) in &sorted {
         let id = gram_strings.intern(gram);
         let (off, len) = gram_strings.spans()[id as usize];
         let post_off = u32::try_from(postings.len() / POST_ENTRY)
             .map_err(|_| AnalysisError::internal("postings exceed u32 entries"))?;
-        let post_len = u32::try_from(ids.len())
+        let post_len = u32::try_from(slots.len())
             .map_err(|_| AnalysisError::internal("postings list exceeds u32 entries"))?;
-        for doc in *ids {
-            let pos = positions
-                .get(doc)
-                .ok_or_else(|| AnalysisError::internal(format!("posting for unknown doc {doc}")))?;
-            postings.extend_from_slice(&pos.to_le_bytes());
+        for slot in *slots {
+            postings.extend_from_slice(&slot.to_le_bytes());
         }
         gram_table.extend_from_slice(&off.to_le_bytes());
         gram_table.extend_from_slice(&len.to_le_bytes());
@@ -266,7 +264,6 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, AnalysisError> {
     let doc_count = doc_count as usize;
     let mut fingerprints = Vec::with_capacity(doc_count);
     let mut doc_grams = Vec::with_capacity(doc_count);
-    let mut doc_ids = Vec::with_capacity(doc_count);
     let mut seen = intern::FxHashSet::default();
     for entry in 0..doc_count {
         let at = entry * DOC_ENTRY;
@@ -279,7 +276,6 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, AnalysisError> {
         }
         fingerprints.push((doc, Fingerprint(fp.to_string())));
         doc_grams.push((doc, grams));
-        doc_ids.push(doc);
     }
 
     let gram_count = gram_count as usize;
@@ -294,15 +290,15 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, AnalysisError> {
             .checked_add(post_len)
             .filter(|end| *end <= post_count as usize)
             .ok_or_else(|| corrupt(format!("postings range {post_off}+{post_len} out of range")))?;
-        let mut ids = Vec::with_capacity(post_len);
+        let mut slots = Vec::with_capacity(post_len);
         for pos in post_off..end {
-            let doc_pos = read_u32(postings_bytes, pos * POST_ENTRY) as usize;
-            let doc = doc_ids
-                .get(doc_pos)
-                .ok_or_else(|| corrupt(format!("posting references doc position {doc_pos}")))?;
-            ids.push(*doc);
+            let slot = read_u32(postings_bytes, pos * POST_ENTRY);
+            if slot as usize >= doc_count {
+                return Err(corrupt(format!("posting references doc position {slot}")));
+            }
+            slots.push(slot);
         }
-        postings.push((gram.into(), ids));
+        postings.push((gram.into(), slots));
     }
 
     Ok(Decoded { generation, n, fingerprints, doc_grams, postings })
@@ -343,6 +339,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rebuilt.matches(&q), d.matches(&q));
+    }
+
+    /// Snapshot v1 bytes of a fixed three-contract corpus whose ids are
+    /// not in corpus order, pinned by length and header checksum (which
+    /// covers every payload byte). The values were computed when postings
+    /// were still id lists translated to positions on write; slots must
+    /// encode to the same bytes.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let mut d = CloneDetector::new(CcdParams::best());
+        for (id, source) in [
+            (5, "contract A { function w(uint v) public { msg.sender.transfer(v); } }"),
+            (2, "contract B { uint total; function add(uint v) public { total += v; } }"),
+            (9, "contract C { uint t; function put(uint v) public { t += v; msg.sender.transfer(v); } }"),
+        ] {
+            assert!(d.insert_source(id, source));
+        }
+        let bytes = encode(4, &d.shared_fingerprints(), d.index()).unwrap();
+        assert_eq!((bytes.len(), read_u64(&bytes, 64)), (420, 14_947_281_628_143_646_273));
     }
 
     #[test]

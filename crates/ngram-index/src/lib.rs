@@ -4,7 +4,7 @@
 //! when matching a fingerprint, first retrieves only candidates sharing at
 //! least a fraction η of its N-grams (§5.5, "Execution Time" challenge).
 //! This crate is the in-process substitute: an inverted index from N-gram to
-//! document ids with the same η-threshold candidate retrieval, turning the
+//! documents with the same η-threshold candidate retrieval, turning the
 //! quadratic all-pairs edit-distance comparison into a cheap filter followed
 //! by a small number of exact comparisons.
 //!
@@ -28,24 +28,35 @@ use std::collections::HashMap;
 /// Document identifier type.
 pub type DocId = u64;
 
-/// An inverted index from character N-grams to document ids.
+/// An inverted index from character N-grams to documents.
+///
+/// Each document gets a dense *slot*, its insertion position, and the
+/// postings store slots (`u32`) rather than ids: η counting then indexes
+/// a flat per-query array instead of hashing ids, and a caller that keeps
+/// its documents in insertion order (the clone detector's fingerprint
+/// vector, the snapshot's doc table) can go from a candidate slot straight
+/// to its document.
 #[derive(Debug, Clone)]
 pub struct NgramIndex {
     n: usize,
-    /// N-gram → sorted postings list of document ids.
-    postings: HashMap<Box<str>, Vec<DocId>>,
-    /// Document id → number of distinct N-grams it contains.
-    doc_grams: HashMap<DocId, usize>,
+    /// N-gram → postings list: the slots of the documents containing it,
+    /// ascending.
+    postings: HashMap<Box<str>, Vec<u32>>,
+    /// Slot → document id.
+    ids: Vec<DocId>,
+    /// Slot → number of distinct N-grams in the document.
+    gram_counts: Vec<usize>,
 }
 
 impl NgramIndex {
     /// Create an index over N-grams of size `n` (the paper sweeps
     /// N ∈ {3, 5, 7}; 3 performed best, Appendix C/D).
     pub fn new(n: usize) -> Self {
-        NgramIndex { n: n.max(1), postings: HashMap::new(), doc_grams: HashMap::new() }
+        NgramIndex { n: n.max(1), postings: HashMap::new(), ids: Vec::new(), gram_counts: Vec::new() }
     }
 
-    /// Build an index over borrowed `(id, text)` documents in one pass.
+    /// Build an index over borrowed `(id, text)` documents in one pass;
+    /// the i-th document gets slot i.
     ///
     /// Nothing is cloned beyond the N-gram keys the index owns anyway, so
     /// bulk construction (the analysis service's warm-state setup, the
@@ -68,12 +79,17 @@ impl NgramIndex {
 
     /// Number of indexed documents.
     pub fn len(&self) -> usize {
-        self.doc_grams.len()
+        self.ids.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.doc_grams.is_empty()
+        self.ids.is_empty()
+    }
+
+    /// The slot table: `ids()[slot]` is the document in that slot.
+    pub fn ids(&self) -> &[DocId] {
+        &self.ids
     }
 
     /// Distinct N-grams of a text under this index's `n`, as zero-copy
@@ -109,31 +125,35 @@ impl NgramIndex {
         grams
     }
 
-    /// Index a document. Re-inserting the same id replaces nothing — the
-    /// caller is expected to use fresh ids (documents are immutable
-    /// fingerprints).
+    /// Index a document in the next slot. Ids are not checked for
+    /// uniqueness — the caller is expected to use fresh ids (documents
+    /// are immutable fingerprints).
     pub fn insert(&mut self, id: DocId, text: &str) {
         static INSERTIONS: telemetry::Counter = telemetry::Counter::new("ngram.insertions");
         INSERTIONS.incr();
+        let slot = u32::try_from(self.ids.len()).expect("an index holds at most u32::MAX documents");
         let grams = self.grams(text);
-        self.doc_grams.insert(id, grams.len());
+        self.ids.push(id);
+        self.gram_counts.push(grams.len());
         for gram in grams {
             // Allocate the owned key only on first sight of a gram.
             if let Some(list) = self.postings.get_mut(gram) {
-                if list.last() != Some(&id) {
-                    list.push(id);
-                }
+                list.push(slot);
             } else {
-                self.postings.insert(gram.into(), vec![id]);
+                self.postings.insert(gram.into(), vec![slot]);
             }
         }
     }
 
-    /// Retrieve document ids sharing at least `eta` (0..=1) of the query's
-    /// distinct N-grams — the paper's η-threshold candidate filter.
+    /// Slots of the documents sharing at least `eta` (0..=1) of the
+    /// query's distinct N-grams — the paper's η-threshold candidate
+    /// filter — ascending.
     ///
-    /// An empty query matches nothing.
-    pub fn candidates(&self, text: &str, eta: f64) -> Vec<DocId> {
+    /// Shared grams are counted in a dense per-slot array instead of a
+    /// hash map, and a slot is taken the moment its count reaches the
+    /// threshold, so the counts are never scanned afterwards. An empty
+    /// query matches nothing.
+    pub fn candidate_slots(&self, text: &str, eta: f64) -> Vec<u32> {
         static QUERIES: telemetry::Counter = telemetry::Counter::new("ngram.queries");
         static CANDIDATES: telemetry::Counter = telemetry::Counter::new("ngram.candidates");
         QUERIES.incr();
@@ -141,61 +161,71 @@ impl NgramIndex {
         if grams.is_empty() {
             return Vec::new();
         }
-        let mut counts: HashMap<DocId, usize> = HashMap::new();
+        // Saturating float-to-int cast: an η above 1 is never reached.
+        let needed = (eta * grams.len() as f64).ceil().max(1.0) as u32;
+        let mut shared = vec![0u32; self.ids.len()];
+        let mut slots = Vec::new();
         for gram in &grams {
             if let Some(list) = self.postings.get(*gram) {
-                for id in list {
-                    *counts.entry(*id).or_insert(0) += 1;
+                for &slot in list {
+                    let count = &mut shared[slot as usize];
+                    *count += 1;
+                    if *count == needed {
+                        slots.push(slot);
+                    }
                 }
             }
         }
-        let needed = (eta * grams.len() as f64).ceil().max(1.0) as usize;
-        let mut result: Vec<DocId> = counts
-            .into_iter()
-            .filter(|(_, shared)| *shared >= needed)
-            .map(|(id, _)| id)
-            .collect();
-        result.sort_unstable();
-        CANDIDATES.add(result.len() as u64);
-        result
+        slots.sort_unstable();
+        CANDIDATES.add(slots.len() as u64);
+        slots
     }
 
-    /// The postings lists in sorted-gram order, each as `(gram, doc ids)`.
+    /// Ids of the documents sharing at least `eta` (0..=1) of the query's
+    /// distinct N-grams, ascending — [`NgramIndex::candidate_slots`]
+    /// mapped through the slot table.
+    pub fn candidates(&self, text: &str, eta: f64) -> Vec<DocId> {
+        let mut ids: Vec<DocId> = self
+            .candidate_slots(text, eta)
+            .into_iter()
+            .map(|slot| self.ids[slot as usize])
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The postings lists in sorted-gram order, each as `(gram, slots)`.
     ///
     /// This is the flat export used by the snapshot writer in
     /// `index-store`: the order is deterministic (lexicographic by gram),
     /// so identical indexes serialize to identical bytes.
-    pub fn postings_sorted(&self) -> Vec<(&str, &[DocId])> {
-        let mut out: Vec<(&str, &[DocId])> =
-            self.postings.iter().map(|(g, ids)| (&**g, &**ids)).collect();
+    pub fn postings_sorted(&self) -> Vec<(&str, &[u32])> {
+        let mut out: Vec<(&str, &[u32])> =
+            self.postings.iter().map(|(g, slots)| (&**g, &**slots)).collect();
         out.sort_unstable_by_key(|(g, _)| *g);
         out
     }
 
-    /// Every indexed document with its distinct-gram count, sorted by id.
-    /// Deterministic companion export to [`NgramIndex::postings_sorted`].
-    pub fn doc_grams_sorted(&self) -> Vec<(DocId, usize)> {
-        let mut out: Vec<(DocId, usize)> =
-            self.doc_grams.iter().map(|(id, n)| (*id, *n)).collect();
-        out.sort_unstable();
-        out
+    /// Every indexed document with its distinct-gram count, in slot
+    /// order. Companion export to [`NgramIndex::postings_sorted`].
+    pub fn documents(&self) -> impl Iterator<Item = (DocId, usize)> + '_ {
+        self.ids.iter().copied().zip(self.gram_counts.iter().copied())
     }
 
     /// Reassemble an index from flat parts without re-computing grams —
-    /// the warm-start import path. The caller (a validated snapshot
-    /// loader) guarantees the parts came from [`NgramIndex::postings_sorted`]
-    /// / [`NgramIndex::doc_grams_sorted`] of an index with the same `n`;
-    /// nothing is re-derived here.
-    pub fn from_parts<G, P>(n: usize, doc_grams: G, postings: P) -> Self
+    /// the warm-start import path. `docs` lists `(id, gram count)` in slot
+    /// order and `postings` holds slots into it. The caller (a validated
+    /// snapshot loader, or a shard split) guarantees the parts came from
+    /// [`NgramIndex::documents`] / [`NgramIndex::postings_sorted`] of an
+    /// index with the same `n` and that every slot is below the document
+    /// count; nothing is re-derived here.
+    pub fn from_parts<D, P>(n: usize, docs: D, postings: P) -> Self
     where
-        G: IntoIterator<Item = (DocId, usize)>,
-        P: IntoIterator<Item = (Box<str>, Vec<DocId>)>,
+        D: IntoIterator<Item = (DocId, usize)>,
+        P: IntoIterator<Item = (Box<str>, Vec<u32>)>,
     {
-        NgramIndex {
-            n: n.max(1),
-            postings: postings.into_iter().collect(),
-            doc_grams: doc_grams.into_iter().collect(),
-        }
+        let (ids, gram_counts) = docs.into_iter().unzip();
+        NgramIndex { n: n.max(1), postings: postings.into_iter().collect(), ids, gram_counts }
     }
 
     /// Fraction of the query's distinct N-grams contained in `other` —
@@ -314,17 +344,18 @@ mod tests {
         index.insert(0, "ABCDEFGH");
         index.insert(1, "ABCDXXXX");
         index.insert(2, "ZZZZZZZZ");
-        let docs = index.doc_grams_sorted();
-        let posts: Vec<(Box<str>, Vec<DocId>)> = index
+        let docs: Vec<(DocId, usize)> = index.documents().collect();
+        let posts: Vec<(Box<str>, Vec<u32>)> = index
             .postings_sorted()
             .into_iter()
-            .map(|(g, ids)| (g.into(), ids.to_vec()))
+            .map(|(g, slots)| (g.into(), slots.to_vec()))
             .collect();
         let rebuilt = NgramIndex::from_parts(3, docs, posts);
         assert_eq!(rebuilt.len(), 3);
         for query in ["ABCDEFGG", "ZZZZZZZZ", "ABCDXXXX"] {
             for eta in [0.3, 0.5, 1.0] {
                 assert_eq!(rebuilt.candidates(query, eta), index.candidates(query, eta));
+                assert_eq!(rebuilt.candidate_slots(query, eta), index.candidate_slots(query, eta));
             }
         }
     }
@@ -339,8 +370,23 @@ mod tests {
         };
         let (a, b) = (build(), build());
         assert_eq!(a.postings_sorted(), b.postings_sorted());
-        assert_eq!(a.doc_grams_sorted(), b.doc_grams_sorted());
-        assert_eq!(a.doc_grams_sorted(), vec![(3, 3), (9, 3)]);
+        assert!(a.documents().eq(b.documents()));
+        // Slot order is insertion order, not id order.
+        assert_eq!(a.documents().collect::<Vec<_>>(), vec![(9, 3), (3, 3)]);
+        assert_eq!(a.ids(), &[9, 3]);
+    }
+
+    #[test]
+    fn slots_are_insertion_positions_and_ids_come_back_sorted() {
+        let mut index = NgramIndex::new(3);
+        index.insert(9, "ABCDEFGH");
+        index.insert(3, "ZZZZZZZZ");
+        index.insert(7, "ABCDEFXX");
+        assert_eq!(index.candidate_slots("ABCDEFGH", 0.5), vec![0, 2]);
+        assert_eq!(index.candidates("ABCDEFGH", 0.5), vec![7, 9]);
+        let postings = index.postings_sorted();
+        let abc = postings.iter().find(|(g, _)| *g == "ABC").unwrap();
+        assert_eq!(abc.1, &[0, 2]);
     }
 
     proptest! {
@@ -365,6 +411,31 @@ mod tests {
             for id in index.candidates(&query, eta) {
                 prop_assert!((id as usize) < docs.len());
             }
+        }
+
+        #[test]
+        fn candidates_are_exactly_the_docs_at_or_above_the_share(
+            docs in proptest::collection::vec("[A-D]{0,16}", 1..12),
+            query in "[A-D]{0,16}",
+            n in 1usize..5,
+            quarter in 1usize..5,
+        ) {
+            // Quarters are exact in binary, so `share >= eta` and the
+            // index's `shared >= ceil(eta * grams)` cannot disagree by
+            // rounding.
+            let eta = quarter as f64 / 4.0;
+            let index = NgramIndex::from_documents(
+                n,
+                docs.iter().enumerate().map(|(i, d)| ((100 - i) as DocId, d.as_str())),
+            );
+            let expected_slots: Vec<u32> = (0..docs.len() as u32)
+                .filter(|&slot| index.share(&query, &docs[slot as usize]) >= eta)
+                .collect();
+            prop_assert_eq!(index.candidate_slots(&query, eta), expected_slots.clone());
+            let mut expected_ids: Vec<DocId> =
+                expected_slots.iter().map(|&slot| index.ids()[slot as usize]).collect();
+            expected_ids.sort_unstable();
+            prop_assert_eq!(index.candidates(&query, eta), expected_ids);
         }
 
         #[test]

@@ -807,10 +807,8 @@ impl AnalysisEngine {
             return Ok(Self::clones_response(&hit));
         }
         self.check_deadline(deadline, "match")?;
-        let matches = Arc::new(self.corpus.matches(&fingerprint));
-        let response = Self::clones_response(&matches);
-        self.corpus.store_cached(source, &fingerprint, matches);
-        Ok(response)
+        let matches = self.corpus.matches_and_cache(source, &fingerprint);
+        Ok(Self::clones_response(&matches))
     }
 
     fn clones_response(matches: &[ccd::CloneMatch]) -> AnalysisResponse {

@@ -272,9 +272,11 @@ impl CorpusBuilder {
     }
 }
 
-/// Split one detector into per-shard detectors without re-gramming: the
-/// combined index's flat postings are routed to shards by
-/// [`shard_of`], and each shard imports its slice verbatim.
+/// Split one detector into per-shard detectors without re-gramming: each
+/// document is routed to a shard by [`shard_of`] and takes the next slot
+/// there, and the combined index's postings are routed slot by slot, so
+/// each shard imports its slice verbatim (ascending global slots stay
+/// ascending per shard).
 fn partition_detector(
     params: CcdParams,
     combined: CloneDetector,
@@ -286,31 +288,34 @@ fn partition_detector(
         return vec![combined];
     }
     let mut corpora: Vec<Vec<(DocId, Fingerprint)>> = vec![Vec::new(); shards];
-    for (doc, fp) in combined.iter_fingerprints() {
-        corpora[shard_of(doc, shards)].push((doc, fp.clone()));
+    let mut docs: Vec<Vec<(DocId, usize)>> = vec![Vec::new(); shards];
+    // Global slot → (shard, slot within the shard).
+    let mut route: Vec<(usize, u32)> = Vec::with_capacity(combined.len());
+    for ((doc, fp), (_, grams)) in combined.iter_fingerprints().zip(combined.index().documents()) {
+        let shard = shard_of(doc, shards);
+        route.push((shard, corpora[shard].len() as u32));
+        corpora[shard].push((doc, fp.clone()));
+        docs[shard].push((doc, grams));
     }
-    let mut doc_grams: Vec<Vec<(DocId, usize)>> = vec![Vec::new(); shards];
-    for (doc, count) in combined.index().doc_grams_sorted() {
-        doc_grams[shard_of(doc, shards)].push((doc, count));
-    }
-    let mut postings: Vec<Vec<(Box<str>, Vec<DocId>)>> = vec![Vec::new(); shards];
-    for (gram, ids) in combined.index().postings_sorted() {
-        let mut routed: Vec<Vec<DocId>> = vec![Vec::new(); shards];
-        for doc in ids {
-            routed[shard_of(*doc, shards)].push(*doc);
+    let mut postings: Vec<Vec<(Box<str>, Vec<u32>)>> = vec![Vec::new(); shards];
+    for (gram, slots) in combined.index().postings_sorted() {
+        let mut routed: Vec<Vec<u32>> = vec![Vec::new(); shards];
+        for slot in slots {
+            let (shard, local) = route[*slot as usize];
+            routed[shard].push(local);
         }
-        for (shard, ids) in routed.into_iter().enumerate() {
-            if !ids.is_empty() {
-                postings[shard].push((gram.into(), ids));
+        for (shard, slots) in routed.into_iter().enumerate() {
+            if !slots.is_empty() {
+                postings[shard].push((gram.into(), slots));
             }
         }
     }
     corpora
         .into_iter()
-        .zip(doc_grams)
+        .zip(docs)
         .zip(postings)
-        .map(|((corpus, grams), posts)| {
-            let index = NgramIndex::from_parts(params.ngram_size, grams, posts);
+        .map(|((corpus, docs), posts)| {
+            let index = NgramIndex::from_parts(params.ngram_size, docs, posts);
             CloneDetector::from_parts(params, Arc::new(corpus), index)
                 .expect("per-shard parts are consistent by construction")
         })
@@ -663,9 +668,15 @@ impl CorpusHandle {
         self.inner.front.get_near(fp)
     }
 
-    /// Memoize a match result under both front-cache tiers.
-    pub fn store_cached(&self, source: &str, fp: &Fingerprint, matches: Arc<Vec<CloneMatch>>) {
-        self.inner.front.store(source, fp, matches);
+    /// All clones of `query` ([`CorpusHandle::matches`]), memoized under
+    /// both front-cache tiers for `source` and `query`. The cache's insert
+    /// epoch is read before matching, so an answer computed over a corpus
+    /// that an insert has since grown is returned but not stored.
+    pub fn matches_and_cache(&self, source: &str, query: &Fingerprint) -> Arc<Vec<CloneMatch>> {
+        let epoch = self.inner.front.epoch();
+        let matches = Arc::new(self.matches(query));
+        self.inner.front.store(epoch, source, query, Arc::clone(&matches));
+        matches
     }
 }
 
@@ -702,10 +713,18 @@ impl FrontCacheStats {
 /// hits are exact, not approximate. Both tiers are dropped whenever the
 /// corpus changes, and both are bypassed while a fault plan is armed
 /// (chaos runs must reach the real stages).
+///
+/// A clone check can finish matching after an insert has invalidated the
+/// cache, holding an answer computed over the old corpus. The insert
+/// epoch closes that window: `invalidate` bumps it while holding both
+/// tier locks, and `store` checks it under the same locks, so a result
+/// whose epoch was read before an insert is either cleared by that
+/// insert's `invalidate` or never stored.
 struct FrontCache {
     capacity: usize,
     exact: Mutex<LruCache<Arc<Vec<CloneMatch>>>>,
     near: Mutex<LruCache<Arc<Vec<CloneMatch>>>>,
+    epoch: AtomicU64,
     exact_hits: AtomicU64,
     near_hits: AtomicU64,
     misses: AtomicU64,
@@ -723,6 +742,7 @@ impl FrontCache {
             capacity,
             exact: Mutex::new(LruCache::new(capacity)),
             near: Mutex::new(LruCache::new(capacity)),
+            epoch: AtomicU64::new(0),
             exact_hits: AtomicU64::new(0),
             near_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -779,28 +799,34 @@ impl FrontCache {
         hit
     }
 
-    fn store(&self, source: &str, fp: &Fingerprint, matches: Arc<Vec<CloneMatch>>) {
+    /// Moves on every invalidation; read it before matching and hand it
+    /// to `store`.
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    fn store(&self, epoch: u64, source: &str, fp: &Fingerprint, matches: Arc<Vec<CloneMatch>>) {
         if !self.active() {
             return;
         }
-        self.exact
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(Self::key(source.as_bytes()), Arc::clone(&matches));
-        self.near
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(Self::key(fp.as_str().as_bytes()), matches);
+        let mut exact = self.exact.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut near = self.near.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        if self.epoch.load(Ordering::SeqCst) != epoch {
+            return;
+        }
+        exact.insert(Self::key(source.as_bytes()), Arc::clone(&matches));
+        near.insert(Self::key(fp.as_str().as_bytes()), matches);
     }
 
     fn invalidate(&self) {
         if self.capacity == 0 {
             return;
         }
-        *self.exact.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) =
-            LruCache::new(self.capacity);
-        *self.near.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) =
-            LruCache::new(self.capacity);
+        let mut exact = self.exact.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut near = self.near.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        *exact = LruCache::new(self.capacity);
+        *near = LruCache::new(self.capacity);
     }
 
     fn stats(&self) -> FrontCacheStats {
@@ -876,8 +902,7 @@ mod tests {
         let handle = handle(1);
         assert!(handle.cached_by_source(DOC_A).is_none());
         let fp = query(DOC_A);
-        let matches = Arc::new(handle.matches(&fp));
-        handle.store_cached(DOC_A, &fp, Arc::clone(&matches));
+        let matches = handle.matches_and_cache(DOC_A, &fp);
         // Tier 1: same bytes.
         assert_eq!(handle.cached_by_source(DOC_A).unwrap(), matches);
         // Tier 2: a near-duplicate has the same normalized fingerprint.
@@ -893,11 +918,31 @@ mod tests {
     fn insert_invalidates_front_cache() {
         let handle = handle(1);
         let fp = query(DOC_A);
-        handle.store_cached(DOC_A, &fp, Arc::new(handle.matches(&fp)));
+        handle.matches_and_cache(DOC_A, &fp);
         handle.insert_source(None, DOC_A_NEAR).unwrap();
         assert!(handle.cached_by_source(DOC_A).is_none(), "stale entry survived an insert");
         // A fresh match now sees the inserted near-duplicate.
         assert!(handle.matches(&fp).iter().any(|m| m.doc == 2));
+    }
+
+    #[test]
+    fn a_match_that_raced_an_insert_is_not_cached() {
+        // The interleaving of a clone check against an insert, run in
+        // sequence: read the epoch, match over the old corpus, insert,
+        // then try to store the pre-insert answer.
+        let handle = handle(1);
+        let fp = query(DOC_A);
+        let epoch = handle.inner.front.epoch();
+        let before = Arc::new(handle.matches(&fp));
+        assert!(before.iter().all(|m| m.doc != 2));
+        let inserted = handle.insert_source(None, DOC_A_NEAR).unwrap();
+        handle.inner.front.store(epoch, DOC_A, &fp, before);
+        assert!(handle.cached_by_source(DOC_A).is_none(), "stale answer cached by source");
+        assert!(handle.cached_by_fingerprint(&fp).is_none(), "stale answer cached by fingerprint");
+        // The next clone check misses the cache and sees the new doc.
+        let after = handle.matches_and_cache(DOC_A, &fp);
+        assert!(after.iter().any(|m| m.doc == inserted));
+        assert_eq!(handle.cached_by_source(DOC_A), Some(after));
     }
 
     #[test]

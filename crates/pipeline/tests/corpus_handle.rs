@@ -60,6 +60,37 @@ fn snapshot_backed_matches_are_byte_identical_on_honeypots() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every honeypot document's clone list against the whole 379-contract
+/// honeypot corpus, folded into one FNV-1a digest over `(query, match
+/// count, then doc and score bits per match)`. The pinned value was
+/// computed with the hash-map candidate counter and the banded-DP δ that
+/// the slot-indexed kernel replaced, so a drift in any candidate, score
+/// bit or tie order fails here, not only in a benchmark.
+#[test]
+fn honeypot_clone_scores_match_the_pinned_digest() {
+    let dataset = honeypot_dataset(HONEYPOT_SEED);
+    let corpus = CorpusBuilder::new(CcdParams::best())
+        .from_sources(dataset.contracts.iter().map(|c| (c.id, c.source.as_str())));
+    let mut words: Vec<u8> = Vec::new();
+    let mut pairs = 0usize;
+    for (query, fp) in corpus.fingerprints() {
+        let matches = corpus.matches(&fp);
+        words.extend_from_slice(&query.to_le_bytes());
+        words.extend_from_slice(&(matches.len() as u64).to_le_bytes());
+        for m in &matches {
+            words.extend_from_slice(&m.doc.to_le_bytes());
+            words.extend_from_slice(&m.score.to_bits().to_le_bytes());
+        }
+        pairs += matches.len();
+    }
+    let digest = index_store::format::fnv1a(&words);
+    assert_eq!(
+        (dataset.contracts.len(), corpus.len(), pairs, digest),
+        (379, 379, 7132, 6_295_883_656_603_481_363),
+        "honeypot clone digest drifted"
+    );
+}
+
 #[test]
 fn compaction_lifecycle_advances_generations() {
     let dir = temp_dir("lifecycle");
