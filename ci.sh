@@ -7,6 +7,15 @@ cd "$(dirname "$0")"
 
 cargo build --release --workspace
 cargo test -q --workspace
+
+# Determinism: the pipeline suite once failed intermittently when a test
+# armed the process-global fault plan beside tests that expect none. Run
+# it 20 times at the default thread count; any failure stops CI.
+for run in $(seq 1 20); do
+  cargo test --release -q -p pipeline --lib --tests >/tmp/pipeline_repeat.log 2>&1 \
+    || { echo "pipeline suite failed on run $run of 20"; cat /tmp/pipeline_repeat.log; exit 1; }
+done
+
 cargo clippy --all-targets -- -D warnings
 
 # perfbench is a package of its own outside the workspace, so the steps

@@ -29,16 +29,6 @@ pub struct ToolFinding {
     pub category: Dasp,
 }
 
-/// FNV-1a hash for deterministic per-(tool, file, site) decisions.
-fn fnv(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in data {
-        hash ^= *byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Deterministic Bernoulli draw from a key.
 fn draw(key: &str, p: f64) -> bool {
     if p >= 1.0 {
@@ -47,7 +37,7 @@ fn draw(key: &str, p: f64) -> bool {
     if p <= 0.0 {
         return false;
     }
-    (fnv(key.as_bytes()) % 10_000) as f64 / 10_000.0 < p
+    (telemetry::fnv1a(key.as_bytes()) % 10_000) as f64 / 10_000.0 < p
 }
 
 /// Count base-pattern *sites* for a category in the source — the cheap
@@ -95,7 +85,8 @@ impl Analyzer {
                 }
             }
             // Noise: occasional extra report beyond the true sites.
-            let key = format!("{}|{:?}|noise|{}", self.name, category, fnv(source.as_bytes()));
+            let source_hash = telemetry::fnv1a(source.as_bytes());
+            let key = format!("{}|{:?}|noise|{}", self.name, category, source_hash);
             if draw(&key, noise) {
                 findings.push(ToolFinding { category });
             }

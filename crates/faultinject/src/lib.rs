@@ -103,16 +103,6 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a — stable string hash for keying per-rule streams.
-fn fnv(s: &str) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for byte in s.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
 /// What a rule injects when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FaultKind {
@@ -154,7 +144,7 @@ impl Rule {
             return false;
         }
         let n = self.seq.fetch_add(1, Ordering::Relaxed);
-        let x = mix(seed ^ fnv(&self.point) ^ mix(n.wrapping_add(1)));
+        let x = mix(seed ^ telemetry::fnv1a(self.point.as_bytes()) ^ mix(n.wrapping_add(1)));
         let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
         unit < self.rate
     }

@@ -49,16 +49,6 @@ const DOC_ENTRY: usize = 24;
 const GRAM_ENTRY: usize = 16;
 const POST_ENTRY: usize = 4;
 
-/// FNV-1a 64 over a byte slice — the payload checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn corrupt(message: impl Into<String>) -> AnalysisError {
     AnalysisError::index_corrupt(message)
 }
@@ -171,7 +161,7 @@ pub fn encode(
     bytes.extend_from_slice(&post_count.to_le_bytes());
     bytes.extend_from_slice(&(fp_table.blob().len() as u64).to_le_bytes());
     bytes.extend_from_slice(&(gram_strings.blob().len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    bytes.extend_from_slice(&telemetry::fnv1a(&payload).to_le_bytes());
     debug_assert_eq!(bytes.len(), HEADER_LEN);
     bytes.extend_from_slice(&payload);
     Ok(bytes)
@@ -247,7 +237,7 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, AnalysisError> {
         )));
     }
     let payload = &bytes[HEADER_LEN..];
-    if fnv1a(payload) != checksum {
+    if telemetry::fnv1a(payload) != checksum {
         return Err(corrupt("payload checksum mismatch"));
     }
 

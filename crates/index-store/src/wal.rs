@@ -156,7 +156,7 @@ fn encode_record(doc: DocId, fingerprint: &Fingerprint) -> Vec<u8> {
     payload.extend_from_slice(fp);
     let mut record = Vec::with_capacity(RECORD_HEADER_LEN + len);
     record.extend_from_slice(&(len as u32).to_le_bytes());
-    record.extend_from_slice(&crate::format::fnv1a(&payload).to_le_bytes());
+    record.extend_from_slice(&telemetry::fnv1a(&payload).to_le_bytes());
     record.extend_from_slice(&payload);
     record
 }
@@ -234,7 +234,7 @@ fn decode_record(bytes: &[u8]) -> Option<(DocId, Fingerprint, usize)> {
     }
     let checksum = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes"));
     let payload = bytes.get(RECORD_HEADER_LEN..RECORD_HEADER_LEN + len)?;
-    if crate::format::fnv1a(payload) != checksum {
+    if telemetry::fnv1a(payload) != checksum {
         return None;
     }
     let doc = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));

@@ -19,21 +19,18 @@
 //! }
 //! ```
 
+use crate::cache::Lru;
 use crate::corpus_index::{CorpusBuilder, CorpusHandle};
 use ccc::{Checker, Dasp, QueryId};
 use ccd::{CcdParams, CloneDetector, Fingerprint};
 use cpg::Cpg;
 use solidity::AnalysisError;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::json::{escape, Value};
 
 /// Version tag of the JSON wire encoding.
 pub const API_VERSION: u32 = 1;
-
-/// Default capacity of the engine's content-addressed CPG cache.
-pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Default capacity of the engine's whole-response cache.
 pub const DEFAULT_RESPONSE_CACHE_CAPACITY: usize = 2048;
@@ -48,7 +45,6 @@ pub struct AnalysisConfig {
     ccd: CcdParams,
     max_path: usize,
     timeout_ms: Option<u64>,
-    cache_capacity: usize,
     response_cache_capacity: usize,
 }
 
@@ -59,7 +55,6 @@ impl Default for AnalysisConfig {
             ccd: CcdParams::best(),
             max_path: usize::MAX,
             timeout_ms: None,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
             response_cache_capacity: DEFAULT_RESPONSE_CACHE_CAPACITY,
         }
     }
@@ -101,17 +96,19 @@ impl AnalysisConfig {
         self
     }
 
-    /// Capacity of the content-addressed CPG cache (0 disables caching).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
+    /// Has no effect: the engine keeps no CPG cache (it never hit behind
+    /// the response cache). Kept only for callers built against the old
+    /// configuration surface.
+    pub fn with_cache_capacity(self, _capacity: usize) -> Self {
         self
     }
 
-    /// Capacity of the whole-response cache keyed by request content
-    /// (0 disables it). Successful responses are memoized so a repeated
-    /// request skips the entire pipeline; errors are never cached, and
-    /// the cache is bypassed while fault injection is armed so chaos
-    /// runs always exercise the real stages.
+    /// Capacity of the whole-response cache of scans, keyed by the
+    /// detector subset and the full source (0 disables it). Successful
+    /// responses are memoized so a repeated request skips the entire
+    /// pipeline; errors are never cached, and the cache is bypassed while
+    /// fault injection is armed so chaos runs always exercise the real
+    /// stages.
     pub fn with_response_cache_capacity(mut self, capacity: usize) -> Self {
         self.response_cache_capacity = capacity;
         self
@@ -528,73 +525,17 @@ fn check_version(value: &Value) -> Result<(), AnalysisError> {
     }
 }
 
-/// FNV-1a content hash — the cache key of parsed CPGs.
-fn content_hash(source: &str) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for byte in source.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
-/// A small LRU cache keyed by content hash, shared (behind the engine's
-/// `Mutex`) between all workers of the service. Instantiated once over
-/// built CPGs (repeated scans of the same snippet skip parsing and graph
-/// construction), once over whole successful scan responses (repeated
-/// identical requests skip the pipeline entirely), and twice more as the
-/// tiers of the corpus handle's near-duplicate front cache
-/// (`crate::corpus_index`).
-pub(crate) struct LruCache<V> {
-    capacity: usize,
-    stamp: u64,
-    entries: HashMap<u64, (u64, V)>,
-}
-
-/// The content-addressed CPG cache.
-type CpgCache = LruCache<Arc<Cpg>>;
-
-impl<V: Clone> LruCache<V> {
-    pub(crate) fn new(capacity: usize) -> LruCache<V> {
-        LruCache { capacity, stamp: 0, entries: HashMap::new() }
-    }
-
-    pub(crate) fn get(&mut self, key: u64) -> Option<V> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.entries.get_mut(&key).map(|(s, value)| {
-            *s = stamp;
-            value.clone()
-        })
-    }
-
-    pub(crate) fn insert(&mut self, key: u64, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some(oldest) = self.entries.iter().min_by_key(|(_, (s, _))| *s).map(|(k, _)| *k)
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.stamp += 1;
-        self.entries.insert(key, (self.stamp, value));
-    }
-}
-
 /// The warm analysis engine: a configured checker, a shared clone-corpus
-/// handle and a content-addressed CPG cache behind one facade. All
-/// methods take `&self`, so one engine can serve many threads through an
-/// `Arc`; the corpus itself can grow live through
+/// handle and a scan response cache behind one facade. All methods take
+/// `&self`, so one engine can serve many threads through an `Arc`; the
+/// corpus itself can grow live through
 /// [`AnalysisEngine::corpus_handle`] (incremental insert, compaction)
 /// without touching in-flight requests.
 pub struct AnalysisEngine {
     config: AnalysisConfig,
     checker: Checker,
     corpus: CorpusHandle,
-    cache: Mutex<CpgCache>,
-    responses: Mutex<LruCache<AnalysisResponse>>,
+    responses: Lru<Arc<str>, AnalysisResponse>,
 }
 
 impl AnalysisEngine {
@@ -634,9 +575,8 @@ impl AnalysisEngine {
 
     fn assemble(config: AnalysisConfig, corpus: CorpusHandle) -> AnalysisEngine {
         let checker = config.checker();
-        let cache = Mutex::new(CpgCache::new(config.cache_capacity));
-        let responses = Mutex::new(LruCache::new(config.response_cache_capacity));
-        AnalysisEngine { config, checker, corpus, cache, responses }
+        let responses = Lru::new(config.response_cache_capacity);
+        AnalysisEngine { config, checker, corpus, responses }
     }
 
     /// The engine's configuration.
@@ -747,16 +687,21 @@ impl AnalysisEngine {
         deadline: Option<Instant>,
     ) -> Result<AnalysisResponse, AnalysisError> {
         static SCANS: telemetry::Counter = telemetry::Counter::new("api.scans");
+        static HITS: telemetry::Counter = telemetry::Counter::new("api.response_cache_hits");
+        static MISSES: telemetry::Counter = telemetry::Counter::new("api.response_cache_misses");
         SCANS.incr();
         // The deadline check stays ahead of the response cache so a
         // zero-budget request times out identically whether or not the
         // answer is memoized.
         self.check_deadline(deadline, "parse")?;
-        let key = self.response_key_for("scan", detectors, source);
-        if let Some(hit) = key.and_then(|k| self.cached_response(k)) {
+        let key = response_key(detectors, source);
+        if let Some(hit) = self.responses.get(key.as_str()) {
+            HITS.incr();
+            telemetry::trace::annotate("response_cache", "hit");
             return Ok(hit);
         }
-        let cpg = self.cpg_for(source)?;
+        let epoch = self.responses.epoch();
+        let cpg = Cpg::from_snippet(source)?;
         self.check_deadline(deadline, "check")?;
         let outcome = match detectors {
             // A per-request subset gets a throwaway checker with the same
@@ -779,7 +724,10 @@ impl AnalysisEngine {
         let response = AnalysisResponse::Findings(
             outcome.findings.into_iter().map(Finding::from).collect(),
         );
-        self.store_response(key, &response);
+        // Only successes are memoized (and counted as misses): errors
+        // must re-run and re-fail so retries observe live state.
+        MISSES.incr();
+        self.responses.insert(epoch, key.into(), response.clone());
         Ok(response)
     }
 
@@ -817,67 +765,6 @@ impl AnalysisEngine {
         )
     }
 
-    /// Cache key of a successful response for this exact request, or
-    /// `None` when response caching must not be used: capacity 0, or a
-    /// fault plan is armed — chaos runs depend on every request reaching
-    /// the real pipeline stages where injection points live.
-    fn response_key_for(
-        &self,
-        kind: &str,
-        detectors: Option<&[QueryId]>,
-        source: &str,
-    ) -> Option<u64> {
-        if self.config.response_cache_capacity == 0 || faultinject::active() {
-            return None;
-        }
-        // FNV-1a over kind, the effective detector subset and the
-        // source, with NUL separators so field boundaries cannot alias.
-        let mut hash = 0xcbf29ce484222325u64;
-        let mut eat = |bytes: &[u8]| {
-            for byte in bytes {
-                hash ^= *byte as u64;
-                hash = hash.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(kind.as_bytes());
-        eat(&[0]);
-        if let Some(detectors) = detectors {
-            for d in detectors {
-                eat(d.name().as_bytes());
-                eat(&[0]);
-            }
-        }
-        eat(&[0]);
-        eat(source.as_bytes());
-        Some(hash)
-    }
-
-    fn cached_response(&self, key: u64) -> Option<AnalysisResponse> {
-        static HITS: telemetry::Counter = telemetry::Counter::new("api.response_cache_hits");
-        let hit = self
-            .responses
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(key);
-        if hit.is_some() {
-            HITS.incr();
-            telemetry::trace::annotate("response_cache", "hit");
-        }
-        hit
-    }
-
-    /// Memoize a successful response (errors are never cached — they
-    /// must re-run and re-fail so retries observe live state).
-    fn store_response(&self, key: Option<u64>, response: &AnalysisResponse) {
-        static MISSES: telemetry::Counter = telemetry::Counter::new("api.response_cache_misses");
-        let Some(key) = key else { return };
-        MISSES.incr();
-        self.responses
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(key, response.clone());
-    }
-
     fn check_deadline(
         &self,
         deadline: Option<Instant>,
@@ -890,33 +777,24 @@ impl AnalysisEngine {
             _ => Ok(()),
         }
     }
+}
 
-    fn cpg_for(&self, source: &str) -> Result<Arc<Cpg>, AnalysisError> {
-        static HITS: telemetry::Counter = telemetry::Counter::new("api.cache_hits");
-        static MISSES: telemetry::Counter = telemetry::Counter::new("api.cache_misses");
-        let key = content_hash(source);
-        // The cache is a pure performance layer holding immutable `Arc<Cpg>`
-        // values, so a lock poisoned by a panicking request stays usable —
-        // recover the guard instead of propagating the poison forever.
-        if let Some(cpg) = self
-            .cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(key)
-        {
-            HITS.incr();
-            telemetry::trace::annotate("cpg_cache", "hit");
-            return Ok(cpg);
+/// The response cache's key for a scan: the detector subset, a NUL, then
+/// the source. Detector names hold no NUL, so the first NUL ends the
+/// subset; an explicit subset (even an empty one) is marked apart from
+/// the engine's configured set.
+fn response_key(detectors: Option<&[QueryId]>, source: &str) -> String {
+    let mut key = String::with_capacity(source.len() + 1);
+    if let Some(detectors) = detectors {
+        key.push('=');
+        for detector in detectors {
+            key.push_str(detector.name());
+            key.push(',');
         }
-        MISSES.incr();
-        telemetry::trace::annotate("cpg_cache", "miss");
-        let cpg = Arc::new(Cpg::from_snippet(source)?);
-        self.cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(key, Arc::clone(&cpg));
-        Ok(cpg)
     }
+    key.push('\0');
+    key.push_str(source);
+    key
 }
 
 #[cfg(test)]
@@ -960,29 +838,6 @@ mod tests {
             }
             other => panic!("expected clones, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn repeated_scans_hit_the_cpg_cache() {
-        let engine = AnalysisEngine::new(AnalysisConfig::default());
-        let a = engine.analyze(&AnalysisRequest::scan(VULNERABLE)).unwrap();
-        let b = engine.analyze(&AnalysisRequest::scan(VULNERABLE)).unwrap();
-        assert_eq!(a, b);
-        // The cache holds exactly one entry for the repeated source.
-        assert_eq!(engine.cache.lock().unwrap().entries.len(), 1);
-    }
-
-    #[test]
-    fn cache_evicts_least_recently_used() {
-        let mut cache = CpgCache::new(2);
-        let cpg = Arc::new(Cpg::from_snippet("x = 1;").unwrap());
-        cache.insert(1, Arc::clone(&cpg));
-        cache.insert(2, Arc::clone(&cpg));
-        assert!(cache.get(1).is_some()); // refresh 1 → 2 becomes LRU
-        cache.insert(3, cpg);
-        assert!(cache.get(2).is_none());
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(3).is_some());
     }
 
     #[test]
@@ -1049,43 +904,25 @@ mod tests {
         let engine = AnalysisEngine::new(AnalysisConfig::default());
         let request = AnalysisRequest::scan(VULNERABLE);
         let first = engine.analyze(&request).unwrap().to_json();
-        assert_eq!(engine.responses.lock().unwrap().entries.len(), 1);
+        assert_eq!(engine.responses.len(), 1);
         let second = engine.analyze(&request).unwrap().to_json();
         assert_eq!(first, second, "memoized response must be byte-identical");
         // Still one entry: the repeat was a hit, not a second insert.
-        assert_eq!(engine.responses.lock().unwrap().entries.len(), 1);
+        assert_eq!(engine.responses.len(), 1);
     }
 
     #[test]
     fn response_cache_keys_detector_subsets_apart() {
         let engine = AnalysisEngine::new(AnalysisConfig::default());
-        let all = AnalysisRequest::Scan { source: VULNERABLE.into(), detectors: None };
-        let subset = AnalysisRequest::Scan {
-            source: VULNERABLE.into(),
-            detectors: Some(vec![QueryId::AcTxOrigin]),
-        };
-        engine.analyze(&all).unwrap();
-        match engine.analyze(&subset).unwrap() {
-            AnalysisResponse::Findings(findings) => {
-                assert!(findings.is_empty(), "TxOrigin must not fire on a send() snippet");
-            }
-            other => panic!("expected findings, got {other:?}"),
+        let scan = |detectors| AnalysisRequest::Scan { source: VULNERABLE.into(), detectors };
+        engine.analyze(&scan(None)).unwrap();
+        // TxOrigin does not fire on a send() snippet, and an explicitly
+        // empty subset runs no detector: neither may get the default
+        // set's cached findings.
+        for subset in [vec![QueryId::AcTxOrigin], vec![]] {
+            let response = engine.analyze(&scan(Some(subset))).unwrap();
+            assert_eq!(response, AnalysisResponse::Findings(vec![]));
         }
-        assert_eq!(engine.responses.lock().unwrap().entries.len(), 2);
-    }
-
-    #[test]
-    fn response_cache_is_bypassed_while_faults_are_armed() {
-        let engine = AnalysisEngine::new(AnalysisConfig::default());
-        faultinject::install(Some(faultinject::FaultPlan::parse("parse:err:0.0", 1).unwrap()));
-        engine.analyze(&AnalysisRequest::scan(VULNERABLE)).unwrap();
-        assert_eq!(
-            engine.responses.lock().unwrap().entries.len(),
-            0,
-            "armed fault plans must disable response memoization"
-        );
-        faultinject::install(None);
-        engine.analyze(&AnalysisRequest::scan(VULNERABLE)).unwrap();
-        assert_eq!(engine.responses.lock().unwrap().entries.len(), 1);
+        assert_eq!(engine.responses.len(), 3);
     }
 }

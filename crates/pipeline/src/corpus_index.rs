@@ -17,10 +17,10 @@
 //! [`CloneDetector`]s (candidate retrieval for a query runs the shards in
 //! parallel), tracks the committed snapshot generation vs. uncommitted
 //! delta count, and fronts the match path with a two-tier near-duplicate
-//! cache (content hash, then fuzzy-fingerprint hash) — most real traffic
-//! is the same snippet pasted again with cosmetic edits.
+//! cache (exact source, then fuzzy fingerprint) — most real traffic is
+//! the same snippet pasted again with cosmetic edits.
 
-use crate::api::LruCache;
+use crate::cache::Lru;
 use ccd::{CcdParams, CloneDetector, CloneMatch, Fingerprint};
 use index_store::wal::{self, WalWriter};
 use index_store::{FsyncPolicy, SnapshotStore, WalStats};
@@ -428,7 +428,12 @@ impl CorpusHandle {
 
     /// Front-cache counters.
     pub fn front_cache_stats(&self) -> FrontCacheStats {
-        self.inner.front.stats()
+        let front = &self.inner.front;
+        FrontCacheStats {
+            exact_hits: front.exact_hits.load(Ordering::Relaxed),
+            near_hits: front.near_hits.load(Ordering::Relaxed),
+            misses: front.misses.load(Ordering::Relaxed),
+        }
     }
 
     /// The corpus in canonical (ascending doc id) order — the sweep and
@@ -546,7 +551,8 @@ impl CorpusHandle {
         self.inner.deltas.fetch_add(1, Ordering::SeqCst);
         INSERTS.incr();
         // The corpus changed: cached match results are stale.
-        self.inner.front.invalidate();
+        self.inner.front.exact.clear();
+        self.inner.front.near.clear();
         Ok(doc)
     }
 
@@ -657,7 +663,15 @@ impl CorpusHandle {
     /// Front-cache lookup by exact source bytes (tier 1). `None` when
     /// caching is off, faults are armed, or the source was never seen.
     pub fn cached_by_source(&self, source: &str) -> Option<Arc<Vec<CloneMatch>>> {
-        self.inner.front.get_exact(source)
+        static HITS: telemetry::Counter = telemetry::Counter::new("corpus.front_cache.exact_hits");
+        let front = &self.inner.front;
+        let hit = front.exact.get(source);
+        if hit.is_some() {
+            front.exact_hits.fetch_add(1, Ordering::Relaxed);
+            HITS.incr();
+            telemetry::trace::annotate("front_cache", "exact_hit");
+        }
+        hit
     }
 
     /// Front-cache lookup by fuzzy fingerprint (tier 2): near-duplicate
@@ -665,17 +679,31 @@ impl CorpusHandle {
     /// to the same normalized fingerprint and hit here after parsing,
     /// skipping candidate retrieval and scoring.
     pub fn cached_by_fingerprint(&self, fp: &Fingerprint) -> Option<Arc<Vec<CloneMatch>>> {
-        self.inner.front.get_near(fp)
+        static HITS: telemetry::Counter = telemetry::Counter::new("corpus.front_cache.near_hits");
+        static MISSES: telemetry::Counter = telemetry::Counter::new("corpus.front_cache.misses");
+        let front = &self.inner.front;
+        let hit = front.near.get(fp.as_str());
+        if hit.is_some() {
+            front.near_hits.fetch_add(1, Ordering::Relaxed);
+            HITS.incr();
+            telemetry::trace::annotate("front_cache", "near_hit");
+        } else {
+            front.misses.fetch_add(1, Ordering::Relaxed);
+            MISSES.incr();
+        }
+        hit
     }
 
     /// All clones of `query` ([`CorpusHandle::matches`]), memoized under
-    /// both front-cache tiers for `source` and `query`. The cache's insert
-    /// epoch is read before matching, so an answer computed over a corpus
-    /// that an insert has since grown is returned but not stored.
+    /// both front-cache tiers for `source` and `query`. The tiers' insert
+    /// epochs are read before matching, so an answer computed over a
+    /// corpus that an insert has since grown is returned but not stored.
     pub fn matches_and_cache(&self, source: &str, query: &Fingerprint) -> Arc<Vec<CloneMatch>> {
-        let epoch = self.inner.front.epoch();
+        let front = &self.inner.front;
+        let (exact_epoch, near_epoch) = (front.exact.epoch(), front.near.epoch());
         let matches = Arc::new(self.matches(query));
-        self.inner.front.store(epoch, source, query, Arc::clone(&matches));
+        front.exact.insert(exact_epoch, source.into(), Arc::clone(&matches));
+        front.near.insert(near_epoch, query.as_str().into(), Arc::clone(&matches));
         matches
     }
 }
@@ -705,135 +733,30 @@ impl FrontCacheStats {
 
 /// Two-tier LRU front cache for clone-check results.
 ///
-/// Tier 1 keys on the FNV hash of the raw source (no parsing at all on a
-/// hit). Tier 2 keys on the normalized fuzzy fingerprint — the digest
-/// `ccd` builds from `fuzzyhash` — so Type-1/Type-2 near-duplicates
-/// (cosmetic edits, renamed identifiers) share an entry the moment they
-/// fingerprint. Matching is a pure function of the fingerprint, so tier-2
-/// hits are exact, not approximate. Both tiers are dropped whenever the
-/// corpus changes, and both are bypassed while a fault plan is armed
-/// (chaos runs must reach the real stages).
-///
-/// A clone check can finish matching after an insert has invalidated the
-/// cache, holding an answer computed over the old corpus. The insert
-/// epoch closes that window: `invalidate` bumps it while holding both
-/// tier locks, and `store` checks it under the same locks, so a result
-/// whose epoch was read before an insert is either cleared by that
-/// insert's `invalidate` or never stored.
+/// Tier 1 keys on the raw source (no parsing at all on a hit). Tier 2
+/// keys on the normalized fuzzy fingerprint — the digest `ccd` builds from
+/// `fuzzyhash` — so Type-1/Type-2 near-duplicates (cosmetic edits, renamed
+/// identifiers) share an entry the moment they fingerprint. Matching is a
+/// pure function of the fingerprint, so tier-2 hits are exact, not
+/// approximate. An insert clears both tiers, and the insert epoch each
+/// [`Lru`] keeps turns away a store of an answer computed before that
+/// clear ([`CorpusHandle::matches_and_cache`]).
 struct FrontCache {
-    capacity: usize,
-    exact: Mutex<LruCache<Arc<Vec<CloneMatch>>>>,
-    near: Mutex<LruCache<Arc<Vec<CloneMatch>>>>,
-    epoch: AtomicU64,
+    exact: Lru<Arc<str>, Arc<Vec<CloneMatch>>>,
+    near: Lru<Arc<str>, Arc<Vec<CloneMatch>>>,
     exact_hits: AtomicU64,
     near_hits: AtomicU64,
     misses: AtomicU64,
 }
 
-static FRONT_EXACT_HITS: telemetry::Counter =
-    telemetry::Counter::new("corpus.front_cache.exact_hits");
-static FRONT_NEAR_HITS: telemetry::Counter =
-    telemetry::Counter::new("corpus.front_cache.near_hits");
-static FRONT_MISSES: telemetry::Counter = telemetry::Counter::new("corpus.front_cache.misses");
-
 impl FrontCache {
     fn new(capacity: usize) -> FrontCache {
         FrontCache {
-            capacity,
-            exact: Mutex::new(LruCache::new(capacity)),
-            near: Mutex::new(LruCache::new(capacity)),
-            epoch: AtomicU64::new(0),
+            exact: Lru::new(capacity),
+            near: Lru::new(capacity),
             exact_hits: AtomicU64::new(0),
             near_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-        }
-    }
-
-    fn active(&self) -> bool {
-        self.capacity > 0 && !faultinject::active()
-    }
-
-    fn key(bytes: &[u8]) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in bytes {
-            hash ^= *byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
-    fn get_exact(&self, source: &str) -> Option<Arc<Vec<CloneMatch>>> {
-        if !self.active() {
-            return None;
-        }
-        let hit = self
-            .exact
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(Self::key(source.as_bytes()));
-        if hit.is_some() {
-            self.exact_hits.fetch_add(1, Ordering::Relaxed);
-            FRONT_EXACT_HITS.incr();
-            telemetry::trace::annotate("front_cache", "exact_hit");
-        }
-        hit
-    }
-
-    fn get_near(&self, fp: &Fingerprint) -> Option<Arc<Vec<CloneMatch>>> {
-        if !self.active() {
-            return None;
-        }
-        let hit = self
-            .near
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(Self::key(fp.as_str().as_bytes()));
-        if hit.is_some() {
-            self.near_hits.fetch_add(1, Ordering::Relaxed);
-            FRONT_NEAR_HITS.incr();
-            telemetry::trace::annotate("front_cache", "near_hit");
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            FRONT_MISSES.incr();
-        }
-        hit
-    }
-
-    /// Moves on every invalidation; read it before matching and hand it
-    /// to `store`.
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    fn store(&self, epoch: u64, source: &str, fp: &Fingerprint, matches: Arc<Vec<CloneMatch>>) {
-        if !self.active() {
-            return;
-        }
-        let mut exact = self.exact.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let mut near = self.near.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if self.epoch.load(Ordering::SeqCst) != epoch {
-            return;
-        }
-        exact.insert(Self::key(source.as_bytes()), Arc::clone(&matches));
-        near.insert(Self::key(fp.as_str().as_bytes()), matches);
-    }
-
-    fn invalidate(&self) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut exact = self.exact.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let mut near = self.near.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        *exact = LruCache::new(self.capacity);
-        *near = LruCache::new(self.capacity);
-    }
-
-    fn stats(&self) -> FrontCacheStats {
-        FrontCacheStats {
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            near_hits: self.near_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -932,11 +855,13 @@ mod tests {
         // then try to store the pre-insert answer.
         let handle = handle(1);
         let fp = query(DOC_A);
-        let epoch = handle.inner.front.epoch();
+        let front = &handle.inner.front;
+        let (exact_epoch, near_epoch) = (front.exact.epoch(), front.near.epoch());
         let before = Arc::new(handle.matches(&fp));
         assert!(before.iter().all(|m| m.doc != 2));
         let inserted = handle.insert_source(None, DOC_A_NEAR).unwrap();
-        handle.inner.front.store(epoch, DOC_A, &fp, before);
+        front.exact.insert(exact_epoch, DOC_A.into(), Arc::clone(&before));
+        front.near.insert(near_epoch, fp.as_str().into(), before);
         assert!(handle.cached_by_source(DOC_A).is_none(), "stale answer cached by source");
         assert!(handle.cached_by_fingerprint(&fp).is_none(), "stale answer cached by fingerprint");
         // The next clone check misses the cache and sees the new doc.

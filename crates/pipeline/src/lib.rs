@@ -19,12 +19,15 @@
 //! * [`corpus_index`] — the clone-corpus lifecycle behind one handle:
 //!   [`corpus_index::CorpusBuilder`] builds in-memory or snapshot-backed
 //!   corpora, [`corpus_index::CorpusHandle`] serves sharded matching,
-//!   incremental insert, compaction, and the near-duplicate front cache.
+//!   incremental insert, compaction, and the near-duplicate front cache,
+//! * [`cache`] — [`cache::Lru`], the full-key LRU with an insert epoch
+//!   behind the response cache and both front-cache tiers.
 
 
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod cache;
 pub mod corpus_index;
 pub mod eval_ccc;
 pub mod eval_ccd;

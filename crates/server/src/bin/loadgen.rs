@@ -745,7 +745,7 @@ fn observability_smoke(addr: &str) {
     const TRACE_HEX: &str = "deadbeefcafef00d";
 
     // A traced scan with a caller-chosen trace id, echoed exactly. The
-    // snippet is unique to this mode so the CPG cache cannot satisfy it:
+    // snippet is unique to this mode so the response cache cannot satisfy it:
     // the trace must contain real parse and cpg-build spans, not a
     // cache-hit shortcut.
     let scan = AnalysisRequest::scan(
@@ -853,7 +853,7 @@ fn trace_overhead_gate(args: &Args, dataset: &corpus::honeypots::HoneypotDataset
     let (bodies, paths) = build_workload(dataset, args.requests);
     let policy = retry_policy();
 
-    // Warm the daemon (CPG cache, fingerprint paths) before measuring.
+    // Warm the daemon (response and front caches) before measuring.
     telemetry::trace::set_enabled(false);
     let warm = run_burst(&addr, &bodies, &paths, args.concurrency, false, &policy, args.profile);
     if warm.lat.is_empty() {

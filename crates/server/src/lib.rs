@@ -6,9 +6,9 @@
 //! scans and clone checks from warm shared state (§5.5's "Execution
 //! Time" challenge, applied to interactive use). Architecture:
 //!
-//! * one [`AnalysisEngine`] behind an `Arc` — immutable warm state
-//!   (checker, fingerprint corpus + N-gram index, content-addressed CPG
-//!   cache) shared by every worker,
+//! * one [`AnalysisEngine`] behind an `Arc` — warm state (checker,
+//!   fingerprint corpus + N-gram index, the scan response cache and the
+//!   corpus front cache) shared by every worker,
 //! * a sharded epoll reactor (Linux; see [`reactor`]) — one acceptor
 //!   thread hands connections round-robin to N shard threads, each
 //!   running an event loop with non-blocking reads, an incremental

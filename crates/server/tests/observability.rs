@@ -119,7 +119,7 @@ fn adopted_trace_id_round_trips_through_debug_endpoints() {
     with_tracing(true, || {
         telemetry::enable();
         let (addr, handle, join) = start(ServerConfig::default());
-        // A snippet unique to this test: a CPG cache hit would elide the
+        // A snippet unique to this test: a response-cache hit would elide the
         // parse/cpg-build spans the assertions below require.
         let scan = AnalysisRequest::scan(
             "contract ObsTest { function pay(address to) public { to.send(2); } }",

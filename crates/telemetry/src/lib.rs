@@ -136,6 +136,19 @@ pub fn init_from_env() {
     }
 }
 
+/// FNV-1a 64 over a byte slice: a fast, stable, non-cryptographic hash
+/// for checksums (snapshot payloads, WAL records), pinned digests and
+/// seeded decision streams. Not for keys a caller can choose: FNV
+/// collisions are cheap to find.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[cfg(test)]
 pub(crate) mod test_lock {
     use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -154,6 +167,13 @@ pub(crate) mod test_lock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn disabled_is_the_default_and_everything_is_a_noop() {
