@@ -9,11 +9,13 @@ cargo build --release --workspace
 cargo test -q --workspace
 
 # Determinism: the pipeline suite once failed intermittently when a test
-# armed the process-global fault plan beside tests that expect none. Run
-# it 20 times at the default thread count; any failure stops CI.
+# armed the process-global fault plan beside tests that expect none; the
+# plan-arming tests of pipeline and index-store now have binaries of their
+# own. Run both suites 20 times at the default thread count; any failure
+# stops CI.
 for run in $(seq 1 20); do
-  cargo test --release -q -p pipeline --lib --tests >/tmp/pipeline_repeat.log 2>&1 \
-    || { echo "pipeline suite failed on run $run of 20"; cat /tmp/pipeline_repeat.log; exit 1; }
+  cargo test --release -q -p pipeline -p index-store --lib --tests >/tmp/pipeline_repeat.log 2>&1 \
+    || { echo "pipeline/index-store suites failed on run $run of 20"; cat /tmp/pipeline_repeat.log; exit 1; }
 done
 
 cargo clippy --all-targets -- -D warnings
@@ -50,7 +52,7 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -s "$PORT_FILE" ] || { echo "serve never wrote its port"; cat /tmp/serve_ci.log; exit 1; }
-./target/release/loadgen --smoke --no-append --addr "127.0.0.1:$(cat "$PORT_FILE")"
+./target/release/loadgen smoke --addr "127.0.0.1:$(cat "$PORT_FILE")"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 grep -q "drained and stopped" /tmp/serve_ci.log
@@ -72,7 +74,7 @@ for _ in $(seq 1 100); do
 done
 [ -s "$PORT_FILE" ] || { echo "obs serve never wrote its port"; cat /tmp/serve_obs.log; exit 1; }
 OBS_ADDR="127.0.0.1:$(cat "$PORT_FILE")"
-./target/release/loadgen --observability --no-append --addr "$OBS_ADDR"
+./target/release/loadgen observability --addr "$OBS_ADDR"
 # Independent curl-level check of the same contract: exposition content
 # type, a counter for the traced scan, and the trace id echo. (Bodies are
 # saved to files before grepping: `grep -q` closing the pipe early would
@@ -106,13 +108,13 @@ rm -f "$PORT_FILE" "$ACCESS_LOG"
 # and on against one warm in-process daemon; tracing on must keep at
 # least 95% of the untraced throughput. Measures only (no append), so CI
 # runs do not rewrite the committed trajectory.
-./target/release/loadgen --trace-overhead --no-append --requests 192 --concurrency 8
+./target/release/loadgen trace-overhead --no-append --requests 192 --concurrency 8
 
 # Serve-throughput gate: a warm keep-alive burst against an in-process
 # daemon must stay within 20% of the last keep-alive serve_loadgen point
 # in BENCH_trajectory.json (one internal re-measure on a miss — single
 # bursts are noisy). Measures only, never appends.
-./target/release/loadgen --serve-gate --requests 2048 --concurrency 8
+./target/release/loadgen serve-gate --requests 2048 --concurrency 8
 
 # Chaos smoke: restart the daemon under an armed fault plan (every
 # in-process injection point at 1-5% rates plus request-level errors),
@@ -133,7 +135,7 @@ for _ in $(seq 1 100); do
 done
 [ -s "$PORT_FILE" ] || { echo "chaos serve never wrote its port"; cat /tmp/serve_chaos.log; exit 1; }
 grep -q "fault injection armed" /tmp/serve_chaos.log
-./target/release/loadgen --chaos --smoke --addr "127.0.0.1:$(cat "$PORT_FILE")"
+./target/release/loadgen chaos --addr "127.0.0.1:$(cat "$PORT_FILE")"
 kill -0 "$SERVE_PID" || { echo "daemon died under chaos"; cat /tmp/serve_chaos.log; exit 1; }
 # (Breaker open/half-open/recovery is asserted deterministically by the
 # chaos integration suite run under `cargo test` above.)
@@ -209,7 +211,7 @@ rm -f "$PORT_FILE"
 # index_warmstart trajectory point records the release-build margin).
 # Measures only, never appends. The timed load includes replaying a
 # 24-insert WAL tail, the real post-crash boot shape.
-./target/release/loadgen --warmstart --no-append --requests 128 --concurrency 8
+./target/release/loadgen warmstart --no-append --requests 128 --concurrency 8
 
 # WAL torture loop: acknowledged inserts must survive kill -9 and replay
 # byte-identically, under three crash windows. A reference daemon is
@@ -316,7 +318,7 @@ rm -f "$PORT_FILE"
 # at least half the fsync-never insert throughput and stay above the
 # floor recorded by the committed wal_durability trajectory point.
 # Measures only, never appends.
-./target/release/loadgen --durability --no-append --requests 192 --concurrency 8
+./target/release/loadgen durability --no-append --requests 192 --concurrency 8
 
 # Kill-and-resume smoke: start a checkpointed batch run, SIGKILL it once
 # its first shard is journaled, resume it, and require the resumed output

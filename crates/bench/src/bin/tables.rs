@@ -20,6 +20,9 @@
 //! (atomically, after every target), and `--resume` replays completed
 //! targets from the journal byte-for-byte instead of recomputing them —
 //! a batch run killed mid-flight loses at most the target in progress.
+//!
+//! An unknown target, a flag missing its value or an unparsable `--scale`
+//! prints usage to stderr and exits 2.
 
 use bench::checkpoint::Journal;
 use ccc::Dasp;
@@ -117,39 +120,57 @@ struct Args {
     resume: bool,
 }
 
+/// Every target a command line may name.
+const TARGETS: &[&str] = &[
+    "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
+    "figure2", "figure5", "figure9", "study", "all",
+];
+
+const USAGE: &str = "usage: tables [TARGET...] [--scale F] [--out PATH] [--telemetry] \
+                     [--telemetry-out PATH] [--checkpoint PATH] [--resume]\n\
+                     targets: table1..table9 figure2 figure5 figure9 study all (default)";
+
+/// Parse the command line; an unknown target, a flag missing its value or
+/// an unparsable `--scale` prints usage and exits 2.
 fn parse_args() -> Args {
-    let mut whats = Vec::new();
-    let mut scale = bench::DEFAULT_SCALE;
-    let mut out = None;
-    let mut telemetry = false;
-    let mut telemetry_out = "BENCH_run.json".to_string();
-    let mut checkpoint = None;
-    let mut resume = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    parse(std::env::args().skip(1)).unwrap_or_else(|error| {
+        eprintln!("tables: {error}\n{USAGE}");
+        std::process::exit(2);
+    })
+}
+
+fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        whats: Vec::new(),
+        scale: bench::DEFAULT_SCALE,
+        out: None,
+        telemetry: false,
+        telemetry_out: "BENCH_run.json".to_string(),
+        checkpoint: None,
+        resume: false,
+    };
+    while let Some(arg) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("missing value for {arg}"));
         match arg.as_str() {
             "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(bench::DEFAULT_SCALE);
+                let scale = value()?;
+                args.scale = scale
+                    .parse()
+                    .map_err(|_| format!("--scale must be a number, not {scale:?}"))?;
             }
-            "--out" => out = args.next(),
-            "--telemetry" => telemetry = true,
-            "--telemetry-out" => {
-                if let Some(path) = args.next() {
-                    telemetry_out = path;
-                }
-            }
-            "--checkpoint" => checkpoint = args.next(),
-            "--resume" => resume = true,
-            other => whats.push(other.to_string()),
+            "--out" => args.out = Some(value()?),
+            "--telemetry" => args.telemetry = true,
+            "--telemetry-out" => args.telemetry_out = value()?,
+            "--checkpoint" => args.checkpoint = Some(value()?),
+            "--resume" => args.resume = true,
+            target if TARGETS.contains(&target) => args.whats.push(arg.clone()),
+            other => return Err(format!("unknown target {other}")),
         }
     }
-    if whats.is_empty() {
-        whats.push("all".to_string());
+    if args.whats.is_empty() {
+        args.whats.push("all".to_string());
     }
-    Args { whats, scale, out, telemetry, telemetry_out, checkpoint, resume }
+    Ok(args)
 }
 
 fn main() {

@@ -26,6 +26,55 @@ use solidity::printer;
 use solidity::Span;
 use std::collections::BTreeMap;
 
+macro_rules! kind_counters {
+    ($($kind:ident),* $(,)?) => {
+        [$(telemetry::Counter::new(concat!("cpg.nodes.", stringify!($kind)))),*]
+    };
+}
+
+/// The `cpg.nodes.<Kind>` counters, indexed by `NodeKind as usize`
+/// (the order of [`ALL_KINDS`]).
+static KIND_NODES: [telemetry::Counter; ALL_KINDS.len()] = kind_counters![
+    TranslationUnit,
+    RecordDeclaration,
+    FieldDeclaration,
+    FunctionDeclaration,
+    ConstructorDeclaration,
+    ModifierDeclaration,
+    ParamVariableDeclaration,
+    VariableDeclaration,
+    EnumDeclaration,
+    EventDeclaration,
+    DeclaredReferenceExpression,
+    MemberExpression,
+    SubscriptExpression,
+    CallExpression,
+    NewExpression,
+    BinaryOperator,
+    UnaryOperator,
+    Literal,
+    TupleExpression,
+    ConditionalExpression,
+    CastExpression,
+    SpecifiedExpression,
+    KeyValueExpression,
+    Block,
+    IfStatement,
+    WhileStatement,
+    DoStatement,
+    ForStatement,
+    ForEachStatement,
+    ReturnStatement,
+    BreakStatement,
+    ContinueStatement,
+    EmitStatement,
+    Rollback,
+    AssemblyBlock,
+    TryStatement,
+    PlaceholderStatement,
+    UncheckedBlock,
+];
+
 /// Translation options.
 #[derive(Debug, Clone, Copy)]
 pub struct BuildOptions {
@@ -103,9 +152,9 @@ impl Cpg {
             for id in cpg.graph.node_ids() {
                 per_kind[cpg.graph.node(id).kind as usize] += 1;
             }
-            for (kind, &count) in ALL_KINDS.iter().zip(&per_kind) {
+            for (counter, &count) in KIND_NODES.iter().zip(&per_kind) {
                 if count > 0 {
-                    telemetry::counter_add(&format!("cpg.nodes.{kind:?}"), count);
+                    counter.add(count);
                 }
             }
         }
@@ -1989,6 +2038,13 @@ fn is_builtin_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_counters_follow_kind_declaration_order() {
+        for (counter, kind) in KIND_NODES.iter().zip(ALL_KINDS) {
+            assert_eq!(counter.name(), format!("cpg.nodes.{kind:?}"));
+        }
+    }
 
     fn cpg(src: &str) -> Cpg {
         Cpg::from_snippet(src).expect("snippet parses")

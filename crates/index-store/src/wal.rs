@@ -73,6 +73,7 @@ pub const RECORD_HEADER_LEN: usize = 12;
 pub const MAX_RECORD_LEN: usize = 64 << 20;
 
 static WAL_APPENDS: telemetry::Counter = telemetry::Counter::new("wal.appends");
+static WAL_APPEND_US: telemetry::Histogram = telemetry::Histogram::duration_us("wal.append_us");
 static WAL_FSYNCS: telemetry::Counter = telemetry::Counter::new("wal.fsyncs");
 static WAL_REPLAY_TRUNCATED: telemetry::Counter =
     telemetry::Counter::new("wal.replay_truncated");
@@ -476,7 +477,7 @@ impl WalWriter {
             FsyncPolicy::Never => {}
         }
         WAL_APPENDS.incr();
-        telemetry::duration_observe_us("wal.append_us", start.elapsed().as_micros() as u64);
+        WAL_APPEND_US.observe(start.elapsed().as_micros() as u64);
         Ok(())
     }
 
@@ -725,24 +726,6 @@ mod tests {
         drop(writer); // joins the flusher
         let replay = replay(&path, 1).unwrap().unwrap();
         assert_eq!(replay.records.len(), RECORDS.len());
-    }
-
-    #[test]
-    fn injected_append_fault_is_typed_and_writes_nothing() {
-        let path = temp_path("fault");
-        let mut writer = WalWriter::create(&path, 1, FsyncPolicy::Never).unwrap();
-        faultinject::install(Some(
-            faultinject::FaultPlan::parse("wal/append:err:1.0", 1).unwrap(),
-        ));
-        let result = writer.append(1, &fp("doomed"));
-        faultinject::install(None);
-        let err = result.unwrap_err();
-        assert_eq!(err.code(), "internal");
-        assert_eq!(writer.stats().records, 0);
-        // The segment replays to nothing — the rejected insert left no
-        // trace to resurrect.
-        drop(writer);
-        assert!(replay(&path, 1).unwrap().unwrap().records.is_empty());
     }
 
     fn record_boundaries(full: &Replay) -> Vec<u64> {

@@ -1,11 +1,12 @@
 //! A tiny blocking HTTP client for driving the daemon — used by the
 //! `loadgen` bin, the integration tests and the CI smoke step.
 //!
-//! [`Connection`] is the keep-alive path: one TCP connection serves
-//! sequential requests (or a pipelined window via [`Connection::send`] /
-//! [`Connection::recv`]), with responses framed by `Content-Length`. The
-//! free functions ([`post`], [`get`], [`request_full`]) keep the old
-//! connect-per-request `Connection: close` behavior as an escape hatch.
+//! [`Connection`] is the one request writer and response reader: one TCP
+//! connection serves sequential requests (or a pipelined window via
+//! [`Connection::send`] / [`Connection::recv`]), with responses framed by
+//! `Content-Length`. The free functions ([`post`], [`get`], [`request`],
+//! [`request_full`]) open a fresh connection per call, send
+//! `Connection: close` and read one framed response.
 //!
 //! [`RetryPolicy`] adds bounded retries with exponential backoff and
 //! seeded jitter for transient failures: connection errors (a worker
@@ -322,7 +323,7 @@ fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|window| window == needle)
 }
 
-/// Send one request and return `(status, body)`.
+/// Send one request on a fresh connection and return `(status, body)`.
 pub fn request(
     addr: &str,
     method: &str,
@@ -333,9 +334,9 @@ pub fn request(
     Ok((response.status, response.body))
 }
 
-/// Send one request with extra headers (e.g. `X-Trace-Id`) and return
-/// the full parsed response including headers — the observability smoke
-/// asserts on the echoed ids.
+/// Send one request with extra headers (e.g. `X-Trace-Id`) on a fresh
+/// `Connection: close` connection and return the full response, headers
+/// included — the observability smoke asserts on the echoed ids.
 pub fn request_full(
     addr: &str,
     method: &str,
@@ -343,24 +344,11 @@ pub fn request_full(
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_full(&raw)
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad HTTP response"))
+    let mut headers = extra_headers.to_vec();
+    headers.push(("Connection", "close"));
+    let mut conn = Connection::new(addr);
+    conn.send(method, path, body, &headers)?;
+    conn.recv()
 }
 
 /// `POST` a JSON body.
@@ -373,62 +361,64 @@ pub fn get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
     request(addr, "GET", path, "")
 }
 
-fn parse_full(raw: &[u8]) -> Option<Response> {
-    let text = std::str::from_utf8(raw).ok()?;
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let mut lines = head.lines();
-    let status_line = lines.next()?;
-    let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-    let headers = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Some(Response { status, headers, body: body.to_string() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A one-shot server answering each accepted connection with the next
+    /// canned response; returns the request heads it read.
+    fn canned_server(responses: Vec<Vec<u8>>) -> (String, std::thread::JoinHandle<Vec<String>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let mut requests = Vec::new();
+            for response in responses {
+                let Ok((mut stream, _)) = listener.accept() else { break };
+                let mut buf = [0u8; 4096];
+                let n = stream.read(&mut buf).unwrap_or(0);
+                requests.push(String::from_utf8_lossy(&buf[..n]).into_owned());
+                let _ = stream.write_all(&response);
+            }
+            requests
+        });
+        (addr, handle)
+    }
+
+    /// Canned `Connection: close` responses with these statuses.
+    fn statuses(codes: &[u16]) -> Vec<Vec<u8>> {
+        codes
+            .iter()
+            .map(|status| {
+                format!("HTTP/1.1 {status} X\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{{}}")
+                    .into_bytes()
+            })
+            .collect()
+    }
+
     #[test]
     fn parses_a_canned_response() {
-        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}";
-        let response = parse_full(raw).unwrap();
-        assert_eq!((response.status, response.body.as_str()), (200, "{}"));
-        assert_eq!(parse_full(b"garbage"), None);
+        let ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}";
+        let (addr, _) = canned_server(vec![ok.to_vec()]);
+        assert_eq!(get(&addr, "/health").unwrap(), (200, "{}".to_string()));
+        let (addr, _) = canned_server(vec![b"garbage".to_vec()]);
+        assert!(get(&addr, "/health").is_err());
     }
 
     #[test]
     fn full_parse_captures_response_headers() {
-        let raw = b"HTTP/1.1 429 Too Many Requests\r\nContent-Length: 2\r\nX-Trace-Id: deadbeefcafef00d\r\n\r\n{}";
-        let response = parse_full(raw).unwrap();
+        let shed = b"HTTP/1.1 429 Too Many Requests\r\nContent-Length: 2\r\n\
+                     X-Trace-Id: deadbeefcafef00d\r\n\r\n{}";
+        let (addr, requests) = canned_server(vec![shed.to_vec()]);
+        let response =
+            request_full(&addr, "GET", "/health", "", &[("X-Request-Id", "r1")]).unwrap();
         assert_eq!(response.status, 429);
         assert_eq!(response.header("x-trace-id"), Some("deadbeefcafef00d"));
         assert_eq!(response.header("X-TRACE-ID"), Some("deadbeefcafef00d"));
         assert_eq!(response.header("absent"), None);
         assert_eq!(response.body, "{}");
-    }
-
-    /// A one-shot server answering each accepted connection with the next
-    /// canned status; returns how many connections it served.
-    fn canned_server(statuses: Vec<u16>) -> (String, std::thread::JoinHandle<usize>) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
-            let mut served = 0;
-            for status in statuses {
-                let Ok((mut stream, _)) = listener.accept() else { break };
-                let mut buf = [0u8; 4096];
-                let _ = stream.read(&mut buf);
-                let response = format!(
-                    "HTTP/1.1 {status} X\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{{}}"
-                );
-                let _ = stream.write_all(response.as_bytes());
-                served += 1;
-            }
-            served
-        });
-        (addr, handle)
+        let requests = requests.join().unwrap();
+        assert!(requests[0].contains("X-Request-Id: r1\r\n"), "{}", requests[0]);
+        assert!(requests[0].contains("Connection: close\r\n"), "{}", requests[0]);
     }
 
     fn fast_policy() -> RetryPolicy {
@@ -437,27 +427,27 @@ mod tests {
 
     #[test]
     fn retries_past_transient_server_errors() {
-        let (addr, served) = canned_server(vec![500, 429, 200]);
+        let (addr, served) = canned_server(statuses(&[500, 429, 200]));
         let (status, body) = get_with_retry(&addr, "/health", &fast_policy()).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "{}");
-        assert_eq!(served.join().unwrap(), 3, "two retries consumed");
+        assert_eq!(served.join().unwrap().len(), 3, "two retries consumed");
     }
 
     #[test]
     fn gives_up_with_last_response_after_max_attempts() {
-        let (addr, served) = canned_server(vec![503, 503, 503, 503]);
+        let (addr, served) = canned_server(statuses(&[503, 503, 503, 503]));
         let (status, _) = get_with_retry(&addr, "/health", &fast_policy()).unwrap();
         assert_eq!(status, 503, "exhausted retries surface the last response");
-        assert_eq!(served.join().unwrap(), 4);
+        assert_eq!(served.join().unwrap().len(), 4);
     }
 
     #[test]
     fn client_errors_are_not_retried() {
-        let (addr, served) = canned_server(vec![400]);
+        let (addr, served) = canned_server(statuses(&[400]));
         let (status, _) = get_with_retry(&addr, "/health", &fast_policy()).unwrap();
         assert_eq!(status, 400);
-        assert_eq!(served.join().unwrap(), 1, "a 4xx must not be retried");
+        assert_eq!(served.join().unwrap().len(), 1, "a 4xx must not be retried");
     }
 
     #[test]
@@ -545,12 +535,12 @@ mod tests {
     fn connection_reconnects_when_the_server_closes() {
         // Each canned response carries `Connection: close`, so the
         // client must transparently reconnect between requests.
-        let (addr, served) = canned_server(vec![200, 200]);
+        let (addr, served) = canned_server(statuses(&[200, 200]));
         let mut conn = Connection::new(&addr);
         assert_eq!(conn.get("/health").unwrap().0, 200);
         assert!(!conn.is_connected(), "close response drops the socket");
         assert_eq!(conn.get("/health").unwrap().0, 200);
-        assert_eq!(served.join().unwrap(), 2);
+        assert_eq!(served.join().unwrap().len(), 2);
     }
 
     #[test]

@@ -311,6 +311,8 @@ impl Server {
                 pool: Arc::clone(pool),
                 inbox: Arc::clone(&inbox),
                 read_timeout: self.read_timeout,
+                conns: telemetry::Gauge::named(format!("server.shard_conns|shard={id}")),
+                inflight: telemetry::Gauge::named(format!("server.shard_inflight|shard={id}")),
             });
             let shard = Shard::new(id, Arc::clone(&inbox), handler, shard_cfg)?;
             threads.push(
@@ -376,6 +378,10 @@ struct ShardService {
     pool: Arc<WorkerPool>,
     inbox: Arc<reactor::ShardInbox>,
     read_timeout: Duration,
+    /// `server.shard_conns|shard=<id>`, set every reactor tick.
+    conns: telemetry::Gauge,
+    /// `server.shard_inflight|shard=<id>`, set every reactor tick.
+    inflight: telemetry::Gauge,
 }
 
 impl reactor::ShardHandler for ShardService {
@@ -456,15 +462,9 @@ impl reactor::ShardHandler for ShardService {
         self.state.shutdown.is_shutdown()
     }
 
-    fn on_tick(&self, shard_id: usize, conns: usize, inflight: usize) {
-        if !telemetry::enabled() {
-            return;
-        }
-        telemetry::gauge_set(&format!("server.shard_conns|shard={shard_id}"), conns as u64);
-        telemetry::gauge_set(
-            &format!("server.shard_inflight|shard={shard_id}"),
-            inflight as u64,
-        );
+    fn on_tick(&self, _shard_id: usize, conns: usize, inflight: usize) {
+        self.conns.set(conns as u64);
+        self.inflight.set(inflight as u64);
     }
 }
 
@@ -606,27 +606,67 @@ fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
+/// The RED-metric handles of one endpoint label, resolved once: a
+/// request counter per status class (2xx, 3xx, 4xx, 5xx) and a
+/// log-linear latency histogram.
+struct Endpoint {
+    label: &'static str,
+    requests: [telemetry::Counter; 4],
+    duration_us: telemetry::Histogram,
+}
+
+macro_rules! endpoints {
+    ($($label:literal),* $(,)?) => {
+        [$(Endpoint {
+            label: $label,
+            requests: [
+                telemetry::Counter::new(concat!("http.requests|endpoint=", $label, "|status=2xx")),
+                telemetry::Counter::new(concat!("http.requests|endpoint=", $label, "|status=3xx")),
+                telemetry::Counter::new(concat!("http.requests|endpoint=", $label, "|status=4xx")),
+                telemetry::Counter::new(concat!("http.requests|endpoint=", $label, "|status=5xx")),
+            ],
+            duration_us: telemetry::Histogram::duration_us(
+                concat!("http.request_duration_us|endpoint=", $label),
+            ),
+        }),*]
+    };
+}
+
+/// The handles of every label [`endpoint_label`] returns; `other` last.
+static ENDPOINTS: [Endpoint; 14] = endpoints![
+    "/v1/scan",
+    "/v1/clone-check",
+    "/v1/analyze",
+    "/v1/batch",
+    "/v1/index/status",
+    "/v1/index/insert",
+    "/v1/index/compact",
+    "/health",
+    "/telemetry",
+    "/metrics",
+    "/shutdown",
+    "/debug/traces/recent",
+    "/debug/trace",
+    "other",
+];
+
 /// Record the RED metrics of one request: a counter per endpoint ×
 /// status class and a log-linear latency histogram per endpoint.
 fn observe_request(path: &str, status: u16, elapsed: Duration) {
     if !telemetry::enabled() {
         return;
     }
-    let endpoint = endpoint_label(path);
+    let label = endpoint_label(path);
+    let (other, routes) = ENDPOINTS.split_last().expect("the table ends with `other`");
+    let endpoint = routes.iter().find(|e| e.label == label).unwrap_or(other);
     let class = match status {
-        200..=299 => "2xx",
-        300..=399 => "3xx",
-        400..=499 => "4xx",
-        _ => "5xx",
+        200..=299 => 0,
+        300..=399 => 1,
+        400..=499 => 2,
+        _ => 3,
     };
-    telemetry::counter_add(
-        &format!("http.requests|endpoint={endpoint}|status={class}"),
-        1,
-    );
-    telemetry::duration_observe_us(
-        &format!("http.request_duration_us|endpoint={endpoint}"),
-        elapsed.as_micros().min(u64::MAX as u128) as u64,
-    );
+    endpoint.requests[class].incr();
+    endpoint.duration_us.observe(elapsed.as_micros().min(u64::MAX as u128) as u64);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1220,7 +1260,8 @@ mod tests {
     fn metrics_endpoint_renders_valid_exposition() {
         let state = state();
         telemetry::enable();
-        telemetry::counter_add("test.metrics_endpoint", 1);
+        static COUNTER: telemetry::Counter = telemetry::Counter::new("test.metrics_endpoint");
+        COUNTER.incr();
         let (status, content_type, body) = route(&get("/metrics"), &state);
         assert_eq!(status, 200);
         assert!(content_type.starts_with("text/plain"));
@@ -1329,6 +1370,18 @@ mod tests {
         assert_eq!(endpoint_label("/v1/index/compact"), "/v1/index/compact");
         assert_eq!(endpoint_label("/debug/trace/deadbeef"), "/debug/trace");
         assert_eq!(endpoint_label("/anything/else"), "other");
+    }
+
+    #[test]
+    fn every_endpoint_label_has_its_own_handles() {
+        for endpoint in &ENDPOINTS {
+            let path = match endpoint.label {
+                "/debug/trace" => "/debug/trace/deadbeef",
+                "other" => "/anything/else",
+                label => label,
+            };
+            assert_eq!(endpoint_label(path), endpoint.label);
+        }
     }
 
     #[test]

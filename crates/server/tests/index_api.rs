@@ -197,6 +197,30 @@ fn uncompacted_inserts_survive_an_abrupt_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The WAL append histogram reaches `/metrics` under its own name once an
+/// insert has gone through the log.
+#[test]
+fn wal_append_latency_reaches_metrics() {
+    telemetry::enable();
+    let dir = temp_dir("walmetrics");
+    let config = AnalysisConfig::default();
+    let corpus = CorpusBuilder::new(config.ccd_params())
+        .snapshot_dir(&dir)
+        .from_sources([(1u64, CORPUS_CONTRACT)]);
+    corpus.compact().expect("initial commit");
+    let (addr, handle, join) = start(AnalysisEngine::with_corpus_handle(config, corpus));
+    let insert = format!("{{\"v\":1,\"source\":\"{}\"}}", telemetry::json::escape(NEW_CONTRACT));
+    let (status, body) = client::post(&addr, "/v1/index/insert", &insert).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, metrics) = client::get(&addr, "/metrics").unwrap();
+    assert_eq!(status, 200);
+    assert!(metrics.contains("wal_append_us_count "), "metrics miss wal_append_us:\n{metrics}");
+    handle.shutdown();
+    join.join().unwrap();
+    telemetry::disable();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn compact_without_snapshot_dir_is_client_error() {
     let engine = AnalysisEngine::with_corpus(AnalysisConfig::default(), [(1u64, CORPUS_CONTRACT)]);

@@ -161,6 +161,16 @@ fn adopted_trace_id_round_trips_through_debug_endpoints() {
             metrics.contains("stage_duration_ns_count{stage=\"parse\"}"),
             "metrics miss the parse stage histogram:\n{metrics}"
         );
+        // The RED series and the per-shard gauges keep their names and
+        // labels.
+        for needle in [
+            "http_requests_total{endpoint=\"/v1/scan\",status=\"2xx\"}",
+            "http_request_duration_us_count{endpoint=\"/v1/scan\"}",
+            "server_shard_conns{shard=\"0\"}",
+            "server_shard_inflight{shard=\"0\"}",
+        ] {
+            assert!(metrics.contains(needle), "metrics miss {needle}:\n{metrics}");
+        }
 
         stop(handle, join);
         telemetry::disable();

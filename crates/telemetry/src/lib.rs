@@ -50,10 +50,7 @@ pub mod report;
 pub mod stage;
 pub mod trace;
 
-pub use metrics::{
-    counter_add, duration_observe_us, gauge_set, histogram_observe, BucketLayout, Counter, Gauge,
-    Histogram,
-};
+pub use metrics::{gauge_set, BucketLayout, Counter, Gauge, Histogram};
 pub use report::{reset, snapshot, HistogramStat, Snapshot};
 pub use stage::{stage_metric, Stage, StageGuard, STAGE_METRIC};
 
@@ -185,7 +182,8 @@ mod tests {
         static C: Counter = Counter::new("lib.noop");
         C.add(41);
         gauge_set("lib.noop_gauge", 7);
-        histogram_observe("lib.noop_hist", 3);
+        static H: Histogram = Histogram::new("lib.noop_hist");
+        H.observe(3);
         static S: Stage = Stage::new("lib/noop");
         let t = trace::start(trace::TraceId(9), "request");
         drop(S.enter());

@@ -4,10 +4,12 @@
 //! Metric cells live in a global registry keyed by name and are leaked
 //! (`&'static`) so handles can cache a direct pointer: after the first
 //! touch, a [`Counter::add`] is one enabled-check plus one relaxed
-//! `fetch_add`. Dynamic names ([`counter_add`] and friends) pay one
-//! registry lock per call and are meant for cold paths (per-build node
-//! kind totals, per-shard gauges).
+//! `fetch_add`. Every recording site holds a handle: a `static` for a
+//! fixed name, or one [`Gauge::named`] built once for a name known only at
+//! run time (a per-shard label). [`gauge_set`] pays one registry lock per
+//! call and serves only the gauges sampled at scrape time.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -198,6 +200,11 @@ impl Counter {
         Counter { name, cell: OnceLock::new() }
     }
 
+    /// The metric name.
+    pub const fn name(&self) -> &'static str {
+        self.name
+    }
+
     /// Add `n`. No-op (one load + branch) while telemetry is disabled.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -219,14 +226,20 @@ impl Counter {
 /// A named last-value gauge.
 #[derive(Debug)]
 pub struct Gauge {
-    name: &'static str,
+    name: Cow<'static, str>,
     cell: OnceLock<&'static AtomicU64>,
 }
 
 impl Gauge {
     /// A gauge handle for `name` (registered lazily).
     pub const fn new(name: &'static str) -> Gauge {
-        Gauge { name, cell: OnceLock::new() }
+        Gauge { name: Cow::Borrowed(name), cell: OnceLock::new() }
+    }
+
+    /// A gauge handle for a name built at run time, such as a per-shard
+    /// label. Build it once and keep it, like a `static` handle.
+    pub fn named(name: String) -> Gauge {
+        Gauge { name: Cow::Owned(name), cell: OnceLock::new() }
     }
 
     /// Store `value`. No-op while telemetry is disabled.
@@ -236,7 +249,7 @@ impl Gauge {
             return;
         }
         self.cell
-            .get_or_init(|| gauge_cell(self.name))
+            .get_or_init(|| gauge_cell(&self.name))
             .store(value, Ordering::Relaxed);
     }
 
@@ -247,7 +260,7 @@ impl Gauge {
             return;
         }
         self.cell
-            .get_or_init(|| gauge_cell(self.name))
+            .get_or_init(|| gauge_cell(&self.name))
             .fetch_max(value, Ordering::Relaxed);
     }
 }
@@ -285,33 +298,11 @@ impl Histogram {
     }
 }
 
-/// Add to a dynamically named counter (cold path: one registry lock).
-pub fn counter_add(name: &str, n: u64) {
-    if crate::enabled() {
-        counter_cell(name).fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Set a dynamically named gauge (cold path: one registry lock).
+/// Set a dynamically named gauge (one registry lock per call: for gauges
+/// sampled at scrape time).
 pub fn gauge_set(name: &str, value: u64) {
     if crate::enabled() {
         gauge_cell(name).store(value, Ordering::Relaxed);
-    }
-}
-
-/// Observe into a dynamically named pow2 histogram (cold path: one
-/// registry lock).
-pub fn histogram_observe(name: &str, value: u64) {
-    if crate::enabled() {
-        histogram_cell(name, BucketLayout::Pow2).observe(value);
-    }
-}
-
-/// Observe a microsecond duration into a dynamically named log-linear
-/// histogram (cold path: one registry lock).
-pub fn duration_observe_us(name: &str, value: u64) {
-    if crate::enabled() {
-        histogram_cell(name, BucketLayout::DurationUs).observe(value);
     }
 }
 

@@ -509,10 +509,13 @@ mod tests {
         let _guard = crate::test_lock::hold();
         crate::reset();
         crate::enable();
-        crate::counter_add("prom.test.hits|endpoint=/x", 2);
+        static HITS: crate::Counter = crate::Counter::new("prom.test.hits|endpoint=/x");
+        static LAT: crate::Histogram = crate::Histogram::duration_us("prom.test.lat|endpoint=/x");
+        static SIZES: crate::Histogram = crate::Histogram::new("prom.test.sizes");
+        HITS.add(2);
         crate::gauge_set("prom.test.depth", 5);
-        crate::duration_observe_us("prom.test.lat|endpoint=/x", 17_012);
-        crate::histogram_observe("prom.test.sizes", 1024);
+        LAT.observe(17_012);
+        SIZES.observe(1024);
         static STAGE: crate::Stage = crate::Stage::new("prom/test");
         drop(STAGE.enter());
         let text = render(&crate::snapshot());

@@ -177,9 +177,11 @@ mod tests {
         let _guard = crate::test_lock::hold();
         crate::reset();
         crate::enable();
-        crate::counter_add("report.test.counter", 7);
+        static COUNTER: crate::Counter = crate::Counter::new("report.test.counter");
+        static HIST: crate::Histogram = crate::Histogram::new("report.test.hist");
+        COUNTER.add(7);
         crate::gauge_set("report.test.gauge", 9);
-        crate::histogram_observe("report.test.hist", 140);
+        HIST.observe(140);
         static QUOTED: crate::Stage = crate::Stage::new("report.test/phase \"quoted\"");
         drop(QUOTED.enter());
         let snap = snapshot();
