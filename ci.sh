@@ -18,7 +18,7 @@ for run in $(seq 1 20); do
     || { echo "pipeline/index-store suites failed on run $run of 20"; cat /tmp/pipeline_repeat.log; exit 1; }
 done
 
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # perfbench is a package of its own outside the workspace, so the steps
 # above never compile it. Build and test it from its manifest, so that a

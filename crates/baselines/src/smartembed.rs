@@ -250,9 +250,10 @@ mod tests {
 
     #[test]
     fn snippets_are_rejected() {
-        // SmartEmbed requires complete code (§5.7): bare statements fail.
+        // SmartEmbed requires complete code (§5.7): bare statements fail,
+        // while a whole function parses as a free function and embeds.
         assert!(embed("balances[msg.sender] += msg.value;").is_none());
-        assert!(embed("function f() public { x = 1; }").is_some() || true);
+        assert!(embed("function f() public { x = 1; }").is_some());
     }
 
     #[test]

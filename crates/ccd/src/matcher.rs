@@ -144,13 +144,6 @@ pub struct CloneMatch {
 /// The N-gram index numbers documents by slot, and slot *i* is entry *i*
 /// of the fingerprint vector, so a candidate slot addresses its
 /// fingerprint directly.
-///
-/// `Clone` shares the fingerprint vector by reference count
-/// (copy-on-write on the next insert) but deep-copies the N-gram index:
-/// its postings map of `u32` slot lists and its slot table. The corpus
-/// handle in `pipeline` relies on this for its `Arc::make_mut` insert
-/// path.
-#[derive(Clone)]
 pub struct CloneDetector {
     params: CcdParams,
     index: NgramIndex,
@@ -186,8 +179,8 @@ impl CloneDetector {
     /// Reassemble a detector from an already-built N-gram index and its
     /// corpus — the snapshot warm-start path: nothing is re-grammed.
     ///
-    /// The caller (the validated snapshot loader in `index-store`, or a
-    /// shard split) guarantees `index` was built over exactly `corpus`.
+    /// The caller (the validated snapshot loader in `index-store`)
+    /// guarantees `index` was built over exactly `corpus`.
     /// What can be checked cheaply is: the index's `n` must match the
     /// parameters, and slot *i* of the index must hold the id of corpus
     /// entry *i* — matching reads candidate slots straight out of the

@@ -630,10 +630,10 @@ mod proptests {
                     }
                 }
             }
-            for i in 0..n {
-                for j in 0..n {
+            for (i, row) in reach.iter().enumerate() {
+                for (j, &reached) in row.iter().enumerate() {
                     prop_assert_eq!(
-                        reach[i][j],
+                        reached,
                         star_pairs.contains(&(i as u32, j as u32)),
                         "closure mismatch at ({}, {})", i, j
                     );

@@ -1,5 +1,5 @@
-//! Snapshot format v1: a flat, mmap-friendly encoding of a fingerprint
-//! corpus plus its prebuilt N-gram index.
+//! Snapshot format v1: a flat encoding of a fingerprint corpus plus its
+//! prebuilt N-gram index.
 //!
 //! ```text
 //! header (72 bytes, little-endian)
@@ -185,7 +185,7 @@ fn span<'b>(blob: &'b str, off: u32, len: u32, what: &str) -> Result<&'b str, An
     Ok(&blob[start..end])
 }
 
-/// Decode and validate snapshot bytes (the mmap'ed file contents).
+/// Decode and validate snapshot bytes (a snapshot file's contents).
 pub fn decode(bytes: &[u8]) -> Result<Decoded, AnalysisError> {
     if bytes.len() < HEADER_LEN {
         return Err(corrupt(format!("{} bytes is shorter than the header", bytes.len())));

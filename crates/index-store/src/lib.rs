@@ -4,10 +4,10 @@
 //! fixed snippet corpus; the analysis service previously re-fingerprinted
 //! that corpus from source on every boot. This crate is the persistence
 //! layer that removes the rebuild: the fingerprint set and the N-gram
-//! postings are written once into a flat, mmap-friendly snapshot file
-//! ([`format`]) and committed under a generation number with an atomic
-//! pointer flip ([`store`]), so a service restart assembles its matcher
-//! from validated bytes in milliseconds — no Solidity parsing, no
+//! postings are written once into a flat snapshot file ([`format`]) and
+//! committed under a generation number with an atomic pointer flip
+//! ([`store`]), so a service restart assembles its matcher from
+//! validated bytes in milliseconds — no Solidity parsing, no
 //! normalization, no re-gramming.
 //!
 //! * [`format`] — the v1 byte layout: fixed-width header + tables,
@@ -23,18 +23,15 @@
 //!   generation takes every insert before it is applied in memory, and
 //!   warm start replays the tail on top of the snapshot, so live inserts
 //!   survive `kill -9` without waiting for a compaction.
-//! * [`mmap`] — read-only file mapping via the reactor's `extern "C"`
-//!   syscall idiom on unix, with a plain-read fallback elsewhere.
 //!
-//! The live-service layers above — incremental insert, compaction,
-//! sharding, the near-duplicate front cache and the `/v1/index` admin
-//! API — live in `pipeline::api::CorpusHandle` and `crates/server`; this
-//! crate owns only the bytes.
+//! The live-service layers above — incremental insert, compaction, the
+//! near-duplicate front cache and the `/v1/index` admin API — live in
+//! `pipeline::corpus_index::CorpusHandle` and `crates/server`; this crate
+//! owns only the bytes.
 
 #![warn(missing_docs)]
 
 pub mod format;
-pub mod mmap;
 pub mod store;
 pub mod wal;
 

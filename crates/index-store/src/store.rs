@@ -23,7 +23,6 @@
 //! this directory and are managed through [`SnapshotStore::wal_path`].
 
 use crate::format;
-use crate::mmap::Mapped;
 use ccd::{CcdParams, CloneDetector, Fingerprint};
 use ngram_index::DocId;
 use solidity::AnalysisError;
@@ -156,11 +155,11 @@ impl SnapshotStore {
         static STAGE: telemetry::Stage = telemetry::Stage::new("index-store/load");
         let _stage = STAGE.enter();
         let path = self.generation_path(generation);
-        let mapped = Mapped::open(&path).map_err(|e| {
-            AnalysisError::index_corrupt(format!("cannot map {}: {e}", path.display()))
+        let bytes = std::fs::read(&path).map_err(|e| {
+            AnalysisError::index_corrupt(format!("cannot read {}: {e}", path.display()))
         })?;
-        LOAD_BYTES.add(mapped.len() as u64);
-        let decoded = format::decode(&mapped)?;
+        LOAD_BYTES.add(bytes.len() as u64);
+        let decoded = format::decode(&bytes)?;
         if decoded.generation != generation {
             return Err(AnalysisError::index_corrupt(format!(
                 "{} claims generation {}, expected {generation}",
@@ -318,6 +317,11 @@ mod tests {
     fn current_pointing_at_missing_file_is_typed() {
         let store = SnapshotStore::open(temp_dir("dangling")).unwrap();
         std::fs::write(store.dir().join(CURRENT), "42\n").unwrap();
+        let err = store.load_current().unwrap_err();
+        assert_eq!(err.code(), "index_corrupt");
+        assert!(err.to_string().contains("cannot read"), "{err}");
+        // An empty file at the named generation is typed corruption too.
+        std::fs::write(store.generation_path(42), b"").unwrap();
         assert_eq!(store.load_current().unwrap_err().code(), "index_corrupt");
     }
 

@@ -215,7 +215,7 @@ impl NgramIndex {
     /// Reassemble an index from flat parts without re-computing grams —
     /// the warm-start import path. `docs` lists `(id, gram count)` in slot
     /// order and `postings` holds slots into it. The caller (a validated
-    /// snapshot loader, or a shard split) guarantees the parts came from
+    /// snapshot loader) guarantees the parts came from
     /// [`NgramIndex::documents`] / [`NgramIndex::postings_sorted`] of an
     /// index with the same `n` and that every slot is below the document
     /// count; nothing is re-derived here.

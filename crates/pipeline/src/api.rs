@@ -22,7 +22,7 @@
 use crate::cache::Lru;
 use crate::corpus_index::{CorpusBuilder, CorpusHandle};
 use ccc::{Checker, Dasp, QueryId};
-use ccd::{CcdParams, CloneDetector, Fingerprint};
+use ccd::{CcdParams, CloneDetector};
 use cpg::Cpg;
 use solidity::AnalysisError;
 use std::sync::Arc;
@@ -556,19 +556,9 @@ impl AnalysisEngine {
         Self::assemble(config, corpus)
     }
 
-    /// An engine over an already-fingerprinted shared corpus — the
-    /// corpus is built once and shared by reference count.
-    pub fn with_shared_corpus(
-        config: AnalysisConfig,
-        corpus: Arc<Vec<(u64, Fingerprint)>>,
-    ) -> AnalysisEngine {
-        let corpus = CorpusBuilder::new(config.ccd).from_shared(corpus);
-        Self::assemble(config, corpus)
-    }
-
     /// An engine over a prepared [`CorpusHandle`] — the service path: the
-    /// handle carries the corpus lifetime (snapshot warm-start, shards,
-    /// live inserts) and the engine layers scanning and caching over it.
+    /// handle carries the corpus lifetime (snapshot warm-start, live
+    /// inserts) and the engine layers scanning and caching over it.
     pub fn with_corpus_handle(config: AnalysisConfig, corpus: CorpusHandle) -> AnalysisEngine {
         Self::assemble(config, corpus)
     }

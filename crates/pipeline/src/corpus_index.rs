@@ -10,67 +10,51 @@
 //! * **in-memory** — fingerprinted from sources (batch bins, tests),
 //! * **snapshot-backed** — assembled from a committed `index-store`
 //!   generation without re-fingerprinting (the service's warm start),
-//! * **snapshot + deltas** — a loaded snapshot taking live inserts on the
-//!   `Arc::make_mut` copy-on-write path until the next compaction.
+//! * **snapshot + deltas** — a loaded snapshot taking live inserts in
+//!   place until the next compaction.
 //!
-//! The handle shards its documents by id hash across independent
-//! [`CloneDetector`]s (candidate retrieval for a query runs the shards in
-//! parallel), tracks the committed snapshot generation vs. uncommitted
-//! delta count, and fronts the match path with a two-tier near-duplicate
-//! cache (exact source, then fuzzy fingerprint) — most real traffic is
-//! the same snippet pasted again with cosmetic edits.
+//! The handle keeps one [`CloneDetector`] behind one `RwLock`: a clone
+//! check scores under the read guard, an insert applies under the write
+//! guard, and nothing is ever copied. It tracks the committed snapshot
+//! generation vs. uncommitted delta count, and fronts the match path with
+//! a two-tier near-duplicate cache (exact source, then fuzzy fingerprint)
+//! — most real traffic is the same snippet pasted again with cosmetic
+//! edits.
 
 use crate::cache::Lru;
 use ccd::{CcdParams, CloneDetector, CloneMatch, Fingerprint};
 use index_store::wal::{self, WalWriter};
 use index_store::{FsyncPolicy, SnapshotStore, WalStats};
-use ngram_index::{DocId, NgramIndex};
+use ngram_index::DocId;
 use solidity::AnalysisError;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// Default capacity of each front-cache tier.
 pub const DEFAULT_FRONT_CACHE_CAPACITY: usize = 2048;
-
-/// Deterministic shard routing: multiplicative hash of the doc id. Every
-/// layer (build, insert, snapshot re-partition) must agree on this.
-fn shard_of(doc: DocId, shards: usize) -> usize {
-    (doc.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % shards
-}
 
 /// Builder for a [`CorpusHandle`] — the one entry point replacing the
 /// `from_documents`/`from_shared` constructor sprawl.
 #[derive(Debug, Clone)]
 pub struct CorpusBuilder {
     params: CcdParams,
-    shards: usize,
     snapshot_dir: Option<PathBuf>,
     front_cache_capacity: usize,
     wal_fsync: FsyncPolicy,
 }
 
 impl CorpusBuilder {
-    /// A builder with the given CCD parameters, one shard, no snapshot
-    /// directory, the default front-cache capacity and the default
-    /// (`batch:5`) WAL fsync policy.
+    /// A builder with the given CCD parameters, no snapshot directory,
+    /// the default front-cache capacity and the default (`batch:5`) WAL
+    /// fsync policy.
     pub fn new(params: CcdParams) -> CorpusBuilder {
         CorpusBuilder {
             params,
-            shards: 1,
             snapshot_dir: None,
             front_cache_capacity: DEFAULT_FRONT_CACHE_CAPACITY,
             wal_fsync: FsyncPolicy::default(),
         }
-    }
-
-    /// Shard the corpus `shards` ways (clamped to ≥ 1). Candidate
-    /// retrieval fans out across shards in parallel; results are merged
-    /// into one canonical order, so the shard count never changes what a
-    /// query returns.
-    pub fn shards(mut self, shards: usize) -> CorpusBuilder {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Attach a snapshot directory (enables [`CorpusHandle::compact`] and
@@ -113,14 +97,7 @@ impl CorpusBuilder {
 
     /// Build the corpus from already-computed fingerprints.
     pub fn from_fingerprints(self, docs: Vec<(DocId, Fingerprint)>) -> CorpusHandle {
-        self.from_shared(Arc::new(docs))
-    }
-
-    /// Build the corpus over a shared fingerprint vector (reference-count
-    /// sharing with other consumers of the same corpus).
-    pub fn from_shared(self, corpus: Arc<Vec<(DocId, Fingerprint)>>) -> CorpusHandle {
-        let params = self.params;
-        let detector = CloneDetector::from_shared(params, corpus);
+        let detector = CloneDetector::from_shared(self.params, Arc::new(docs));
         self.assemble(detector, 0)
     }
 
@@ -224,36 +201,34 @@ impl CorpusBuilder {
     /// segment for `generation` is started (truncating any stale one —
     /// a cold build's in-memory state *is* the whole corpus, so an old
     /// segment has nothing to add).
-    fn assemble(self, combined: CloneDetector, generation: u64) -> CorpusHandle {
+    fn assemble(self, detector: CloneDetector, generation: u64) -> CorpusHandle {
         let writer = self.snapshot_dir.as_ref().map(|dir| {
             let store = SnapshotStore::open(dir).expect("snapshot dir was creatable above");
             WalWriter::create(store.wal_path(generation), generation, self.wal_fsync)
                 .expect("WAL segment creatable in a writable snapshot dir")
         });
-        self.assemble_with(combined, generation, writer, 0)
+        self.assemble_with(detector, generation, writer, 0)
     }
 
     fn assemble_with(
         self,
-        combined: CloneDetector,
+        detector: CloneDetector,
         generation: u64,
         wal: Option<WalWriter>,
         replayed: u64,
     ) -> CorpusHandle {
-        let next_doc = combined
+        // Saturating: a WAL written before `DocId::MAX` was refused can
+        // still hold that id.
+        let next_doc = detector
             .iter_fingerprints()
-            .map(|(doc, _)| doc + 1)
+            .map(|(doc, _)| doc.saturating_add(1))
             .max()
             .unwrap_or(0);
-        let ids = combined.iter_fingerprints().map(|(doc, _)| doc).collect();
-        let shards = partition_detector(self.params, combined, self.shards)
-            .into_iter()
-            .map(|d| RwLock::new(Arc::new(d)))
-            .collect();
+        let ids = detector.iter_fingerprints().map(|(doc, _)| doc).collect();
         CorpusHandle {
             inner: Arc::new(HandleInner {
                 params: self.params,
-                shards,
+                detector: RwLock::new(detector),
                 generation: AtomicU64::new(generation),
                 deltas: AtomicU64::new(replayed),
                 store: self.snapshot_dir.map(|dir| {
@@ -272,66 +247,18 @@ impl CorpusBuilder {
     }
 }
 
-/// Split one detector into per-shard detectors without re-gramming: each
-/// document is routed to a shard by [`shard_of`] and takes the next slot
-/// there, and the combined index's postings are routed slot by slot, so
-/// each shard imports its slice verbatim (ascending global slots stay
-/// ascending per shard).
-fn partition_detector(
-    params: CcdParams,
-    combined: CloneDetector,
-    shards: usize,
-) -> Vec<CloneDetector> {
-    if shards <= 1 {
-        // Cheap path: the combined detector IS the single shard — moved,
-        // not copied, so a snapshot warm start never duplicates postings.
-        return vec![combined];
-    }
-    let mut corpora: Vec<Vec<(DocId, Fingerprint)>> = vec![Vec::new(); shards];
-    let mut docs: Vec<Vec<(DocId, usize)>> = vec![Vec::new(); shards];
-    // Global slot → (shard, slot within the shard).
-    let mut route: Vec<(usize, u32)> = Vec::with_capacity(combined.len());
-    for ((doc, fp), (_, grams)) in combined.iter_fingerprints().zip(combined.index().documents()) {
-        let shard = shard_of(doc, shards);
-        route.push((shard, corpora[shard].len() as u32));
-        corpora[shard].push((doc, fp.clone()));
-        docs[shard].push((doc, grams));
-    }
-    let mut postings: Vec<Vec<(Box<str>, Vec<u32>)>> = vec![Vec::new(); shards];
-    for (gram, slots) in combined.index().postings_sorted() {
-        let mut routed: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for slot in slots {
-            let (shard, local) = route[*slot as usize];
-            routed[shard].push(local);
-        }
-        for (shard, slots) in routed.into_iter().enumerate() {
-            if !slots.is_empty() {
-                postings[shard].push((gram.into(), slots));
-            }
-        }
-    }
-    corpora
-        .into_iter()
-        .zip(docs)
-        .zip(postings)
-        .map(|((corpus, docs), posts)| {
-            let index = NgramIndex::from_parts(params.ngram_size, docs, posts);
-            CloneDetector::from_parts(params, Arc::new(corpus), index)
-                .expect("per-shard parts are consistent by construction")
-        })
-        .collect()
-}
-
 struct HandleInner {
     params: CcdParams,
-    /// Per-shard detectors. Readers clone the `Arc` out of the lock and
-    /// match lock-free; inserts take the write lock and mutate through
-    /// `Arc::make_mut` (copy-on-write when a reader still holds the old
-    /// corpus).
-    shards: Vec<RwLock<Arc<CloneDetector>>>,
+    /// The corpus. A clone check scores under the read guard and an
+    /// insert applies under the write guard. A thread never holds two
+    /// guards: std's `RwLock` queues a new reader behind a waiting
+    /// writer, so a nested read would deadlock against an insert.
+    detector: RwLock<CloneDetector>,
     /// Committed snapshot generation (0 = never committed).
     generation: AtomicU64,
-    /// Inserts since the committed generation.
+    /// Inserts since the committed generation. Bumped under the
+    /// detector's write guard and read by `compact` under the read guard
+    /// that captures the fingerprints, so the two always agree.
     deltas: AtomicU64,
     store: Option<SnapshotStore>,
     compacting: AtomicBool,
@@ -341,7 +268,9 @@ struct HandleInner {
     front: FrontCache,
     /// Write-ahead log writer for the active segment (`Some` exactly
     /// when `store` is). Appends happen under this lock *before* the
-    /// shard apply; compaction swaps in the next generation's writer.
+    /// detector apply and outside its write guard, so an `always` fsync
+    /// never blocks readers; compaction swaps in the next generation's
+    /// writer.
     wal: Mutex<Option<WalWriter>>,
     wal_policy: FsyncPolicy,
     /// WAL records replayed when this handle warm-started.
@@ -363,24 +292,14 @@ impl CorpusHandle {
         self.inner.params
     }
 
-    /// Total indexed documents across shards.
+    /// Total indexed documents.
     pub fn len(&self) -> usize {
-        self.shard_detectors().iter().map(|d| d.len()).sum()
+        self.read().len()
     }
 
     /// Whether the corpus is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Per-shard document counts, in shard order.
-    pub fn shard_layout(&self) -> Vec<usize> {
-        self.shard_detectors().iter().map(|d| d.len()).collect()
     }
 
     /// The committed snapshot generation (0 when nothing was ever
@@ -439,51 +358,36 @@ impl CorpusHandle {
     /// The corpus in canonical (ascending doc id) order — the sweep and
     /// evaluation consumers' view.
     pub fn fingerprints(&self) -> Vec<(DocId, Fingerprint)> {
-        let mut docs: Vec<(DocId, Fingerprint)> = self
-            .shard_detectors()
-            .iter()
-            .flat_map(|d| d.iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect::<Vec<_>>())
-            .collect();
-        docs.sort_by_key(|(doc, _)| *doc);
-        docs
+        self.capture().0
     }
 
-    fn shard_detectors(&self) -> Vec<Arc<CloneDetector>> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|poisoned| poisoned.into_inner()).clone())
-            .collect()
-    }
-
-    /// All clones of `query`: per-shard η-filtered candidate retrieval and
-    /// Algorithm 1 scoring (shards run in parallel), merged into one
-    /// canonical order — descending score, ascending doc id on ties — so
-    /// the result is byte-stable across shard counts and backing stores.
-    pub fn matches(&self, query: &Fingerprint) -> Vec<CloneMatch> {
-        let detectors = self.shard_detectors();
-        let mut all = if detectors.len() == 1 {
-            detectors[0].matches(query)
-        } else {
-            std::thread::scope(|scope| {
-                let (first, rest) = detectors.split_first().expect("at least one shard");
-                let handles: Vec<_> = rest
-                    .iter()
-                    .map(|d| scope.spawn(move || d.matches(query)))
-                    .collect();
-                // The first shard runs on the calling thread.
-                let mut all = first.matches(query);
-                for handle in handles {
-                    // A shard panic (e.g. an injected ccd/match fault) is
-                    // re-raised here for the facade's isolation layer.
-                    match handle.join() {
-                        Ok(matches) => all.extend(matches),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                all
-            })
+    /// The corpus in ascending doc id order and the delta count, both
+    /// read under one read guard. Slot order is insertion order, which
+    /// explicit-id inserts and snapshot loads make differ from doc order.
+    fn capture(&self) -> (Vec<(DocId, Fingerprint)>, u64) {
+        let (mut docs, deltas) = {
+            let detector = self.read();
+            let docs: Vec<(DocId, Fingerprint)> =
+                detector.iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect();
+            (docs, self.deltas())
         };
+        docs.sort_by_key(|(doc, _)| *doc);
+        (docs, deltas)
+    }
+
+    /// The detector's read guard (a poisoned lock is read through, like
+    /// every lock of the handle).
+    fn read(&self) -> RwLockReadGuard<'_, CloneDetector> {
+        self.inner.detector.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// All clones of `query`: η-filtered candidate retrieval and
+    /// Algorithm 1 scoring under the read guard, then one canonical order
+    /// — descending score, ascending doc id on ties — so the result is
+    /// byte-stable across insertion orders and backing stores.
+    pub fn matches(&self, query: &Fingerprint) -> Vec<CloneMatch> {
+        // The guard is a temporary: it is released before the sort.
+        let mut all = self.read().matches(query);
         all.sort_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)
@@ -494,7 +398,8 @@ impl CorpusHandle {
     }
 
     /// Insert a pre-computed fingerprint. `doc: None` auto-assigns the
-    /// next free id; an explicit id that is already indexed is an
+    /// next free id; an explicit id that is already indexed, and
+    /// `DocId::MAX` (which has no successor for the allocator), are an
     /// `invalid_request`. Returns the id.
     ///
     /// Write-ahead discipline: with a snapshot directory attached the
@@ -503,10 +408,10 @@ impl CorpusHandle {
     /// A failed append rejects the insert and releases its id; nothing
     /// is applied.
     ///
-    /// The shard mutates under its write lock through `Arc::make_mut`:
-    /// when a concurrent reader still holds the shard's detector the
-    /// storage is cloned (copy-on-write) and the reader finishes on the
-    /// old corpus — readers never block on an insert's gram work.
+    /// The detector mutates in place under the write guard, which is
+    /// held for the apply alone: the WAL append stays before it and
+    /// outside it. A clone check in flight finishes first; one that
+    /// arrives during the apply waits for it.
     pub fn insert_fingerprint(
         &self,
         doc: Option<DocId>,
@@ -526,6 +431,9 @@ impl CorpusHandle {
                 }
                 None => self.inner.next_doc.load(Ordering::SeqCst),
             };
+            if doc == DocId::MAX {
+                return Err(AnalysisError::invalid(format!("doc id {doc} is out of range")));
+            }
             ids.insert(doc);
             // Keep the allocator above every id ever seen.
             self.inner.next_doc.fetch_max(doc + 1, Ordering::SeqCst);
@@ -543,12 +451,12 @@ impl CorpusHandle {
                 }
             }
         }
-        let shard = &self.inner.shards[shard_of(doc, self.inner.shards.len())];
         {
-            let mut guard = shard.write().unwrap_or_else(|poisoned| poisoned.into_inner());
-            Arc::make_mut(&mut guard).insert_fingerprint(doc, fingerprint);
+            let mut detector =
+                self.inner.detector.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+            detector.insert_fingerprint(doc, fingerprint);
+            self.inner.deltas.fetch_add(1, Ordering::SeqCst);
         }
-        self.inner.deltas.fetch_add(1, Ordering::SeqCst);
         INSERTS.incr();
         // The corpus changed: cached match results are stale.
         self.inner.front.exact.clear();
@@ -612,17 +520,14 @@ impl CorpusHandle {
                 *wal = Some(writer);
             }
         }
-        let docs = self.fingerprints();
-        let delta_floor = self.deltas();
-        let combined = CloneDetector::from_shared(self.inner.params, Arc::new(docs));
-        store.commit(&combined, generation)?;
+        let (docs, captured_deltas) = self.capture();
+        let snapshot = CloneDetector::from_shared(self.inner.params, Arc::new(docs));
+        store.commit(&snapshot, generation)?;
         self.inner.generation.store(generation, Ordering::SeqCst);
         store.remove_stale_wals(generation);
-        // Inserts that raced in *during* the compaction stay counted as
-        // deltas; only the ones the snapshot captured are settled.
-        self.inner
-            .deltas
-            .fetch_sub(delta_floor.min(self.deltas()), Ordering::SeqCst);
+        // Settle exactly the deltas the snapshot captured: inserts that
+        // applied after the capture stay counted.
+        self.inner.deltas.fetch_sub(captured_deltas, Ordering::SeqCst);
         COMPACTIONS.incr();
         Ok(generation)
     }
@@ -773,10 +678,8 @@ mod tests {
     const DOC_A_NEAR: &str =
         "contract Wallet {  function out(uint amount) public { msg.sender.transfer(amount); } }";
 
-    fn handle(shards: usize) -> CorpusHandle {
-        CorpusBuilder::new(CcdParams::best())
-            .shards(shards)
-            .from_sources([(0u64, DOC_A), (1u64, DOC_B)])
+    fn handle() -> CorpusHandle {
+        CorpusBuilder::new(CcdParams::best()).from_sources([(0u64, DOC_A), (1u64, DOC_B)])
     }
 
     fn query(source: &str) -> Fingerprint {
@@ -784,21 +687,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_never_change_results() {
-        let single = handle(1);
-        for shards in [2, 3, 8] {
-            let sharded = handle(shards);
-            assert_eq!(sharded.shard_count(), shards);
-            assert_eq!(sharded.len(), 2);
-            for source in [DOC_A, DOC_B, DOC_A_NEAR] {
-                assert_eq!(sharded.matches(&query(source)), single.matches(&query(source)));
-            }
-        }
-    }
-
-    #[test]
     fn insert_auto_assigns_above_existing_ids() {
-        let handle = handle(2);
+        let handle = handle();
         let id = handle.insert_source(None, DOC_A_NEAR).unwrap();
         assert_eq!(id, 2);
         assert_eq!(handle.len(), 3);
@@ -808,21 +698,49 @@ mod tests {
 
     #[test]
     fn duplicate_explicit_id_is_invalid() {
-        let handle = handle(1);
+        let handle = handle();
         let err = handle.insert_source(Some(1), DOC_A_NEAR).unwrap_err();
         assert_eq!(err.code(), "invalid_request");
         assert_eq!(handle.len(), 2);
     }
 
     #[test]
+    fn the_largest_doc_id_is_refused_and_never_panics() {
+        let handle = handle();
+        let err = handle.insert_fingerprint(Some(DocId::MAX), query(DOC_A_NEAR)).unwrap_err();
+        assert_eq!(err.code(), "invalid_request");
+        assert_eq!((handle.len(), handle.deltas()), (2, 0));
+        // A corpus that already holds the id (a WAL written before it was
+        // refused) still assembles, and has no id left to auto-assign.
+        let full = CorpusBuilder::new(CcdParams::best())
+            .from_fingerprints(vec![(DocId::MAX, query(DOC_A))]);
+        let err = full.insert_source(None, DOC_B).unwrap_err();
+        assert_eq!(err.code(), "invalid_request");
+        assert_eq!(full.len(), 1);
+        assert_eq!(full.insert_source(Some(4), DOC_B).unwrap(), 4);
+    }
+
+    #[test]
+    fn equal_scores_come_back_in_doc_order() {
+        let handle = CorpusBuilder::new(CcdParams::best()).empty();
+        let fp = query(DOC_A);
+        for doc in [9, 3, 7] {
+            handle.insert_fingerprint(Some(doc), fp.clone()).unwrap();
+        }
+        let matches = handle.matches(&fp);
+        assert!(matches.iter().all(|m| m.score == matches[0].score));
+        assert_eq!(matches.iter().map(|m| m.doc).collect::<Vec<_>>(), vec![3, 7, 9]);
+    }
+
+    #[test]
     fn compact_without_snapshot_dir_is_invalid() {
-        let err = handle(1).compact().unwrap_err();
+        let err = handle().compact().unwrap_err();
         assert_eq!(err.code(), "invalid_request");
     }
 
     #[test]
     fn front_cache_tiers_hit_and_invalidate() {
-        let handle = handle(1);
+        let handle = handle();
         assert!(handle.cached_by_source(DOC_A).is_none());
         let fp = query(DOC_A);
         let matches = handle.matches_and_cache(DOC_A, &fp);
@@ -839,7 +757,7 @@ mod tests {
 
     #[test]
     fn insert_invalidates_front_cache() {
-        let handle = handle(1);
+        let handle = handle();
         let fp = query(DOC_A);
         handle.matches_and_cache(DOC_A, &fp);
         handle.insert_source(None, DOC_A_NEAR).unwrap();
@@ -853,7 +771,7 @@ mod tests {
         // The interleaving of a clone check against an insert, run in
         // sequence: read the epoch, match over the old corpus, insert,
         // then try to store the pre-insert answer.
-        let handle = handle(1);
+        let handle = handle();
         let fp = query(DOC_A);
         let front = &handle.inner.front;
         let (exact_epoch, near_epoch) = (front.exact.epoch(), front.near.epoch());
@@ -872,7 +790,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_and_reads_stay_consistent() {
-        let handle = CorpusBuilder::new(CcdParams::best()).shards(4).empty();
+        let handle = CorpusBuilder::new(CcdParams::best()).empty();
         let seed_fp = query(DOC_A);
         handle.insert_fingerprint(Some(0), seed_fp.clone()).unwrap();
         std::thread::scope(|scope| {
@@ -881,15 +799,20 @@ mod tests {
                     let handle = handle.clone();
                     let fp = seed_fp.clone();
                     scope.spawn(move || {
-                        let mut seen_max = 0;
+                        let mut last = 0;
                         for _ in 0..200 {
-                            let matches = handle.matches(&fp);
-                            // Doc 0 is always present; every result is a
-                            // valid committed document.
-                            assert!(matches.iter().any(|m| m.doc == 0));
-                            seen_max = seen_max.max(matches.len());
+                            // The writer inserts ids 1..=20 in order, so a
+                            // whole read is exactly docs 0..=k, and k never
+                            // moves backward: no torn or stale read.
+                            let docs: Vec<u64> =
+                                handle.matches(&fp).iter().map(|m| m.doc).collect();
+                            let k = docs.len() as u64;
+                            let k = k.checked_sub(1).expect("doc 0 is always present");
+                            assert_eq!(docs, (0..=k).collect::<Vec<_>>());
+                            assert!(k >= last, "read went back from {last} to {k}");
+                            last = k;
                         }
-                        seen_max
+                        last + 1
                     })
                 })
                 .collect();
@@ -915,10 +838,14 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_view_is_doc_sorted_across_shards() {
-        let handle = handle(3);
-        handle.insert_source(None, DOC_A_NEAR).unwrap();
+    fn fingerprints_view_is_doc_sorted() {
+        let handle =
+            CorpusBuilder::new(CcdParams::best()).from_sources([(5u64, DOC_A), (1u64, DOC_B)]);
+        handle.insert_source(Some(3), DOC_A_NEAR).unwrap();
+        handle.insert_source(None, DOC_B).unwrap();
+        let slots: Vec<u64> = handle.read().iter_fingerprints().map(|(id, _)| id).collect();
+        assert_eq!(slots, vec![5, 1, 3, 6], "slot order is insertion order");
         let ids: Vec<u64> = handle.fingerprints().iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(ids, vec![1, 3, 5, 6]);
     }
 }

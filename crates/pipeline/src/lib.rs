@@ -18,7 +18,7 @@
 //!   service (`crates/server`),
 //! * [`corpus_index`] — the clone-corpus lifecycle behind one handle:
 //!   [`corpus_index::CorpusBuilder`] builds in-memory or snapshot-backed
-//!   corpora, [`corpus_index::CorpusHandle`] serves sharded matching,
+//!   corpora, [`corpus_index::CorpusHandle`] serves matching,
 //!   incremental insert, compaction, and the near-duplicate front cache,
 //! * [`cache`] — [`cache::Lru`], the full-key LRU with an insert epoch
 //!   behind the response cache and both front-cache tiers.

@@ -2,10 +2,12 @@
 //! the corpus-handle lifecycle: compaction, WAL replay and torn tails.
 //! The lifecycle tests that arm a fault plan live in `fault_plans.rs`.
 
-use ccd::CcdParams;
-use pipeline::corpus_index::CorpusBuilder;
+use ccd::{CcdParams, CloneDetector};
 use corpus::honeypots::honeypot_dataset;
+use index_store::SnapshotStore;
+use pipeline::corpus_index::CorpusBuilder;
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 /// Seed of the recorded honeypot run (`bench::HONEYPOT_SEED`).
 const HONEYPOT_SEED: u64 = 1;
@@ -32,11 +34,10 @@ fn snapshot_backed_matches_are_byte_identical_on_honeypots() {
         .from_sources(docs.iter().copied())
         .compact()
         .expect("commit");
-    // Different shard count on load: the canonical merge order must make
-    // the results independent of sharding and backing store.
+    // The canonical order must make the results independent of the
+    // backing store.
     let warm = CorpusBuilder::new(CcdParams::best())
         .snapshot_dir(&dir)
-        .shards(4)
         .load_snapshot()
         .expect("snapshot loads")
         .expect("snapshot exists");
@@ -142,7 +143,6 @@ fn uncompacted_inserts_survive_a_reload_byte_identically() {
     // was compacted, the deltas exist only in snapshot + WAL.
     let warm = CorpusBuilder::new(CcdParams::best())
         .snapshot_dir(&dir)
-        .shards(3)
         .load_snapshot()
         .unwrap()
         .unwrap();
@@ -212,5 +212,42 @@ fn auto_compaction_triggers_at_the_threshold() {
     }
     assert_eq!((handle.generation(), handle.deltas()), (2, 0));
     assert_eq!(handle.auto_compactions(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `deltas()` counts exactly the documents the committed generation
+/// lacks, even when inserts race a compaction: `compact` reads the count
+/// under the read guard that captures the corpus, and an insert bumps it
+/// under the write guard that applies the document. Each round starts a
+/// burst of inserts and one compaction together, then checks the count
+/// against the snapshot that compaction committed.
+#[test]
+fn deltas_stay_exact_when_inserts_race_compactions() {
+    let dir = temp_dir("compactrace");
+    let handle =
+        CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir).from_sources([(0u64, DOC_A)]);
+    handle.compact().unwrap();
+    let store = SnapshotStore::open(&dir).unwrap();
+    let fingerprint = CloneDetector::fingerprint_source(DOC_B).unwrap();
+    for round in 0..50 {
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..100 {
+                    handle.insert_fingerprint(None, fingerprint.clone()).unwrap();
+                }
+            });
+            start.wait();
+            handle.compact().unwrap();
+        });
+        let committed = store.load_current().unwrap().unwrap().fingerprints().len();
+        assert_eq!(
+            handle.deltas(),
+            (handle.len() - committed) as u64,
+            "delta count drifted from the committed generation in round {round}"
+        );
+    }
+    assert_eq!(handle.len(), 5001);
     let _ = std::fs::remove_dir_all(&dir);
 }

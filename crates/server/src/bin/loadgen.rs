@@ -515,18 +515,21 @@ impl<'a> Worker<'a> {
 
     fn run(&mut self) {
         match self.shape {
-            Shape::Close | Shape::Retry => loop {
-                let [(path, body)] = self.claim(1) else { break };
-                let t0 = Instant::now();
-                let response = match self.shape {
-                    Shape::Retry => client::post_with_retry(self.addr, path, body, &CHAOS_RETRY),
-                    _ => client::post(self.addr, path, body),
-                };
-                match response {
-                    Ok((status, body)) => self.classify(status, &body, t0),
-                    Err(_) => self.tally.failed += 1,
+            Shape::Close | Shape::Retry => {
+                while let [(path, body)] = self.claim(1) {
+                    let t0 = Instant::now();
+                    let response = match self.shape {
+                        Shape::Retry => {
+                            client::post_with_retry(self.addr, path, body, &CHAOS_RETRY)
+                        }
+                        _ => client::post(self.addr, path, body),
+                    };
+                    match response {
+                        Ok((status, body)) => self.classify(status, &body, t0),
+                        Err(_) => self.tally.failed += 1,
+                    }
                 }
-            },
+            }
             Shape::KeepAlive(depth) => self.pipelined(depth),
             Shape::Batch(items) => self.batched(items),
         }
@@ -819,7 +822,7 @@ fn time_cold_and_warm(dir: &Path) -> (CorpusHandle, f64, f64) {
     let params = AnalysisConfig::default().ccd_params();
     let t0 = Instant::now();
     let cold_dataset = honeypot_dataset(HONEYPOT_SEED);
-    let cold = CorpusBuilder::new(params.clone())
+    let cold = CorpusBuilder::new(params)
         .snapshot_dir(dir)
         .from_sources(cold_dataset.contracts.iter().map(|c| (c.id, c.source.as_str())));
     let cold_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -4,7 +4,7 @@
 //! serve [--port N] [--port-file PATH] [--workers N] [--queue-cap N]
 //!       [--shards N] [--read-timeout-ms N] [--max-pipeline N]
 //!       [--timeout-ms N] [--corpus N]
-//!       [--snapshot-dir PATH] [--index-shards N]
+//!       [--snapshot-dir PATH]
 //!       [--wal-fsync always|batch:<ms>|never] [--compact-after N]
 //!       [--breaker-threshold N] [--breaker-open-ms N]
 //!       [--trace on|off] [--access-log PATH] [--slow-log PATH] [--slow-ms N]
@@ -22,7 +22,6 @@
 //! and committed as generation 1 so the *next* start is warm. The
 //! `/v1/index` endpoints then manage the live corpus: `insert` adds
 //! documents in memory, `compact` folds them into the next generation.
-//! `--index-shards` splits candidate retrieval across N parallel shards.
 //!
 //! Durability: with a snapshot dir every insert is appended to a
 //! write-ahead log before it is acknowledged, so acknowledged deltas
@@ -63,7 +62,6 @@ fn main() {
     let mut timeout_ms: Option<u64> = None;
     let mut corpus_size: usize = 64;
     let mut snapshot_dir: Option<String> = None;
-    let mut index_shards: usize = 1;
     let mut wal_fsync = FsyncPolicy::default();
     let mut trace_on = true;
     let mut i = 1;
@@ -114,10 +112,6 @@ fn main() {
             }
             "--snapshot-dir" => {
                 snapshot_dir = Some(value(i).clone());
-                i += 2;
-            }
-            "--index-shards" => {
-                index_shards = value(i).parse().expect("--index-shards must be a count");
                 i += 2;
             }
             "--wal-fsync" => {
@@ -193,8 +187,7 @@ fn main() {
         analysis = analysis.with_timeout_ms(ms);
     }
 
-    let builder =
-        || CorpusBuilder::new(analysis.ccd_params()).shards(index_shards).wal_fsync(wal_fsync);
+    let builder = || CorpusBuilder::new(analysis.ccd_params()).wal_fsync(wal_fsync);
     let build_cold = |builder: CorpusBuilder| {
         let dataset = honeypot_dataset(HONEYPOT_SEED);
         let take = if corpus_size == 0 { dataset.contracts.len() } else { corpus_size };
@@ -241,12 +234,7 @@ fn main() {
             build_cold(builder())
         }
     };
-    eprintln!(
-        "[serve] corpus ready: {} fingerprinted contracts ({} index shard{})",
-        corpus.len(),
-        corpus.shard_count(),
-        if corpus.shard_count() == 1 { "" } else { "s" },
-    );
+    eprintln!("[serve] corpus ready: {} fingerprinted contracts", corpus.len());
     let engine = Arc::new(AnalysisEngine::with_corpus_handle(analysis, corpus));
 
     install_signal_handlers();

@@ -8,7 +8,9 @@
 //!
 //! * one [`AnalysisEngine`] behind an `Arc` — warm state (checker,
 //!   fingerprint corpus + N-gram index, the scan response cache and the
-//!   corpus front cache) shared by every worker,
+//!   corpus front cache) shared by every worker; the corpus is one
+//!   detector behind one read/write lock, read by clone checks and
+//!   updated in place by `/v1/index/insert`,
 //! * a sharded epoll reactor (Linux; see [`reactor`]) — one acceptor
 //!   thread hands connections round-robin to N shard threads, each
 //!   running an event loop with non-blocking reads, an incremental
@@ -29,7 +31,7 @@
 //! | POST   | `/v1/clone-check`      | CCD match against the warm corpus      |
 //! | POST   | `/v1/analyze`          | either request kind                    |
 //! | POST   | `/v1/batch`            | array of requests, per-item results    |
-//! | GET    | `/v1/index/status`     | corpus generation, shards, cache rates |
+//! | GET    | `/v1/index/status`     | corpus generation, WAL, cache rates    |
 //! | POST   | `/v1/index/insert`     | add a document to the warm corpus      |
 //! | POST   | `/v1/index/compact`    | commit deltas as a snapshot generation |
 //! | GET    | `/health`              | liveness + corpus size                 |
@@ -702,6 +704,9 @@ fn error_body(code: &str, message: &str) -> String {
 }
 
 const JSON: &str = "application/json";
+/// The largest doc id a JSON number carries exactly (2^53 − 1): the f64
+/// number parser rounds anything above it.
+const MAX_EXACT_ID: f64 = 9_007_199_254_740_991.0;
 /// Prometheus exposition content type (format 0.0.4).
 const PROM: &str = "text/plain; version=0.0.4";
 
@@ -865,12 +870,12 @@ fn analyze(
         Ok(parsed) => parsed,
         Err(error) => return (status_of(&error), JSON, error_to_json(&error)),
     };
-    let kind_matches = match (&parsed, &expected) {
-        (_, None) => true,
-        (AnalysisRequest::Scan { .. }, Some(RequestKind::Scan)) => true,
-        (AnalysisRequest::CloneCheck { .. }, Some(RequestKind::CloneCheck)) => true,
-        _ => false,
-    };
+    let kind_matches = matches!(
+        (&parsed, &expected),
+        (_, None)
+            | (AnalysisRequest::Scan { .. }, Some(RequestKind::Scan))
+            | (AnalysisRequest::CloneCheck { .. }, Some(RequestKind::CloneCheck))
+    );
     if !kind_matches {
         return (
             400,
@@ -971,12 +976,10 @@ fn batch(request: &Request, state: &ServiceState) -> (u16, &'static str, String)
 }
 
 /// `GET /v1/index/status`: the corpus handle's live lifecycle view —
-/// committed snapshot generation, document count, per-shard layout,
-/// write-ahead log durability state and front-cache effectiveness.
+/// committed snapshot generation, document count, write-ahead log
+/// durability state and front-cache effectiveness.
 fn index_status(state: &ServiceState) -> (u16, &'static str, String) {
     let corpus = state.engine.corpus_handle();
-    let shards: Vec<String> =
-        corpus.shard_layout().iter().map(|n| n.to_string()).collect();
     let stats = corpus.front_cache_stats();
     let wal = corpus.wal_stats().unwrap_or_default();
     (
@@ -986,7 +989,7 @@ fn index_status(state: &ServiceState) -> (u16, &'static str, String) {
             "{{\"v\":1,\"kind\":\"index_status\",\"generation\":{},\"docs\":{},\
              \"deltas\":{},\"wal_records\":{},\"wal_bytes\":{},\
              \"replayed_on_boot\":{},\"fsync_policy\":\"{}\",\
-             \"auto_compactions\":{},\"shards\":[{}],\"front_cache\":{{\"exact_hits\":{},\
+             \"auto_compactions\":{},\"front_cache\":{{\"exact_hits\":{},\
              \"near_hits\":{},\"misses\":{},\"hit_rate\":{:.4}}}}}",
             corpus.generation(),
             corpus.len(),
@@ -996,7 +999,6 @@ fn index_status(state: &ServiceState) -> (u16, &'static str, String) {
             corpus.replayed_on_boot(),
             corpus.fsync_policy_name(),
             corpus.auto_compactions(),
-            shards.join(","),
             stats.exact_hits,
             stats.near_hits,
             stats.misses,
@@ -1006,8 +1008,10 @@ fn index_status(state: &ServiceState) -> (u16, &'static str, String) {
 }
 
 /// `POST /v1/index/insert`: add one document to the warm corpus without a
-/// restart. Body: `{"v":1,"source":"...","id":<optional u64>}` — an
-/// omitted id is auto-assigned; the response echoes the indexed id. The
+/// restart. Body: `{"v":1,"source":"...","id":<optional integer>}` — an
+/// omitted id is auto-assigned; the response echoes the indexed id. An id
+/// must be a JSON integer in `0..=2^53-1`, the range the f64 number
+/// parser carries exactly; anything else is a 400 `invalid_request`. The
 /// document is a *delta* until the next compaction: served from memory,
 /// made crash-durable by the write-ahead log when the server runs with a
 /// snapshot directory. With `--compact-after N` a successful insert that
@@ -1026,13 +1030,21 @@ fn index_insert(request: &Request, state: &ServiceState) -> (u16, &'static str, 
         }
     };
     match value.get("v").and_then(telemetry::json::Value::as_f64) {
-        Some(v) if v == 1.0 => {}
+        Some(1.0) => {}
         _ => return (400, JSON, error_body("bad_request", "missing or unsupported \"v\"")),
     }
     let Some(source) = value.get("source").and_then(telemetry::json::Value::as_str) else {
         return (400, JSON, error_body("bad_request", "missing \"source\""));
     };
-    let id = value.get("id").and_then(telemetry::json::Value::as_f64).map(|id| id as u64);
+    let id = match value.get("id").map(telemetry::json::Value::as_f64) {
+        None => None,
+        Some(Some(n)) if n.fract() == 0.0 && (0.0..=MAX_EXACT_ID).contains(&n) => Some(n as u64),
+        Some(_) => {
+            let error =
+                AnalysisError::invalid(format!("\"id\" must be an integer in 0..={MAX_EXACT_ID}"));
+            return (400, JSON, error_to_json(&error));
+        }
+    };
     if !state.breakers.index.try_acquire() {
         return (
             503,
@@ -1345,6 +1357,18 @@ mod tests {
             let (status, _, response) = route(&post("/v1/index/insert", body), &state);
             assert_eq!(status, 400, "{body} → {response}");
         }
+        // An id the f64 parser cannot carry exactly, or that is no
+        // integer at all, is refused before it can be stored as another.
+        for id in ["-1", "2.7", "\"7\"", "9007199254740993", "1e30"] {
+            let body = format!(
+                "{{\"v\":1,\"source\":\"contract C {{ function w(uint v) public {{ \
+                 msg.sender.transfer(v); }} }}\",\"id\":{id}}}"
+            );
+            let (status, _, response) = route(&post("/v1/index/insert", &body), &state);
+            assert_eq!(status, 400, "{body} → {response}");
+            assert!(response.contains("\"code\":\"invalid_request\""), "{response}");
+        }
+        assert_eq!(state.engine.corpus_len(), 0);
     }
 
     #[test]

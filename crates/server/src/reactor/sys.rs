@@ -87,30 +87,28 @@ impl Epoll {
         Ok(())
     }
 
-    /// Wait for events, retrying on `EINTR` (signals are handled by the
-    /// installed flag-setting handlers; an interrupted wait just means
-    /// "look at the shutdown flag sooner"). `timeout_ms < 0` blocks
-    /// indefinitely. Returns the filled prefix of `events`.
+    /// Wait for events. `timeout_ms < 0` blocks indefinitely. Returns the
+    /// filled prefix of `events`; a wait interrupted by a signal (`EINTR`)
+    /// returns an empty batch rather than retrying, so the caller looks at
+    /// the shutdown flag the installed signal handlers set sooner.
     pub fn wait<'e>(
         &self,
         events: &'e mut [EpollEvent],
         timeout_ms: i32,
     ) -> io::Result<&'e [EpollEvent]> {
-        loop {
-            let rc = unsafe {
-                epoll_wait(self.fd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
-            };
-            if rc >= 0 {
-                return Ok(&events[..rc as usize]);
-            }
-            let err = last_errno();
-            if err.raw_os_error() == Some(EINTR) {
-                // Re-check shutdown promptly rather than re-arming the
-                // full timeout.
-                return Ok(&events[..0]);
-            }
-            return Err(err);
+        // SAFETY: `self.fd` is the epoll instance this value owns, and the
+        // kernel writes at most `events.len()` entries into `events`, which
+        // stays mutably borrowed for the whole call.
+        let rc =
+            unsafe { epoll_wait(self.fd, events.as_mut_ptr(), events.len() as i32, timeout_ms) };
+        if rc >= 0 {
+            return Ok(&events[..rc as usize]);
         }
+        let err = last_errno();
+        if err.raw_os_error() == Some(EINTR) {
+            return Ok(&events[..0]);
+        }
+        Err(err)
     }
 }
 

@@ -178,8 +178,7 @@ fn server_request_fault_returns_typed_500() {
 #[test]
 fn worker_panics_are_respawned_and_reported() {
     with_plan("server/request:panic:1.0", 1, || {
-        let mut config = ServerConfig::default();
-        config.workers = 2;
+        let config = ServerConfig { workers: 2, ..ServerConfig::default() };
         let server =
             Server::bind("127.0.0.1:0", config, Arc::new(engine())).expect("bind");
         let addr = server.local_addr().expect("addr").to_string();

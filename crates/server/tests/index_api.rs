@@ -110,11 +110,10 @@ fn snapshot_backed_responses_are_byte_identical_to_in_memory() {
         .snapshot_dir(&dir)
         .from_sources(docs);
     snapshot_src.compact().expect("commit");
-    // Load the snapshot sharded differently from the in-memory build —
-    // neither the backing store nor the shard count may leak into bytes.
+    // Load the snapshot beside the in-memory build — the backing store
+    // may not leak into bytes.
     let warm = CorpusBuilder::new(config.ccd_params())
         .snapshot_dir(&dir)
-        .shards(3)
         .load_snapshot()
         .expect("loads")
         .expect("exists");
