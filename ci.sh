@@ -21,9 +21,10 @@ done
 cargo clippy --workspace --all-targets -- -D warnings
 
 # perfbench is a package of its own outside the workspace, so the steps
-# above never compile it. Build and test it from its manifest, so that a
-# change to a service API it calls fails here and not when the benchmark
-# runs.
+# above never compile it. Lint, build and test it from its manifest, so
+# that a change to a service API it calls fails here and not when the
+# benchmark runs.
+cargo clippy --offline --all-targets --manifest-path crates/server/examples/perfbench/Cargo.toml -- -D warnings
 cargo test --release --offline --manifest-path crates/server/examples/perfbench/Cargo.toml
 
 # Frontend perf smoke: re-measure the parse+CPG pass and fail on a >20%

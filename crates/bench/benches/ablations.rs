@@ -1,7 +1,9 @@
 //! Ablation benches for the design decisions called out in DESIGN.md §4.
 //!
-//! * `ablation/ngram_filter` — η-filtered matching vs brute-force
-//!   all-pairs edit distance (the "Execution Time" challenge of §5.5).
+//! * `ablation/ngram_filter` — η-filtered matching vs scoring every
+//!   document (the "Execution Time" challenge of §5.5). Both sides run
+//!   the same memoized Algorithm 1 (δ once per distinct sub-fingerprint),
+//!   so the gap isolates the η filter.
 //! * `ablation/order_independent` — Algorithm 1 vs naive whole-string
 //!   edit distance when function order is swapped (the "Code Order"
 //!   challenge of §5.5). This one measures *quality*, reported via

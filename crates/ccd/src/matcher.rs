@@ -13,6 +13,7 @@ use fuzzyhash::Pattern;
 use ngram_index::{DocId, NgramIndex};
 use serde::{Deserialize, Serialize};
 use solidity::AnalysisError;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// CCD matching parameters (Table 9 of the paper).
@@ -60,38 +61,27 @@ impl Default for CcdParams {
 /// the result is bit-identical to the exhaustive double loop. Each `s1` is
 /// prepared for δ once ([`fuzzyhash::Pattern`]), not once per `s2`.
 pub fn order_independent_similarity(f1: &Fingerprint, f2: &Fingerprint) -> f64 {
-    PreparedQuery::new(f1).score(f2)
-}
-
-/// A query fingerprint prepared for Algorithm 1 against many others: split
-/// into sub-fingerprints once, each prepared for δ once.
-struct PreparedQuery<'q> {
-    subs: Vec<Pattern<'q>>,
-}
-
-impl<'q> PreparedQuery<'q> {
-    fn new(query: &'q Fingerprint) -> PreparedQuery<'q> {
-        PreparedQuery { subs: query.sub_fingerprints().into_iter().map(Pattern::new).collect() }
+    let subs1 = patterns(f1);
+    let subs2 = f2.sub_fingerprints();
+    if subs1.is_empty() || subs2.is_empty() {
+        return if subs1.is_empty() && subs2.is_empty() { 100.0 } else { 0.0 };
     }
-
-    /// `order_independent_similarity(query, other)`.
-    fn score(&self, other: &Fingerprint) -> f64 {
-        let subs2 = other.sub_fingerprints();
-        if self.subs.is_empty() || subs2.is_empty() {
-            return if self.subs.is_empty() && subs2.is_empty() { 100.0 } else { 0.0 };
-        }
-        let mut total = 0.0;
-        for s1 in &self.subs {
-            let mut best = 0.0f64;
-            for s2 in &subs2 {
-                if let Some(score) = s1.similarity_above(s2, best) {
-                    best = best.max(score);
-                }
+    let mut total = 0.0;
+    for s1 in &subs1 {
+        let mut best = 0.0f64;
+        for s2 in &subs2 {
+            if let Some(score) = s1.similarity_above(s2, best) {
+                best = best.max(score);
             }
-            total += best;
         }
-        total / self.subs.len() as f64
+        total += best;
     }
+    total / subs1.len() as f64
+}
+
+/// The sub-fingerprints of `fingerprint`, each prepared for δ once.
+fn patterns(fingerprint: &Fingerprint) -> Vec<Pattern<'_>> {
+    fingerprint.sub_fingerprints().into_iter().map(Pattern::new).collect()
 }
 
 /// Both directions of Algorithm 1 in a single pass over the
@@ -105,7 +95,7 @@ impl<'q> PreparedQuery<'q> {
 /// bit-identity with two independent [`order_independent_similarity`]
 /// calls.
 pub fn order_independent_similarity_pair(f1: &Fingerprint, f2: &Fingerprint) -> (f64, f64) {
-    let subs1 = PreparedQuery::new(f1).subs;
+    let subs1 = patterns(f1);
     let subs2 = f2.sub_fingerprints();
     if subs1.is_empty() || subs2.is_empty() {
         let score = if subs1.is_empty() && subs2.is_empty() { 100.0 } else { 0.0 };
@@ -143,7 +133,12 @@ pub struct CloneMatch {
 ///
 /// The N-gram index numbers documents by slot, and slot *i* is entry *i*
 /// of the fingerprint vector, so a candidate slot addresses its
-/// fingerprint directly.
+/// fingerprint directly. The detector also interns the corpus's
+/// sub-fingerprints: copied functions recur across contracts, so each
+/// distinct piece text is stored once and every slot lists its pieces as
+/// ids into that table. Matching computes δ once per distinct piece it
+/// meets (see [`CloneDetector::matches`]). The table is derived from the
+/// fingerprints alone, so snapshots and the WAL do not carry it.
 pub struct CloneDetector {
     params: CcdParams,
     index: NgramIndex,
@@ -152,6 +147,54 @@ pub struct CloneDetector {
     /// cloning every fingerprint; uniquely owned during the build phase.
     /// In slot order.
     fingerprints: Arc<Vec<(DocId, Fingerprint)>>,
+    /// The interned sub-fingerprints of `fingerprints`, in slot order.
+    subs: SubTable,
+}
+
+/// A corpus's sub-fingerprints, interned: each distinct text once, and
+/// each slot's pieces as ids into the texts, in fingerprint order.
+#[derive(Default)]
+struct SubTable {
+    /// Text → id; each key shares its allocation with `texts[id]`.
+    ids: HashMap<Arc<str>, u32>,
+    /// Id → text.
+    texts: Vec<Arc<str>>,
+    /// Every slot's piece ids, slot after slot.
+    pieces: Vec<u32>,
+    /// Slot *i*'s pieces are `pieces[ends[i - 1]..ends[i]]`, from 0 for
+    /// slot 0.
+    ends: Vec<u32>,
+}
+
+impl SubTable {
+    /// Append the next slot's pieces.
+    fn push(&mut self, fingerprint: &Fingerprint) {
+        for sub in fingerprint.sub_fingerprints() {
+            // Allocate the shared text only on first sight of a piece.
+            let id = match self.ids.get(sub) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(self.texts.len())
+                        .expect("a corpus holds at most u32::MAX distinct sub-fingerprints");
+                    let text: Arc<str> = Arc::from(sub);
+                    self.ids.insert(Arc::clone(&text), id);
+                    self.texts.push(text);
+                    id
+                }
+            };
+            self.pieces.push(id);
+        }
+        let end = u32::try_from(self.pieces.len())
+            .expect("a corpus holds at most u32::MAX sub-fingerprints");
+        self.ends.push(end);
+    }
+
+    /// The piece ids of `slot`.
+    fn slot(&self, slot: u32) -> &[u32] {
+        let slot = slot as usize;
+        let start = if slot == 0 { 0 } else { self.ends[slot - 1] as usize };
+        &self.pieces[start..self.ends[slot] as usize]
+    }
 }
 
 impl CloneDetector {
@@ -161,23 +204,28 @@ impl CloneDetector {
             params,
             index: NgramIndex::new(params.ngram_size),
             fingerprints: Arc::new(Vec::new()),
+            subs: SubTable::default(),
         }
     }
 
     /// Build a detector over an already-fingerprinted shared corpus. Only
-    /// the N-gram index is constructed; the fingerprints themselves are
-    /// borrowed through the `Arc`, so several detectors (different
-    /// parameters, different service workers) share one corpus allocation.
+    /// the N-gram index and the sub-fingerprint table are constructed; the
+    /// fingerprints themselves are borrowed through the `Arc`, so several
+    /// detectors (different parameters, different service workers) share
+    /// one corpus allocation.
     pub fn from_shared(params: CcdParams, corpus: Arc<Vec<(DocId, Fingerprint)>>) -> CloneDetector {
         let mut index = NgramIndex::new(params.ngram_size);
+        let mut subs = SubTable::default();
         for (doc, fp) in corpus.iter() {
             index.insert(*doc, &fp.indexed_text());
+            subs.push(fp);
         }
-        CloneDetector { params, index, fingerprints: corpus }
+        CloneDetector { params, index, fingerprints: corpus, subs }
     }
 
     /// Reassemble a detector from an already-built N-gram index and its
-    /// corpus — the snapshot warm-start path: nothing is re-grammed.
+    /// corpus — the snapshot warm-start path: nothing is re-grammed; only
+    /// the sub-fingerprint table is rebuilt from the fingerprints.
     ///
     /// The caller (the validated snapshot loader in `index-store`)
     /// guarantees `index` was built over exactly `corpus`.
@@ -212,7 +260,11 @@ impl CloneDetector {
                 corpus[slot].0
             )));
         }
-        Ok(CloneDetector { params, index, fingerprints: corpus })
+        let mut subs = SubTable::default();
+        for (_, fp) in corpus.iter() {
+            subs.push(fp);
+        }
+        Ok(CloneDetector { params, index, fingerprints: corpus, subs })
     }
 
     /// The shared fingerprint corpus, cloneable by reference count only.
@@ -293,6 +345,7 @@ impl CloneDetector {
     /// panicking; the other detectors keep the old corpus.
     pub fn insert_fingerprint(&mut self, doc: DocId, fingerprint: Fingerprint) {
         self.index.insert(doc, &fingerprint.indexed_text());
+        self.subs.push(&fingerprint);
         Arc::make_mut(&mut self.fingerprints).push((doc, fingerprint));
     }
 
@@ -310,7 +363,17 @@ impl CloneDetector {
 
     /// All clones of `query` in the corpus: N-gram candidates (η filter)
     /// scored with Algorithm 1 and thresholded at ε. Sorted by descending
-    /// score.
+    /// score, ties in corpus order.
+    ///
+    /// Candidates are scored in three steps. First, the distinct
+    /// sub-fingerprint ids the candidates hold are collected. Then δ is
+    /// computed once per (query piece, distinct corpus piece) into a
+    /// per-query memo. Last, each candidate's Algorithm 1 score is read
+    /// from the memo. The scores are the bits the per-candidate loop of
+    /// [`order_independent_similarity`] gives: every memo entry is the
+    /// exact δ, that loop's pruning only skips values at or below a row's
+    /// running maximum, so each row maximum is the same, and the rows are
+    /// summed in query-piece order and divided as there.
     pub fn matches(&self, query: &Fingerprint) -> Vec<CloneMatch> {
         static QUERIES: telemetry::Counter = telemetry::Counter::new("ccd.matcher.queries");
         static MATCHES: telemetry::Counter = telemetry::Counter::new("ccd.matcher.matches");
@@ -324,34 +387,82 @@ impl CloneDetector {
         }
         let slots = self.index.candidate_slots(&query.indexed_text(), self.params.eta);
         telemetry::trace::annotate("candidates", slots.len());
-        let query = PreparedQuery::new(query);
-        // Ascending slots are corpus order, the tie order of the stable
-        // sort below.
-        let mut matches: Vec<CloneMatch> = slots
-            .iter()
-            .filter_map(|&slot| {
-                let (doc, fp) = &self.fingerprints[slot as usize];
-                let score = query.score(fp);
-                (score >= self.params.epsilon).then_some(CloneMatch { doc: *doc, score })
-            })
-            .collect();
-        matches.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+        let matches = self.score_slots(query, slots.iter().copied());
         MATCHES.add(matches.len() as u64);
         matches
     }
 
     /// Brute-force variant without the N-gram pre-filter — the baseline of
     /// the "Execution Time" challenge (§5.5), kept for the ablation bench.
+    /// It scores every slot with the same memoized Algorithm 1 as
+    /// [`CloneDetector::matches`], so the two differ only in the η filter.
     pub fn matches_bruteforce(&self, query: &Fingerprint) -> Vec<CloneMatch> {
-        let query = PreparedQuery::new(query);
-        let mut matches: Vec<CloneMatch> = self
-            .fingerprints
-            .iter()
-            .filter_map(|(doc, fp)| {
-                let score = query.score(fp);
-                (score >= self.params.epsilon).then_some(CloneMatch { doc: *doc, score })
-            })
-            .collect();
+        self.score_slots(query, 0..self.len() as u32)
+    }
+
+    /// Algorithm 1 for `query` against `slots` (ascending), kept at ε and
+    /// stably sorted by descending score. See [`CloneDetector::matches`].
+    fn score_slots(
+        &self,
+        query: &Fingerprint,
+        slots: impl Iterator<Item = u32> + Clone,
+    ) -> Vec<CloneMatch> {
+        static DELTA_EVALS: telemetry::Counter = telemetry::Counter::new("ccd.matcher.delta_evals");
+        static DELTA_LOOKUPS: telemetry::Counter =
+            telemetry::Counter::new("ccd.matcher.delta_lookups");
+        let query = patterns(query);
+        let width = query.len();
+        // Memo row of each distinct piece the slots hold, by sub id; the
+        // memo holds one row of `width` δ values per distinct piece.
+        let mut row = vec![u32::MAX; self.subs.texts.len()];
+        let mut distinct: Vec<u32> = Vec::new();
+        for slot in slots.clone() {
+            for &id in self.subs.slot(slot) {
+                if row[id as usize] == u32::MAX {
+                    row[id as usize] = distinct.len() as u32;
+                    distinct.push(id);
+                }
+            }
+        }
+        telemetry::trace::annotate("distinct_subs", distinct.len());
+        // A floor of 0 prunes nothing, so every δ is exact; `None` would
+        // mean δ ≤ 0, which is δ = 0.
+        let mut memo = Vec::with_capacity(distinct.len() * width);
+        for &id in &distinct {
+            let text = &self.subs.texts[id as usize];
+            memo.extend(query.iter().map(|piece| piece.similarity_above(text, 0.0).unwrap_or(0.0)));
+        }
+        DELTA_EVALS.add(memo.len() as u64);
+
+        let mut best = vec![0.0f64; width];
+        let mut lookups = 0;
+        // Ascending slots are corpus order, the tie order of the stable
+        // sort below.
+        let mut matches = Vec::new();
+        for slot in slots {
+            let pieces = self.subs.slot(slot);
+            let score = if width == 0 || pieces.is_empty() {
+                if width == 0 && pieces.is_empty() { 100.0 } else { 0.0 }
+            } else {
+                best.fill(0.0);
+                for &id in pieces {
+                    let start = row[id as usize] as usize * width;
+                    for (max, &delta) in best.iter_mut().zip(&memo[start..start + width]) {
+                        *max = max.max(delta);
+                    }
+                }
+                lookups += pieces.len() * width;
+                let mut total = 0.0;
+                for max in &best {
+                    total += max;
+                }
+                total / width as f64
+            };
+            if score >= self.params.epsilon {
+                matches.push(CloneMatch { doc: self.fingerprints[slot as usize].0, score });
+            }
+        }
+        DELTA_LOOKUPS.add(lookups as u64);
         matches.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
         matches
     }
@@ -552,6 +663,31 @@ mod tests {
         subs1.iter().map(|s1| best(s1)).sum::<f64>() / subs1.len() as f64
     }
 
+    /// `(doc, score bits)` of the clones of `query` by [`naive_score`],
+    /// over the documents whose gram share passes η (all when `filter`
+    /// is off), stably sorted by descending score.
+    fn naive_matches(
+        detector: &CloneDetector,
+        query: &Fingerprint,
+        filter: bool,
+    ) -> Vec<(DocId, u64)> {
+        let params = detector.params();
+        let grams = NgramIndex::new(params.ngram_size);
+        let text = query.indexed_text();
+        let mut scored: Vec<CloneMatch> = detector
+            .iter_fingerprints()
+            .filter(|(_, fp)| !filter || grams.share(&text, &fp.indexed_text()) >= params.eta)
+            .map(|(doc, fp)| CloneMatch { doc, score: naive_score(query, fp) })
+            .filter(|m| m.score >= params.epsilon)
+            .collect();
+        scored.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+        scored.iter().map(|m| (m.doc, m.score.to_bits())).collect()
+    }
+
+    fn bits(matches: &[CloneMatch]) -> Vec<(DocId, u64)> {
+        matches.iter().map(|m| (m.doc, m.score.to_bits())).collect()
+    }
+
     /// Random fingerprints: up to four pieces of a four-letter alphabet
     /// (so pieces resemble each other), some longer than the 64-byte word.
     fn fingerprint_strategy() -> impl proptest::strategy::Strategy<Value = Fingerprint> {
@@ -588,20 +724,71 @@ mod tests {
             for (i, fp) in corpus.iter().enumerate() {
                 detector.insert_fingerprint(1000 - 7 * i as DocId, fp.clone());
             }
-            let grams = NgramIndex::new(n);
-            let text = query.indexed_text();
-            let mut expected: Vec<(DocId, u64)> = Vec::new();
-            let mut scored: Vec<CloneMatch> = detector
-                .iter_fingerprints()
-                .filter(|(_, fp)| grams.share(&text, &fp.indexed_text()) >= params.eta)
-                .map(|(doc, fp)| CloneMatch { doc, score: naive_score(&query, fp) })
-                .filter(|m| m.score >= epsilon)
-                .collect();
-            scored.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
-            expected.extend(scored.iter().map(|m| (m.doc, m.score.to_bits())));
-            let got: Vec<(DocId, u64)> =
-                detector.matches(&query).iter().map(|m| (m.doc, m.score.to_bits())).collect();
+            let expected = naive_matches(&detector, &query, true);
+            let got = bits(&detector.matches(&query));
             prop_assert_eq!(got, expected);
+        }
+    }
+
+    /// `(piece, colon)` lists for [`pooled`], over a pool of six.
+    fn pooled_pieces(
+        len: std::ops::Range<usize>,
+    ) -> impl proptest::strategy::Strategy<Value = Vec<(usize, usize)>> {
+        proptest::collection::vec((0usize..6, 0usize..2), len)
+    }
+
+    /// A fingerprint of `pool` pieces: each `(piece, colon)` appends
+    /// `pool[piece]`, after a `:` or `.` separator.
+    fn pooled(pool: &[String], pieces: &[(usize, usize)]) -> Fingerprint {
+        let mut text = String::new();
+        for (i, &(piece, colon)) in pieces.iter().enumerate() {
+            if i > 0 {
+                text.push(if colon == 1 { ':' } else { '.' });
+            }
+            text.push_str(&pool[piece]);
+        }
+        Fingerprint(text)
+    }
+
+    proptest! {
+        #[test]
+        fn memoized_scores_agree_with_a_naive_reference_on_repeating_pieces(
+            pool in proptest::collection::vec(("[ABCD]{0,10}", 0usize..6), 6),
+            first in proptest::collection::vec(pooled_pieces(0..6), 1..10),
+            more in proptest::collection::vec(pooled_pieces(0..6), 1..6),
+            query in pooled_pieces(0..5),
+            n in 1usize..4,
+            quarter in 1usize..4,
+            epsilon in prop_oneof![Just(0.0), Just(50.0), Just(70.0), Just(90.0)],
+        ) {
+            // Six shared pieces, so one sub-fingerprint recurs within a
+            // document, across documents and in the query; about one in
+            // six is stretched past the 64-byte word, and an empty piece
+            // is dropped as a sub-fingerprint.
+            let pool: Vec<String> = pool
+                .into_iter()
+                .map(|(piece, stretch)| if stretch == 0 { piece.repeat(7) } else { piece })
+                .collect();
+            let params = CcdParams { ngram_size: n, eta: quarter as f64 / 4.0, epsilon };
+            let query = pooled(&pool, &query);
+            let mut detector = CloneDetector::new(params);
+            // Two rounds of inserts with queries after each, so the table
+            // grows between matches. Ids fall as slots rise, so the tie
+            // order is slot order, not id order.
+            for batch in [&first, &more] {
+                for pieces in batch {
+                    let doc = 1000 - 7 * detector.len() as DocId;
+                    detector.insert_fingerprint(doc, pooled(&pool, pieces));
+                }
+                prop_assert_eq!(
+                    bits(&detector.matches(&query)),
+                    naive_matches(&detector, &query, true)
+                );
+                prop_assert_eq!(
+                    bits(&detector.matches_bruteforce(&query)),
+                    naive_matches(&detector, &query, false)
+                );
+            }
         }
     }
 

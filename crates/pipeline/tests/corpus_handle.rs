@@ -3,9 +3,15 @@
 //! The lifecycle tests that arm a fault plan live in `fault_plans.rs`.
 
 use ccd::{CcdParams, CloneDetector};
+use corpus::contracts::{generate_contracts, SanctuaryConfig};
 use corpus::honeypots::honeypot_dataset;
+use corpus::mutate::type_iii;
+use corpus::qa::{generate_qa, QaConfig, SnippetTruth};
 use index_store::SnapshotStore;
 use pipeline::corpus_index::CorpusBuilder;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Barrier;
 
@@ -90,6 +96,55 @@ fn honeypot_clone_scores_match_the_pinned_digest() {
         (dataset.contracts.len(), corpus.len(), pairs, digest),
         (379, 379, 7132, 6_295_883_656_603_481_363),
         "honeypot clone digest drifted"
+    );
+}
+
+/// Clone checks on the shape of the service benchmark's corpus, where
+/// copied functions make sub-fingerprints repeat (3,992 pieces, 475
+/// distinct): the 970 contracts that `generate_contracts` deploys at
+/// scale 0.003, queried with Type III mutants of the first 200 unique
+/// Solidity originals of the Q&A corpus. Same fold as the honeypot
+/// digest, one record per fingerprintable query (numbered by its
+/// original). The pinned value was computed with the per-candidate
+/// Algorithm 1 loop, before `CloneDetector` interned the corpus's
+/// sub-fingerprints and computed δ once per distinct one, so the memo
+/// must reproduce every candidate, score bit and tie order.
+#[test]
+fn qa_clone_scores_match_the_pinned_digest() {
+    let qa = generate_qa(QaConfig::default());
+    let config = SanctuaryConfig { scale: 0.003, ..SanctuaryConfig::default() };
+    let contracts = generate_contracts(config, &qa).contracts;
+    let corpus = CorpusBuilder::new(CcdParams::best())
+        .from_sources(contracts.iter().map(|c| (c.id, c.source.as_str())));
+    // The repetition the memo feeds on.
+    let fingerprints = corpus.fingerprints();
+    let subs: Vec<&str> = fingerprints.iter().flat_map(|(_, fp)| fp.sub_fingerprints()).collect();
+    let distinct = subs.iter().collect::<HashSet<_>>().len();
+
+    let originals = qa.snippets.iter().filter(|s| {
+        matches!(s.truth, SnippetTruth::Solidity { duplicate_of: None, .. })
+    });
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut words: Vec<u8> = Vec::new();
+    let (mut queries, mut pairs) = (0usize, 0usize);
+    for (i, snippet) in originals.take(200).enumerate() {
+        let mutant = type_iii(&snippet.text, &mut rng);
+        let Some(fp) = CloneDetector::fingerprint_source(&mutant) else { continue };
+        let matches = corpus.matches(&fp);
+        words.extend_from_slice(&(i as u64).to_le_bytes());
+        words.extend_from_slice(&(matches.len() as u64).to_le_bytes());
+        for m in &matches {
+            words.extend_from_slice(&m.doc.to_le_bytes());
+            words.extend_from_slice(&m.score.to_bits().to_le_bytes());
+        }
+        queries += 1;
+        pairs += matches.len();
+    }
+    let digest = telemetry::fnv1a(&words);
+    assert_eq!(
+        (contracts.len(), subs.len(), distinct, queries, pairs, digest),
+        (970, 3992, 475, 200, 1239, 12_772_565_976_802_293_090),
+        "Q&A clone digest drifted"
     );
 }
 
