@@ -27,6 +27,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --all-targets --manifest-path crates/server/examples/perfbench/Cargo.toml -- -D warnings
 cargo test --release --offline --manifest-path crates/server/examples/perfbench/Cargo.toml
 
+# Rustdoc: intra-doc links in the workspace's own crates must resolve, so
+# a deleted or renamed item cannot leave a dangling link behind. The
+# vendored stand-ins of external crates are not this repository's code to
+# lint.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps \
+  --exclude proptest --exclude rand --exclude criterion --exclude serde --exclude serde_derive
+
 # Frontend perf smoke: re-measure the parse+CPG pass and fail on a >20%
 # throughput regression against the last `interned` point recorded in
 # BENCH_trajectory.json. Measures only (no append), so CI runs do not
@@ -320,25 +327,3 @@ rm -f "$PORT_FILE"
 # floor recorded by the committed wal_durability trajectory point.
 # Measures only, never appends.
 ./target/release/loadgen durability --no-append --requests 192 --concurrency 8
-
-# Kill-and-resume smoke: start a checkpointed batch run, SIGKILL it once
-# its first shard is journaled, resume it, and require the resumed output
-# to be byte-identical to an uninterrupted run.
-CKPT=/tmp/ci_ckpt_$$.json
-./target/release/tables figure2 table4 --scale 0.02 >/tmp/tables_ref.txt
-./target/release/tables figure2 table4 --scale 0.02 --checkpoint "$CKPT" \
-  >/dev/null 2>/dev/null &
-TABLES_PID=$!
-for _ in $(seq 1 600); do
-  grep -q '"name":"figure2"' "$CKPT" 2>/dev/null && break
-  kill -0 "$TABLES_PID" 2>/dev/null || break
-  sleep 0.1
-done
-kill -9 "$TABLES_PID" 2>/dev/null || true
-wait "$TABLES_PID" 2>/dev/null || true
-./target/release/tables figure2 table4 --scale 0.02 --checkpoint "$CKPT" --resume \
-  >/tmp/tables_resumed.txt 2>/tmp/tables_resume.log
-cmp /tmp/tables_ref.txt /tmp/tables_resumed.txt \
-  || { echo "resumed batch output diverged"; exit 1; }
-grep -q "\[resume\] replaying" /tmp/tables_resume.log
-rm -f "$CKPT" "${CKPT%.json}.tmp"

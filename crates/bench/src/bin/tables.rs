@@ -5,26 +5,20 @@
 //! cargo run --release -p bench --bin tables -- table1 table9
 //! cargo run --release -p bench --bin tables -- table7 --scale 0.05
 //! cargo run --release -p bench --bin tables -- all --telemetry --out tables.txt
-//! cargo run --release -p bench --bin tables -- all --checkpoint run.journal --resume
 //! ```
 //!
 //! Tables 1–3 and 9 run on the fixed benchmark datasets; Tables 4–8 and
 //! Figure 9 run the study pipeline at the given scale (default 0.05).
 //! Several targets may be given at once. `--out PATH` tees everything
-//! printed to stdout into PATH. `--telemetry` enables telemetry
-//! collection, appends the rendered telemetry tables, and writes the JSON
-//! run report to `--telemetry-out` (default `BENCH_run.json`); the
-//! `TELEMETRY=0` environment kill switch overrides the flag.
-//!
-//! `--checkpoint PATH` journals each completed target's output to PATH
-//! (atomically, after every target), and `--resume` replays completed
-//! targets from the journal byte-for-byte instead of recomputing them —
-//! a batch run killed mid-flight loses at most the target in progress.
+//! printed to stdout into PATH; a failed write to it names PATH on stderr
+//! and exits 1. `--telemetry` enables telemetry collection, appends the
+//! rendered telemetry tables, and writes the JSON run report to
+//! `--telemetry-out` (default `BENCH_run.json`); the `TELEMETRY=0`
+//! environment kill switch overrides the flag.
 //!
 //! An unknown target, a flag missing its value or an unparsable `--scale`
 //! prints usage to stderr and exits 2.
 
-use bench::checkpoint::Journal;
 use ccc::Dasp;
 use ccd::CcdParams;
 use pipeline::eval_ccc::{evaluate_all_baselines, evaluate_ccc, evaluate_snippet_levels};
@@ -37,71 +31,20 @@ use std::io::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 /// Optional tee target: `--out PATH` duplicates everything printed to
-/// stdout into this file.
-static OUT_FILE: OnceLock<Mutex<std::fs::File>> = OnceLock::new();
+/// stdout into this file, kept with its path.
+static OUT_FILE: OnceLock<(String, Mutex<std::fs::File>)> = OnceLock::new();
 
-/// While a checkpointed shard runs, everything emitted is also captured
-/// here so the journal can replay it verbatim on `--resume`.
-static CAPTURE: Mutex<Option<String>> = Mutex::new(None);
-
-/// Print one line to stdout and, when `--out` is set, to the tee file.
+/// Print one line to stdout and, when `--out` is set, to the tee file. A
+/// failed tee write names the path on stderr and exits 1.
 fn emit_line(line: std::fmt::Arguments) {
     let text = line.to_string();
     println!("{text}");
-    if let Some(file) = OUT_FILE.get() {
+    if let Some((path, file)) = OUT_FILE.get() {
         let mut file = file.lock().expect("tee file lock");
-        let _ = writeln!(file, "{text}");
-    }
-    if let Some(buffer) = CAPTURE.lock().expect("capture lock").as_mut() {
-        buffer.push_str(&text);
-        buffer.push('\n');
-    }
-}
-
-/// Re-emit a shard's recorded output exactly as it was first printed —
-/// the captured text is a concatenation of `emit_line` lines, so writing
-/// it raw reproduces the original bytes on stdout and in the tee file.
-fn emit_replay(output: &str) {
-    print!("{output}");
-    let _ = std::io::stdout().flush();
-    if let Some(file) = OUT_FILE.get() {
-        let mut file = file.lock().expect("tee file lock");
-        let _ = file.write_all(output.as_bytes());
-    }
-}
-
-/// Shard orchestration: run each table/figure target through
-/// [`Shards::run`], which replays journaled output on resume and captures
-/// + records fresh output otherwise.
-struct Shards {
-    journal: Option<Journal>,
-}
-
-impl Shards {
-    /// Whether `name` already completed in a resumed journal.
-    fn done(&self, name: &str) -> bool {
-        self.journal.as_ref().is_some_and(|j| j.completed(name).is_some())
-    }
-
-    fn run(&mut self, name: &str, run: impl FnOnce()) {
-        let Some(journal) = &mut self.journal else {
-            run();
-            return;
-        };
-        if let Some(output) = journal.completed(name) {
-            eprintln!("[resume] replaying {name} from checkpoint");
-            let output = output.to_string();
-            emit_replay(&output);
-            return;
+        if let Err(error) = writeln!(file, "{text}") {
+            eprintln!("cannot write --out {path}: {error}");
+            std::process::exit(1);
         }
-        *CAPTURE.lock().expect("capture lock") = Some(String::new());
-        run();
-        let output = CAPTURE
-            .lock()
-            .expect("capture lock")
-            .take()
-            .unwrap_or_default();
-        journal.record(name, &output);
     }
 }
 
@@ -116,8 +59,6 @@ struct Args {
     out: Option<String>,
     telemetry: bool,
     telemetry_out: String,
-    checkpoint: Option<String>,
-    resume: bool,
 }
 
 /// Every target a command line may name.
@@ -127,7 +68,7 @@ const TARGETS: &[&str] = &[
 ];
 
 const USAGE: &str = "usage: tables [TARGET...] [--scale F] [--out PATH] [--telemetry] \
-                     [--telemetry-out PATH] [--checkpoint PATH] [--resume]\n\
+                     [--telemetry-out PATH]\n\
                      targets: table1..table9 figure2 figure5 figure9 study all (default)";
 
 /// Parse the command line; an unknown target, a flag missing its value or
@@ -146,8 +87,6 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         out: None,
         telemetry: false,
         telemetry_out: "BENCH_run.json".to_string(),
-        checkpoint: None,
-        resume: false,
     };
     while let Some(arg) = argv.next() {
         let mut value = || argv.next().ok_or_else(|| format!("missing value for {arg}"));
@@ -161,8 +100,6 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--out" => args.out = Some(value()?),
             "--telemetry" => args.telemetry = true,
             "--telemetry-out" => args.telemetry_out = value()?,
-            "--checkpoint" => args.checkpoint = Some(value()?),
-            "--resume" => args.resume = true,
             target if TARGETS.contains(&target) => args.whats.push(arg.clone()),
             other => return Err(format!("unknown target {other}")),
         }
@@ -182,7 +119,7 @@ fn main() {
     if let Some(path) = &args.out {
         match std::fs::File::create(path) {
             Ok(file) => {
-                let _ = OUT_FILE.set(Mutex::new(file));
+                let _ = OUT_FILE.set((path.clone(), Mutex::new(file)));
             }
             Err(error) => {
                 eprintln!("cannot open --out {path}: {error}");
@@ -193,35 +130,26 @@ fn main() {
     let run_all = args.whats.iter().any(|w| w == "all");
     let wants = |name: &str| run_all || args.whats.iter().any(|w| w == name);
 
-    // The journal key ties recorded shards to the parameters that shape
-    // their output; a scale change invalidates the journal.
-    let mut shards = Shards {
-        journal: args
-            .checkpoint
-            .as_ref()
-            .map(|path| Journal::open(path, &format!("scale={}", args.scale), args.resume)),
-    };
-
     if wants("table1") {
-        shards.run("table1", table1);
+        table1();
     }
     if wants("table2") {
-        shards.run("table2", table2);
+        table2();
     }
     if wants("table3") {
-        shards.run("table3", table3);
+        table3();
     }
     if wants("table9") || wants("figure9") {
-        shards.run("table9", table9_figure9);
+        table9_figure9();
     }
     if wants("figure2") {
-        shards.run("figure2", figure2);
+        figure2();
     }
     if wants("figure5") {
-        shards.run("figure5", figure5);
+        figure5();
     }
     if ["table4", "table5", "table6", "table7", "table8", "study"].iter().any(|w| wants(w)) {
-        study_tables(args.scale, &args.whats, run_all, &mut shards);
+        study_tables(args.scale, &args.whats, run_all);
     }
 
     // Appended only when explicitly requested *and* the TELEMETRY=0 kill
@@ -424,21 +352,8 @@ fn figure5() {
 
 // ===== Tables 4–8: the study ==================================================
 
-fn study_tables(scale: f64, whats: &[String], run_all: bool, shards: &mut Shards) {
+fn study_tables(scale: f64, whats: &[String], run_all: bool) {
     let wants = |name: &str| run_all || whats.iter().any(|w| w == name);
-    // Resume fast path: when every requested study shard is already
-    // journaled, replay them and skip corpus generation and the study
-    // pipeline entirely.
-    let targets: Vec<&str> = ["table4", "table5", "table6", "table7", "table8"]
-        .into_iter()
-        .filter(|t| wants(t) || wants("study"))
-        .collect();
-    if !targets.is_empty() && targets.iter().all(|t| shards.done(t)) {
-        for target in targets {
-            shards.run(target, || {});
-        }
-        return;
-    }
     eprintln!("[study] generating corpora at scale {scale}...");
     let qa = bench::qa(scale);
     let contracts = bench::sanctuary(&qa, scale);
@@ -451,7 +366,6 @@ fn study_tables(scale: f64, whats: &[String], run_all: bool, shards: &mut Shards
     let funnel = run_funnel(&qa);
 
     if wants("table4") || wants("study") {
-        shards.run("table4", || {
         let mut table = Table::new("Table 4 — Solidity code snippet funnel")
             .header(&["Q&A Website", "Posts", "Snippets", "Solidity", "Parsable", "Unique"]);
         for row in &funnel.stats.rows {
@@ -484,14 +398,12 @@ fn study_tables(scale: f64, whats: &[String], run_all: bool, shards: &mut Shards
             level(solidity::SnippetLevel::Function) * 100.0,
             level(solidity::SnippetLevel::Statement) * 100.0
         );
-        });
     }
 
     eprintln!("[study] running the experiment pipeline...");
     let result = run_study(&qa, &contracts, &funnel.unique, StudyConfig::default());
 
     if wants("table5") || wants("study") {
-        shards.run("table5", || {
         let dedup = dedup_contracts(&contracts);
         let ads = adoptions(&qa, &contracts, &result.mapping, &dedup);
         let rows = correlations(&ads);
@@ -505,11 +417,9 @@ fn study_tables(scale: f64, whats: &[String], run_all: bool, shards: &mut Shards
             table.row(vec![row.group.name().to_string(), row.n.to_string(), rho, p]);
         }
         outln!("{}", table.render());
-        });
     }
 
     if wants("table6") || wants("study") {
-        shards.run("table6", || {
         let mut table = Table::new("Table 6 — DASP Top 10 across snippets and contracts")
             .header(&["Vulnerability Category", "Snippets", "Contracts"]);
         for category in Dasp::ALL {
@@ -522,11 +432,9 @@ fn study_tables(scale: f64, whats: &[String], run_all: bool, shards: &mut Shards
             ]);
         }
         outln!("{}", table.render());
-        });
     }
 
     if wants("table7") || wants("study") {
-        shards.run("table7", || {
         let mut table = Table::new("Table 7 — identified vulnerable snippets and contracts")
             .header(&["Analysis Step", "Disseminator (Source)"]);
         table.row(vec!["Snippets — Unique".into(), result.unique_snippets.to_string()]);
@@ -568,11 +476,9 @@ fn study_tables(scale: f64, whats: &[String], run_all: bool, shards: &mut Shards
             ),
         ]);
         outln!("{}", table.render());
-        });
     }
 
     if wants("table8") || wants("study") {
-        shards.run("table8", || {
         let grid = run_audit(&result, &qa, &contracts, 10, 7);
         let mut table = Table::new("Table 8 — manual validation (oracle audit)")
             .header(&["", "Snippet", "Contract TP", "Contract FP"]);
@@ -592,6 +498,5 @@ fn study_tables(scale: f64, whats: &[String], run_all: bool, shards: &mut Shards
             grid.sample_size,
             grid.fully_confirmed()
         );
-        });
     }
 }

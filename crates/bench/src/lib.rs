@@ -6,8 +6,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
-
 use corpus::contracts::{generate_contracts, ContractCorpus, SanctuaryConfig};
 use corpus::honeypots::{honeypot_dataset, HoneypotDataset};
 use corpus::qa::{generate_qa, QaConfig, QaCorpus};

@@ -142,11 +142,8 @@ pub struct CloneMatch {
 pub struct CloneDetector {
     params: CcdParams,
     index: NgramIndex,
-    /// Shared so that several detectors (e.g. per-parameter sweeps or the
-    /// analysis service's warm state) can point at one corpus without
-    /// cloning every fingerprint; uniquely owned during the build phase.
-    /// In slot order.
-    fingerprints: Arc<Vec<(DocId, Fingerprint)>>,
+    /// The corpus, in slot order.
+    fingerprints: Vec<(DocId, Fingerprint)>,
     /// The interned sub-fingerprints of `fingerprints`, in slot order.
     subs: SubTable,
 }
@@ -203,24 +200,24 @@ impl CloneDetector {
         CloneDetector {
             params,
             index: NgramIndex::new(params.ngram_size),
-            fingerprints: Arc::new(Vec::new()),
+            fingerprints: Vec::new(),
             subs: SubTable::default(),
         }
     }
 
-    /// Build a detector over an already-fingerprinted shared corpus. Only
-    /// the N-gram index and the sub-fingerprint table are constructed; the
-    /// fingerprints themselves are borrowed through the `Arc`, so several
-    /// detectors (different parameters, different service workers) share
-    /// one corpus allocation.
+    /// Build a detector over an already-fingerprinted corpus, in slot
+    /// order: only the N-gram index and the sub-fingerprint table are
+    /// constructed. The detector owns its corpus, so an `Arc` held nowhere
+    /// else is unwrapped without a copy; one shared elsewhere is cloned.
     pub fn from_shared(params: CcdParams, corpus: Arc<Vec<(DocId, Fingerprint)>>) -> CloneDetector {
+        let fingerprints = Arc::unwrap_or_clone(corpus);
         let mut index = NgramIndex::new(params.ngram_size);
         let mut subs = SubTable::default();
-        for (doc, fp) in corpus.iter() {
+        for (doc, fp) in &fingerprints {
             index.insert(*doc, &fp.indexed_text());
             subs.push(fp);
         }
-        CloneDetector { params, index, fingerprints: corpus, subs }
+        CloneDetector { params, index, fingerprints, subs }
     }
 
     /// Reassemble a detector from an already-built N-gram index and its
@@ -235,7 +232,7 @@ impl CloneDetector {
     /// corpus. Either mismatch is a typed `index_corrupt` error.
     pub fn from_parts(
         params: CcdParams,
-        corpus: Arc<Vec<(DocId, Fingerprint)>>,
+        corpus: Vec<(DocId, Fingerprint)>,
         index: NgramIndex,
     ) -> Result<CloneDetector, AnalysisError> {
         if index.n() != params.ngram_size {
@@ -261,15 +258,10 @@ impl CloneDetector {
             )));
         }
         let mut subs = SubTable::default();
-        for (_, fp) in corpus.iter() {
+        for (_, fp) in &corpus {
             subs.push(fp);
         }
         Ok(CloneDetector { params, index, fingerprints: corpus, subs })
-    }
-
-    /// The shared fingerprint corpus, cloneable by reference count only.
-    pub fn shared_fingerprints(&self) -> Arc<Vec<(DocId, Fingerprint)>> {
-        Arc::clone(&self.fingerprints)
     }
 
     /// The configured parameters.
@@ -335,18 +327,12 @@ impl CloneDetector {
         Self::try_fingerprint_source(source).ok()
     }
 
-    /// Index a pre-computed fingerprint under a document id.
-    ///
-    /// Inserting is normally a build-phase operation. If the corpus is
-    /// already shared with another detector (via
-    /// [`CloneDetector::from_shared`] or
-    /// [`CloneDetector::shared_fingerprints`]), the shared storage is
-    /// cloned first (copy-on-write) so this detector diverges instead of
-    /// panicking; the other detectors keep the old corpus.
+    /// Index a pre-computed fingerprint under a document id, in the next
+    /// slot.
     pub fn insert_fingerprint(&mut self, doc: DocId, fingerprint: Fingerprint) {
         self.index.insert(doc, &fingerprint.indexed_text());
         self.subs.push(&fingerprint);
-        Arc::make_mut(&mut self.fingerprints).push((doc, fingerprint));
+        self.fingerprints.push((doc, fingerprint));
     }
 
     /// Fingerprint and index a source fragment; returns `false` when the
@@ -492,6 +478,15 @@ mod tests {
           if (support) { yes += 1; } else { no += 1; } } \
         function tally() public returns (uint, uint) { return (yes, no); } }";
 
+    /// Type III clone of [`EXTENDED`] with a function of [`UNRELATED`]
+    /// added: two of its three pieces are copied, so it scores between
+    /// ε = 70 and ε = 90 against the extended clone.
+    const MIXED: &str = "contract Wallet { \
+        address deployer; \
+        constructor() { deployer = msg.sender; } \
+        function takeOut(uint amount) public { msg.sender.transfer(amount); } \
+        function tally() public returns (uint, uint) { return (yes, no); } }";
+
     fn detector_with_corpus() -> CloneDetector {
         let mut d = CloneDetector::new(CcdParams::best());
         assert!(d.insert_source(0, RENAMED));
@@ -560,17 +555,26 @@ mod tests {
 
     #[test]
     fn conservative_params_demand_higher_similarity() {
-        let mut d = CloneDetector::new(CcdParams::conservative());
-        d.insert_source(1, EXTENDED);
-        let q = CloneDetector::fingerprint_source(SNIPPET).unwrap();
-        let loose = CloneDetector::new(CcdParams::best());
-        let _ = loose;
-        // With ε = 0.9 the Type III clone may or may not pass; with exact
-        // clones it always does.
-        let mut d2 = CloneDetector::new(CcdParams::conservative());
-        d2.insert_source(0, SNIPPET);
-        assert_eq!(d2.matches(&q).len(), 1);
-        let _ = d.matches(&q);
+        let loose = detector_with_corpus();
+        let mut strict = CloneDetector::new(CcdParams::conservative());
+        for (doc, fp) in loose.iter_fingerprints() {
+            strict.insert_fingerprint(doc, fp.clone());
+        }
+        let mut between = 0;
+        for source in [SNIPPET, MIXED] {
+            let q = CloneDetector::fingerprint_source(source).unwrap();
+            let (loose, strict) = (loose.matches(&q), strict.matches(&q));
+            // Raising ε from 70 to 90 keeps exactly the matches scoring ≥ 90.
+            let kept: Vec<CloneMatch> =
+                loose.iter().copied().filter(|m| m.score >= 90.0).collect();
+            assert_eq!(strict, kept, "{source}");
+            between += loose.len() - kept.len();
+            if source == SNIPPET {
+                // The exact clone is in both.
+                assert!(strict.iter().any(|m| m.doc == 0 && m.score == 100.0), "{strict:?}");
+            }
+        }
+        assert!(between > 0, "no match scored in [70, 90), so ε went untested");
     }
 
     #[test]
@@ -607,39 +611,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_corpus_is_not_duplicated_across_detectors() {
-        let d = detector_with_corpus();
-        let corpus = d.shared_fingerprints();
-        let strict = CloneDetector::from_shared(CcdParams::conservative(), Arc::clone(&corpus));
-        // Both detectors point at the same allocation …
-        assert!(Arc::ptr_eq(&corpus, &strict.shared_fingerprints()));
-        // … and the stricter detector still finds the exact clone.
-        let q = CloneDetector::fingerprint_source(SNIPPET).unwrap();
-        assert!(strict.matches(&q).iter().any(|m| m.doc == 0));
-    }
-
-    #[test]
-    fn inserting_into_a_shared_corpus_diverges_by_copy_on_write() {
-        let mut d = detector_with_corpus();
-        let shared = d.shared_fingerprints();
-        let before = shared.len();
-        assert!(d.insert_source(9, SNIPPET));
-        // The inserting detector sees the new document …
-        let q = CloneDetector::fingerprint_source(SNIPPET).unwrap();
-        assert!(d.matches(&q).iter().any(|m| m.doc == 9));
-        // … while the previously shared corpus is untouched.
-        assert_eq!(shared.len(), before);
-        assert!(!Arc::ptr_eq(&shared, &d.shared_fingerprints()));
-    }
-
-    #[test]
     fn from_parts_rejects_a_slot_table_out_of_corpus_order() {
         let d = detector_with_corpus();
-        let corpus = d.shared_fingerprints();
+        let corpus: Vec<(DocId, Fingerprint)> =
+            d.iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect();
         // The same index over the same documents, listed in another order.
-        let mut reordered = (*corpus).clone();
+        let mut reordered = corpus.clone();
         reordered.swap(0, 2);
-        let err = CloneDetector::from_parts(d.params(), Arc::new(reordered), d.index().clone())
+        let err = CloneDetector::from_parts(d.params(), reordered, d.index().clone())
             .err()
             .expect("slot 0 holds doc 0, corpus entry 0 is doc 2");
         assert_eq!(err.code(), "index_corrupt");

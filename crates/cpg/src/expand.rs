@@ -31,10 +31,10 @@ static EXPANSIONS: telemetry::Counter = telemetry::Counter::new("cpg.modifier_ex
 /// body instead of deep-cloning it; only real expansions build an owned
 /// copy.
 ///
-/// The map is generic over [`Borrow`]`<ModifierDef>` so callers can hold
-/// either owned definitions or `&ModifierDef` borrows of the source unit
-/// (the builder does the latter — collecting modifiers then costs map
-/// inserts, not deep AST clones).
+/// The map is generic over [`Borrow`](std::borrow::Borrow)`<ModifierDef>`
+/// so callers can hold either owned definitions or `&ModifierDef` borrows
+/// of the source unit (the builder does the latter — collecting modifiers
+/// then costs map inserts, not deep AST clones).
 pub fn expand_modifiers<'f, M: std::borrow::Borrow<ModifierDef>>(
     function: &'f FunctionDef,
     modifiers: &FxHashMap<Symbol, M>,

@@ -79,10 +79,10 @@ impl Decoded {
 
 /// Encode a corpus and its index into snapshot bytes.
 ///
-/// `docs` is the corpus in its canonical order (preserved on decode, so a
-/// detector rebuilt from the snapshot matches in the same tie-break order
-/// as the in-memory original); `index` must be the N-gram index built
-/// over exactly those documents, slot *i* holding `docs[i]`.
+/// `docs` is the corpus in slot order (preserved on decode, so a detector
+/// rebuilt from the snapshot holds every document in the slot it had in
+/// the original); `index` must be the N-gram index built over exactly
+/// those documents, slot *i* holding `docs[i]`.
 pub fn encode(
     generation: u64,
     docs: &[(DocId, Fingerprint)],
@@ -299,6 +299,13 @@ mod tests {
     use super::*;
     use ccd::{CcdParams, CloneDetector};
 
+    /// `d`'s corpus and index, encoded as `generation`.
+    fn encoded(generation: u64, d: &CloneDetector) -> Vec<u8> {
+        let docs: Vec<(DocId, Fingerprint)> =
+            d.iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect();
+        encode(generation, &docs, d.index()).unwrap()
+    }
+
     fn sample_detector() -> CloneDetector {
         let mut d = CloneDetector::new(CcdParams::best());
         assert!(d.insert_source(
@@ -315,15 +322,12 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip_preserves_matches() {
         let d = sample_detector();
-        let docs = d.shared_fingerprints();
-        let bytes = encode(7, &docs, d.index()).unwrap();
-        let decoded = decode(&bytes).unwrap();
+        let decoded = decode(&encoded(7, &d)).unwrap();
         assert_eq!(decoded.generation, 7);
         assert_eq!(decoded.n, d.params().ngram_size);
-        assert_eq!(decoded.fingerprints, *docs);
+        assert!(decoded.fingerprints.iter().map(|(doc, fp)| (*doc, fp)).eq(d.iter_fingerprints()));
         let (index, corpus) = decoded.into_index_and_corpus();
-        let rebuilt =
-            CloneDetector::from_parts(d.params(), std::sync::Arc::new(corpus), index).unwrap();
+        let rebuilt = CloneDetector::from_parts(d.params(), corpus, index).unwrap();
         let q = CloneDetector::fingerprint_source(
             "contract C { function out(uint x) public { msg.sender.transfer(x); } }",
         )
@@ -346,23 +350,20 @@ mod tests {
         ] {
             assert!(d.insert_source(id, source));
         }
-        let bytes = encode(4, &d.shared_fingerprints(), d.index()).unwrap();
+        let bytes = encoded(4, &d);
         assert_eq!((bytes.len(), read_u64(&bytes, 64)), (420, 14_947_281_628_143_646_273));
     }
 
     #[test]
     fn encoding_is_deterministic() {
         let (a, b) = (sample_detector(), sample_detector());
-        assert_eq!(
-            encode(1, &a.shared_fingerprints(), a.index()).unwrap(),
-            encode(1, &b.shared_fingerprints(), b.index()).unwrap()
-        );
+        assert_eq!(encoded(1, &a), encoded(1, &b));
     }
 
     #[test]
     fn truncation_anywhere_is_typed_corruption() {
         let d = sample_detector();
-        let bytes = encode(1, &d.shared_fingerprints(), d.index()).unwrap();
+        let bytes = encoded(1, &d);
         for cut in [0, 8, HEADER_LEN - 1, HEADER_LEN, bytes.len() / 2, bytes.len() - 1] {
             let err = decode(&bytes[..cut]).unwrap_err();
             assert_eq!(err.code(), "index_corrupt", "cut at {cut}: {err}");
@@ -372,7 +373,7 @@ mod tests {
     #[test]
     fn every_single_bit_flip_is_detected() {
         let d = sample_detector();
-        let bytes = encode(1, &d.shared_fingerprints(), d.index()).unwrap();
+        let bytes = encoded(1, &d);
         // Flipping any bit of the payload must trip the checksum; flips in
         // the header are caught by magic/version/length checks or produce
         // a decode that fails validation. A flip may never panic.
@@ -397,7 +398,7 @@ mod tests {
     #[test]
     fn wrong_version_is_a_version_error() {
         let d = sample_detector();
-        let mut bytes = encode(1, &d.shared_fingerprints(), d.index()).unwrap();
+        let mut bytes = encoded(1, &d);
         bytes[8] = 9;
         let err = decode(&bytes).unwrap_err();
         assert_eq!(err.code(), "index_version");
@@ -407,7 +408,7 @@ mod tests {
     #[test]
     fn wrong_magic_is_corruption() {
         let d = sample_detector();
-        let mut bytes = encode(1, &d.shared_fingerprints(), d.index()).unwrap();
+        let mut bytes = encoded(1, &d);
         bytes[0] = b'X';
         assert_eq!(decode(&bytes).unwrap_err().code(), "index_corrupt");
     }
@@ -437,7 +438,7 @@ mod tests {
     #[test]
     fn empty_corpus_roundtrips() {
         let d = CloneDetector::new(CcdParams::best());
-        let bytes = encode(1, &d.shared_fingerprints(), d.index()).unwrap();
+        let bytes = encoded(1, &d);
         let decoded = decode(&bytes).unwrap();
         assert!(decoded.fingerprints.is_empty());
         assert!(decoded.postings.is_empty());

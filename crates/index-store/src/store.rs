@@ -6,13 +6,15 @@
 //! <dir>/CURRENT     "8\n" — the committed generation
 //! ```
 //!
-//! Writes follow the `bench::checkpoint` discipline: snapshot bytes land
-//! in `<file>.tmp` and are `rename`d into place, then `CURRENT` is
-//! rewritten the same way. `rename` is atomic on POSIX, so a crash at any
-//! instant leaves either the old committed generation or the new one —
-//! never a torn pointer. The previous generation's file is kept until the
-//! *next* compaction commits, so a kill during compaction always leaves a
-//! loadable snapshot behind (`ci.sh` proves this with a real `kill -9`).
+//! Every write is atomic: snapshot bytes land in `gen-<N>.tmp` and are
+//! `rename`d into place, then `CURRENT` is rewritten the same way through
+//! `CURRENT.tmp`. `rename` is atomic on POSIX, so a crash at any instant
+//! leaves either the old committed generation or the new one — never a
+//! torn pointer. The previous generation's file is kept until the new
+//! `CURRENT` is durable, so a kill during compaction always leaves a
+//! loadable snapshot behind (`ci.sh` proves this with a real `kill -9`);
+//! after that, [`SnapshotStore::retire_superseded`] deletes it with the
+//! WAL segments the new generation contains.
 //!
 //! Rename atomicity alone only covers process death. For power loss the
 //! writes are fsync-disciplined: the tmp file is `sync_all`ed before its
@@ -24,7 +26,7 @@
 
 use crate::format;
 use ccd::{CcdParams, CloneDetector, Fingerprint};
-use ngram_index::DocId;
+use ngram_index::{DocId, NgramIndex};
 use solidity::AnalysisError;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -43,8 +45,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The corpus, in canonical order (borrowed — the strings move into
-    /// the detector on [`Snapshot::into_detector`], never copied).
+    /// The corpus, in slot order (borrowed — the strings move into the
+    /// detector on [`Snapshot::into_detector`], never copied).
     pub fn fingerprints(&self) -> &[(DocId, Fingerprint)] {
         &self.decoded.fingerprints
     }
@@ -60,7 +62,7 @@ impl Snapshot {
             telemetry::Counter::new("index_store.n_mismatch_rebuilds");
         if params.ngram_size == self.n {
             let (index, corpus) = self.decoded.into_index_and_corpus();
-            return CloneDetector::from_parts(params, Arc::new(corpus), index);
+            return CloneDetector::from_parts(params, corpus, index);
         }
         REBUILDS.incr();
         Ok(CloneDetector::from_shared(params, Arc::new(self.decoded.fingerprints)))
@@ -101,32 +103,47 @@ impl SnapshotStore {
         self.dir.join(format!("wal-{generation}.log"))
     }
 
-    /// Generations that have a WAL segment on disk, ascending. Files that
-    /// merely look like segments (`wal-x.log`) are ignored — replay
-    /// validates the real ones by header.
-    pub fn wal_generations(&self) -> Vec<u64> {
+    /// The directory's `(generation, path)` pairs of the files named
+    /// `<prefix><N><suffix>` for any of `patterns`, unordered, from one
+    /// read of the directory. Files that merely look like them
+    /// (`wal-x.log`) are ignored.
+    fn generation_files(&self, patterns: &[(&str, &str)]) -> Vec<(u64, PathBuf)> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
-        let mut generations: Vec<u64> = entries
+        entries
             .filter_map(|entry| {
-                let name = entry.ok()?.file_name();
+                let entry = entry.ok()?;
+                let name = entry.file_name();
                 let name = name.to_str()?;
-                name.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok()
+                let generation = patterns.iter().find_map(|(prefix, suffix)| {
+                    name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+                })?;
+                Some((generation, entry.path()))
             })
+            .collect()
+    }
+
+    /// Generations that have a WAL segment on disk, ascending. Replay
+    /// validates each segment by its header.
+    pub fn wal_generations(&self) -> Vec<u64> {
+        let mut generations: Vec<u64> = self
+            .generation_files(&[("wal-", ".log")])
+            .into_iter()
+            .map(|(generation, _)| generation)
             .collect();
         generations.sort_unstable();
         generations
     }
 
-    /// Delete WAL segments of generations before `current` — their
-    /// records are in the committed snapshot. Best-effort: a segment that
-    /// cannot be removed is re-attempted at the next compaction and is
-    /// skipped (not replayed) at boot either way.
-    pub fn remove_stale_wals(&self, current: u64) {
-        for generation in self.wal_generations() {
+    /// Delete every snapshot file and WAL segment of a generation before
+    /// `current`, once `CURRENT` durably names `current`: that snapshot
+    /// holds every record of the older ones. Best-effort: a file that
+    /// cannot be removed is re-attempted at the next commit or warm start.
+    pub fn retire_superseded(&self, current: u64) {
+        for (generation, path) in self.generation_files(&[("gen-", ".idx"), ("wal-", ".log")]) {
             if generation < current {
-                let _ = std::fs::remove_file(self.wal_path(generation));
+                let _ = std::fs::remove_file(path);
             }
         }
     }
@@ -179,7 +196,8 @@ impl SnapshotStore {
         }
     }
 
-    /// Commit `detector`'s corpus and index as `generation`: write the
+    /// Commit a corpus and its index as `generation`: encode them
+    /// ([`format::encode`], which takes the same arguments), write the
     /// snapshot file, then flip `CURRENT`. Returns the snapshot path.
     ///
     /// Crash windows (`index/commit` is a faultinject point between the
@@ -191,15 +209,16 @@ impl SnapshotStore {
     ///   pointer until the new one is fully in place.
     pub fn commit(
         &self,
-        detector: &CloneDetector,
         generation: u64,
+        docs: &[(DocId, Fingerprint)],
+        index: &NgramIndex,
     ) -> Result<PathBuf, AnalysisError> {
         static COMMITS: telemetry::Counter = telemetry::Counter::new("index_store.commits");
         static COMMIT_BYTES: telemetry::Counter =
             telemetry::Counter::new("index_store.commit_bytes");
         static STAGE: telemetry::Stage = telemetry::Stage::new("index-store/commit");
         let _stage = STAGE.enter();
-        let bytes = format::encode(generation, &detector.shared_fingerprints(), detector.index())?;
+        let bytes = format::encode(generation, docs, index)?;
         let path = self.generation_path(generation);
         write_atomic(&path, &bytes)?;
         // Chaos hook: a delay here holds the commit in its most adversarial
@@ -215,12 +234,13 @@ impl SnapshotStore {
     }
 }
 
-/// `bench::checkpoint`'s atomic write discipline, hardened for power
-/// loss: same-directory tmp file, `sync_all` *before* the rename (the
-/// name must never point at unsynced bytes), rename, then fsync the
-/// parent directory so the new directory entry itself is durable.
-/// Readers observe either the old bytes or the new, never a prefix —
-/// even across a power cut.
+/// Replace `path`'s contents atomically, durable across power loss: write
+/// a tmp file in the same directory (`path` with its extension replaced
+/// by `tmp`), `sync_all` it *before* the rename (the name must never point
+/// at unsynced bytes), rename it over `path`, then fsync the parent
+/// directory so the new directory entry itself is durable. Readers
+/// observe either the old bytes or the new, never a prefix — even across
+/// a power cut.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), AnalysisError> {
     use std::io::Write;
     let tmp = path.with_extension("tmp");
@@ -274,6 +294,13 @@ mod tests {
         d
     }
 
+    /// Commit `d`'s corpus and index as `generation`.
+    fn commit(store: &SnapshotStore, d: &CloneDetector, generation: u64) {
+        let docs: Vec<(DocId, Fingerprint)> =
+            d.iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect();
+        store.commit(generation, &docs, d.index()).unwrap();
+    }
+
     #[test]
     fn fresh_directory_has_no_current() {
         let store = SnapshotStore::open(temp_dir("fresh")).unwrap();
@@ -285,23 +312,23 @@ mod tests {
     fn commit_then_load_roundtrips() {
         let store = SnapshotStore::open(temp_dir("roundtrip")).unwrap();
         let d = sample_detector();
-        store.commit(&d, 1).unwrap();
+        commit(&store, &d, 1);
         assert_eq!(store.current_generation().unwrap(), Some(1));
         let snapshot = store.load_current().unwrap().expect("committed generation");
         assert_eq!(snapshot.generation, 1);
         let rebuilt = snapshot.into_detector(d.params()).unwrap();
-        assert_eq!(rebuilt.shared_fingerprints(), d.shared_fingerprints());
+        assert!(rebuilt.iter_fingerprints().eq(d.iter_fingerprints()));
     }
 
     #[test]
     fn previous_generation_survives_an_uncommitted_next_one() {
         let store = SnapshotStore::open(temp_dir("survive")).unwrap();
         let d = sample_detector();
-        store.commit(&d, 1).unwrap();
+        commit(&store, &d, 1);
         // Simulate a crash after the gen-2 data write but before the
         // CURRENT flip: a stray data file and a torn tmp file.
         std::fs::write(store.generation_path(2), b"torn partial write").unwrap();
-        std::fs::write(store.dir().join("gen-3.idx.tmp"), b"torn tmp").unwrap();
+        std::fs::write(store.dir().join("gen-3.tmp"), b"torn tmp").unwrap();
         let snapshot = store.load_current().unwrap().expect("gen 1 still committed");
         assert_eq!(snapshot.generation, 1);
     }
@@ -329,7 +356,7 @@ mod tests {
     fn generation_mismatch_inside_file_is_typed() {
         let store = SnapshotStore::open(temp_dir("genmismatch")).unwrap();
         let d = sample_detector();
-        store.commit(&d, 1).unwrap();
+        commit(&store, &d, 1);
         // Copy gen-1's bytes to gen-5 and point CURRENT at it.
         std::fs::copy(store.generation_path(1), store.generation_path(5)).unwrap();
         std::fs::write(store.dir().join(CURRENT), "5\n").unwrap();
@@ -341,19 +368,30 @@ mod tests {
         let store = SnapshotStore::open(temp_dir("walgens")).unwrap();
         for generation in [3u64, 1, 2] {
             std::fs::write(store.wal_path(generation), b"ignored here").unwrap();
+            std::fs::write(store.generation_path(generation), b"ignored here").unwrap();
         }
-        std::fs::write(store.dir().join("wal-x.log"), b"not a generation").unwrap();
-        std::fs::write(store.dir().join("wal-7.txt"), b"wrong suffix").unwrap();
+        for stray in ["wal-x.log", "wal-7.txt", "gen-x.idx", "gen-1.tmp", "CURRENT"] {
+            std::fs::write(store.dir().join(stray), b"not a generation file").unwrap();
+        }
         assert_eq!(store.wal_generations(), vec![1, 2, 3]);
-        store.remove_stale_wals(3);
+        store.retire_superseded(3);
         assert_eq!(store.wal_generations(), vec![3]);
+        let mut left: Vec<String> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["CURRENT", "gen-1.tmp", "gen-3.idx", "gen-x.idx", "wal-3.log", "wal-7.txt", "wal-x.log"]
+        );
     }
 
     #[test]
     fn n_mismatch_rebuilds_instead_of_failing() {
         let store = SnapshotStore::open(temp_dir("nmismatch")).unwrap();
         let d = sample_detector();
-        store.commit(&d, 1).unwrap();
+        commit(&store, &d, 1);
         let other = CcdParams { ngram_size: 5, ..CcdParams::best() };
         let rebuilt = store.load_current().unwrap().unwrap().into_detector(other).unwrap();
         assert_eq!(rebuilt.params().ngram_size, 5);

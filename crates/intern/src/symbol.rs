@@ -2,7 +2,7 @@
 //!
 //! One process-wide interner lives behind [`Symbol::intern`]: a sharded
 //! hash map from string to id plus an append-only id → `&'static str`
-//! table whose bytes sit in a [`Bump`](crate::Bump) arena that is never
+//! table whose bytes sit in a [`Bump`] arena that is never
 //! freed. Interning is a hash lookup (and, for new strings, one arena
 //! copy); resolving is an index load behind a read lock; comparing,
 //! hashing and storing symbols is integer work.

@@ -15,11 +15,13 @@
 //!
 //! The handle keeps one [`CloneDetector`] behind one `RwLock`: a clone
 //! check scores under the read guard, an insert applies under the write
-//! guard, and nothing is ever copied. It tracks the committed snapshot
-//! generation vs. uncommitted delta count, and fronts the match path with
-//! a two-tier near-duplicate cache (exact source, then fuzzy fingerprint)
-//! — most real traffic is the same snippet pasted again with cosmetic
-//! edits.
+//! guard, and the corpus is copied only on request: its fingerprints for
+//! [`CorpusHandle::fingerprints`], and its fingerprints and N-gram index
+//! for the snapshot writer in [`CorpusHandle::compact`]. It tracks the
+//! committed snapshot generation vs. uncommitted delta count, and fronts
+//! the match path with a two-tier near-duplicate cache (exact source,
+//! then fuzzy fingerprint) — most real traffic is the same snippet pasted
+//! again with cosmetic edits.
 
 use crate::cache::Lru;
 use ccd::{CcdParams, CloneDetector, CloneMatch, Fingerprint};
@@ -128,7 +130,7 @@ impl CorpusBuilder {
         // legitimately live in both the snapshot and a post-rotation
         // segment). Torn or corrupt tails are truncated with a warning,
         // never an error.
-        store.remove_stale_wals(generation);
+        store.retire_superseded(generation);
         let mut primary: Option<wal::Replay> = None;
         let mut orphans: Vec<wal::Replay> = Vec::new();
         for wal_generation in store.wal_generations() {
@@ -258,7 +260,7 @@ struct HandleInner {
     generation: AtomicU64,
     /// Inserts since the committed generation. Bumped under the
     /// detector's write guard and read by `compact` under the read guard
-    /// that captures the fingerprints, so the two always agree.
+    /// that copies the corpus, so the two always agree.
     deltas: AtomicU64,
     store: Option<SnapshotStore>,
     compacting: AtomicBool,
@@ -356,23 +358,14 @@ impl CorpusHandle {
     }
 
     /// The corpus in canonical (ascending doc id) order — the sweep and
-    /// evaluation consumers' view.
+    /// evaluation consumers' view. Slot order is insertion order, which
+    /// explicit-id inserts make differ from doc order.
     pub fn fingerprints(&self) -> Vec<(DocId, Fingerprint)> {
-        self.capture().0
-    }
-
-    /// The corpus in ascending doc id order and the delta count, both
-    /// read under one read guard. Slot order is insertion order, which
-    /// explicit-id inserts and snapshot loads make differ from doc order.
-    fn capture(&self) -> (Vec<(DocId, Fingerprint)>, u64) {
-        let (mut docs, deltas) = {
-            let detector = self.read();
-            let docs: Vec<(DocId, Fingerprint)> =
-                detector.iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect();
-            (docs, self.deltas())
-        };
+        // The guard is a temporary: it is released before the sort.
+        let mut docs: Vec<(DocId, Fingerprint)> =
+            self.read().iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect();
         docs.sort_by_key(|(doc, _)| *doc);
-        (docs, deltas)
+        docs
     }
 
     /// The detector's read guard (a poisoned lock is read through, like
@@ -480,12 +473,17 @@ impl CorpusHandle {
     /// one compaction runs at a time (`index_busy` otherwise). Returns
     /// the committed generation.
     ///
-    /// WAL rotation happens *before* the fingerprints are captured:
-    /// inserts racing into the compaction land in the next generation's
-    /// segment (and possibly also in the snapshot — replay deduplicates
-    /// by doc id, so the overlap is harmless), while a crash anywhere in
-    /// the window leaves both segments on disk for warm start to merge.
-    /// The retired segment is deleted only after the commit succeeds.
+    /// WAL rotation happens *before* the corpus is copied: inserts racing
+    /// into the compaction land in the next generation's segment (and
+    /// possibly also in the snapshot — replay deduplicates by doc id, so
+    /// the overlap is harmless), while a crash anywhere in the window
+    /// leaves both segments on disk for warm start to merge. The retired
+    /// segment and the superseded snapshot are deleted only after the
+    /// commit succeeds.
+    ///
+    /// The read guard is held only to copy the live detector's
+    /// fingerprints (in slot order) and N-gram index; encoding and the
+    /// fsyncs run outside it, so clone checks and inserts proceed.
     pub fn compact(&self) -> Result<u64, AnalysisError> {
         static COMPACTIONS: telemetry::Counter = telemetry::Counter::new("corpus.compactions");
         let store = self
@@ -520,13 +518,17 @@ impl CorpusHandle {
                 *wal = Some(writer);
             }
         }
-        let (docs, captured_deltas) = self.capture();
-        let snapshot = CloneDetector::from_shared(self.inner.params, Arc::new(docs));
-        store.commit(&snapshot, generation)?;
+        let (docs, index, captured_deltas) = {
+            let detector = self.read();
+            let docs: Vec<(DocId, Fingerprint)> =
+                detector.iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect();
+            (docs, detector.index().clone(), self.deltas())
+        };
+        store.commit(generation, &docs, &index)?;
         self.inner.generation.store(generation, Ordering::SeqCst);
-        store.remove_stale_wals(generation);
-        // Settle exactly the deltas the snapshot captured: inserts that
-        // applied after the capture stay counted.
+        store.retire_superseded(generation);
+        // Settle exactly the deltas the snapshot holds: inserts that
+        // applied after the copy stay counted.
         self.inner.deltas.fetch_sub(captured_deltas, Ordering::SeqCst);
         COMPACTIONS.incr();
         Ok(generation)
@@ -839,13 +841,27 @@ mod tests {
 
     #[test]
     fn fingerprints_view_is_doc_sorted() {
-        let handle =
-            CorpusBuilder::new(CcdParams::best()).from_sources([(5u64, DOC_A), (1u64, DOC_B)]);
+        let dir = std::env::temp_dir().join(format!("sodd_slot_order_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let builder = || CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir);
+        let slots = |handle: &CorpusHandle| -> Vec<u64> {
+            handle.read().iter_fingerprints().map(|(id, _)| id).collect()
+        };
+        let handle = builder().from_sources([(5u64, DOC_A), (1u64, DOC_B)]);
         handle.insert_source(Some(3), DOC_A_NEAR).unwrap();
         handle.insert_source(None, DOC_B).unwrap();
-        let slots: Vec<u64> = handle.read().iter_fingerprints().map(|(id, _)| id).collect();
-        assert_eq!(slots, vec![5, 1, 3, 6], "slot order is insertion order");
+        assert_eq!(slots(&handle), vec![5, 1, 3, 6], "slot order is insertion order");
         let ids: Vec<u64> = handle.fingerprints().iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![1, 3, 5, 6]);
+        // A compaction writes the slots as they are, and a warm start
+        // loads them back in that order, from the snapshot alone.
+        assert_eq!(handle.compact().unwrap(), 1);
+        let warm = builder().load_snapshot().unwrap().expect("generation 1 committed");
+        assert_eq!((warm.replayed_on_boot(), slots(&warm)), (0, vec![5, 1, 3, 6]));
+        assert_eq!(warm.fingerprints(), handle.fingerprints());
+        for source in [DOC_A, DOC_B, DOC_A_NEAR] {
+            assert_eq!(warm.matches(&query(source)), handle.matches(&query(source)));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

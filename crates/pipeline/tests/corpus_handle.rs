@@ -165,6 +165,14 @@ fn compaction_lifecycle_advances_generations() {
     assert_eq!((handle.generation(), handle.deltas()), (1, 1));
     assert_eq!(handle.compact().unwrap(), 2);
     assert_eq!((handle.generation(), handle.deltas()), (2, 0));
+    // Generation 2 supersedes generation 1's snapshot and both WAL
+    // segments before it.
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["CURRENT", "gen-2.idx", "wal-2.log"]);
 
     // Reload: generation 2 carries both documents.
     let warm = CorpusBuilder::new(CcdParams::best())

@@ -11,7 +11,7 @@
 //! single arena copy the first time a text is seen), spans are two `u32`
 //! offsets, and line/column bookkeeping is gone — positions are resolved on
 //! demand through an [`intern::LineIndex`]. The previous `String`-allocating
-//! implementation is preserved verbatim in [`reference`] as the
+//! implementation is preserved verbatim in [`mod@reference`] as the
 //! differential-testing oracle.
 
 use crate::span::Span;
