@@ -32,7 +32,7 @@ cargo test --release --offline --manifest-path crates/server/examples/perfbench/
 # vendored stand-ins of external crates are not this repository's code to
 # lint.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps \
-  --exclude proptest --exclude rand --exclude criterion --exclude serde --exclude serde_derive
+  --exclude proptest --exclude rand --exclude criterion
 
 # Frontend perf smoke: re-measure the parse+CPG pass and fail on a >20%
 # throughput regression against the last `interned` point recorded in
@@ -177,7 +177,9 @@ wait "$SERVE_PID"
 # the snapshot commit in its most adversarial window (gen-2 data file
 # written, CURRENT pointer not yet flipped), kill -9 the daemon inside
 # that window, and require the next start to load generation 1 as if the
-# torn commit never happened.
+# torn commit never happened, with both acknowledged inserts: one made
+# before the compaction (in wal-1.log) and one inside its commit window
+# (in wal-2.log, the segment the compaction rotated to).
 : > "$PORT_FILE"
 FAULT_SPEC="index:delay:1500ms" FAULT_SEED=1 \
 ./target/release/serve --port 0 --port-file "$PORT_FILE" --corpus 16 \
@@ -195,7 +197,11 @@ curl -sf -X POST "http://$SNAP_ADDR/v1/index/insert" \
   --data '{"v":1,"source":"contract CiDelta { function f() public { msg.sender.transfer(1); } }"}' \
   -o /dev/null
 curl -s -X POST "http://$SNAP_ADDR/v1/index/compact" -o /dev/null 2>/dev/null &
-sleep 0.6
+sleep 0.3
+curl -sf -X POST "http://$SNAP_ADDR/v1/index/insert" \
+  --data '{"v":1,"source":"contract CiLate { uint n; function g(uint k) public { n += k; } }"}' \
+  -o /dev/null
+sleep 0.3
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 : > "$PORT_FILE"
@@ -207,8 +213,8 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -s "$PORT_FILE" ] || { echo "recovery serve never wrote its port"; cat /tmp/serve_snap_recover.log; exit 1; }
-grep -q "warm start: generation 1" /tmp/serve_snap_recover.log \
-  || { echo "torn commit broke the warm start"; cat /tmp/serve_snap_recover.log; exit 1; }
+grep -q "warm start: generation 1 (18 docs, 2 replayed from WAL)" /tmp/serve_snap_recover.log \
+  || { echo "torn commit lost an insert or the warm start"; cat /tmp/serve_snap_recover.log; exit 1; }
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 rm -rf "$SNAP_DIR"

@@ -12,7 +12,6 @@
 //! category whose base pattern is absent from the code.
 
 use ccc::Dasp;
-use serde::{Deserialize, Serialize};
 
 /// A simplified analyzer model.
 #[derive(Debug, Clone)]
@@ -23,7 +22,7 @@ pub struct Analyzer {
 }
 
 /// A reported finding: category plus a stable per-file index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ToolFinding {
     /// Reported category.
     pub category: Dasp,

@@ -8,13 +8,12 @@
 //! compares whole files (no function-level order independence), and does
 //! no candidate pre-filtering (O(n²) comparisons).
 
-use serde::{Deserialize, Serialize};
 use solidity::ast::*;
 use solidity::visitor::{walk_expr, walk_stmt, walk_unit, Visit};
 use std::collections::HashMap;
 
 /// A structural embedding: frequency vector over structural tokens.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Embedding {
     counts: HashMap<String, f64>,
 }

@@ -1,10 +1,9 @@
 //! The DASP Top-10 taxonomy and the 17 query identifiers of CCC (§4.4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The Decentralized Application Security Project Top-10 categories (§2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dasp {
     /// Lacking restrictions to sensitive functionality.
     AccessControl,
@@ -67,7 +66,7 @@ impl fmt::Display for Dasp {
 }
 
 /// The 17 vulnerability queries of CCC, one per Appendix B listing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum QueryId {
     /// Listing 3 — unrestricted writes to state used for access control.
     AcUnrestrictedWrite,

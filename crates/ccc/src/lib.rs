@@ -33,10 +33,9 @@ pub use solidity::AnalysisError;
 
 use cpg::{Cpg, NodeId};
 use helpers::Ctx;
-use serde::{Deserialize, Serialize};
 
 /// A reported vulnerability location.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// The query that produced the finding.
     pub query: QueryId,

@@ -8,7 +8,6 @@
 
 use crate::tokenize::TokenizedUnit;
 use fuzzyhash::FuzzyHasher;
-use serde::{Deserialize, Serialize};
 
 /// Trigger block size of the fuzzy hasher: the expected number of tokens
 /// per digest piece. Fixed across all fingerprints so digests are mutually
@@ -18,7 +17,7 @@ pub const BLOCK_SIZE: u32 = 2;
 
 /// A structured fingerprint: base-64 sub-fingerprints per function,
 /// `.`-separated within a contract, `:`-separated between contracts.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Fingerprint(pub String);
 
 impl Fingerprint {

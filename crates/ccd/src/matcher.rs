@@ -11,13 +11,12 @@ use crate::normalize::normalize_unit;
 use crate::tokenize::tokenize_unit;
 use fuzzyhash::Pattern;
 use ngram_index::{DocId, NgramIndex};
-use serde::{Deserialize, Serialize};
 use solidity::AnalysisError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// CCD matching parameters (Table 9 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CcdParams {
     /// N-gram size for candidate retrieval (paper sweeps {3, 5, 7}).
     pub ngram_size: usize,
@@ -120,7 +119,7 @@ pub fn order_independent_similarity_pair(f1: &Fingerprint, f2: &Fingerprint) -> 
 }
 
 /// A match result: document id and its ε score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloneMatch {
     /// The matched document.
     pub doc: DocId,

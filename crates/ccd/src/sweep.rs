@@ -24,7 +24,6 @@
 use crate::fingerprint::Fingerprint;
 use crate::matcher::{order_independent_similarity_pair, CcdParams, CloneDetector};
 use ngram_index::{DocId, NgramIndex};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// N values of the Table 9 grid.
@@ -75,7 +74,7 @@ impl LabelledCorpus {
 }
 
 /// Precision/recall outcome of one parameter combination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Parameters evaluated.
     pub params: CcdParams,

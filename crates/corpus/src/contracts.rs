@@ -19,11 +19,10 @@ use crate::qa::{QaCorpus, QaSnippet, TIMELINE_DAYS};
 use crate::templates::{benign_templates, Level};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Solidity compiler minor version of a deployed contract (§6.1 reports
 /// the distribution 0.8: 59%, 0.6: 16%, 0.4: 13%, 0.5: 7.4%, 0.7: 4%).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Compiler {
     /// pragma solidity ^0.4.x
     V04,
@@ -56,7 +55,7 @@ impl Compiler {
 }
 
 /// Ground truth of an embedded snippet clone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddedClone {
     /// The embedded snippet's id.
     pub snippet: u64,
@@ -67,7 +66,7 @@ pub struct EmbeddedClone {
 }
 
 /// A deployed contract.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeployedContract {
     /// Contract id.
     pub id: u64,
@@ -85,14 +84,14 @@ pub struct DeployedContract {
 }
 
 /// The generated contract corpus.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ContractCorpus {
     /// All contracts.
     pub contracts: Vec<DeployedContract>,
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SanctuaryConfig {
     /// RNG seed.
     pub seed: u64,

@@ -17,10 +17,9 @@
 use crate::mutate::{mutate, CloneType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The nine honeypot types of Torres et al. (Table 3 rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HoneypotType {
     /// Balance Disorder.
     BalanceDisorder,
@@ -73,7 +72,7 @@ impl HoneypotType {
 }
 
 /// A honeypot contract of the dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Honeypot {
     /// Contract id (index into the dataset).
     pub id: u64,
@@ -86,7 +85,7 @@ pub struct Honeypot {
 }
 
 /// The honeypot dataset.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HoneypotDataset {
     /// All contracts (the original dataset has 379).
     pub contracts: Vec<Honeypot>,

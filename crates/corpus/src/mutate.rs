@@ -12,7 +12,7 @@ use solidity::token::Keyword;
 use std::collections::HashMap;
 
 /// Clone types of Roy and Cordy (§2.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CloneType {
     /// Layout/comment changes only.
     TypeI,

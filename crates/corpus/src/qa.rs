@@ -15,10 +15,9 @@ use crate::templates::{benign_templates, vulnerable_templates, Level, Template};
 use ccc::QueryId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Q&A site of a post (Table 4 splits counts by site).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Site {
     /// stackoverflow.com
     StackOverflow,
@@ -37,7 +36,7 @@ impl Site {
 }
 
 /// Ground truth of a generated snippet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SnippetTruth {
     /// Genuine Solidity from a template.
     Solidity {
@@ -59,7 +58,7 @@ pub enum SnippetTruth {
 }
 
 /// A Q&A post.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QaPost {
     /// Post id.
     pub id: u64,
@@ -72,7 +71,7 @@ pub struct QaPost {
 }
 
 /// A code snippet extracted from a post.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QaSnippet {
     /// Snippet id.
     pub id: u64,
@@ -105,7 +104,7 @@ impl QaSnippet {
 }
 
 /// The generated corpus.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct QaCorpus {
     /// All posts.
     pub posts: Vec<QaPost>,
@@ -133,7 +132,7 @@ impl QaCorpus {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QaConfig {
     /// RNG seed.
     pub seed: u64,

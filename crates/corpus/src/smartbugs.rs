@@ -24,10 +24,9 @@ use crate::templates::{benign_templates, vulnerable_templates, Level, Template};
 use ccc::{Checker, Dasp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Kind of a dataset instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceKind {
     /// Canonical vulnerable pattern; every CCC finding on it is labelled.
     Easy,
@@ -41,7 +40,7 @@ pub enum InstanceKind {
 
 /// One code piece of a curated file, kept at all three hierarchy levels so
 /// the Functions/Statements datasets can be derived.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Instance {
     /// Contract-level rendering (what goes into the file).
     pub contract: String,
@@ -56,7 +55,7 @@ pub struct Instance {
 }
 
 /// A labelled dataset file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CuratedFile {
     /// File name (`access_control/unprotected_03.sol` style).
     pub name: String,
@@ -83,7 +82,7 @@ impl CuratedFile {
 }
 
 /// The curated dataset.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CuratedDataset {
     /// All files.
     pub files: Vec<CuratedFile>,

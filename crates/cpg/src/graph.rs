@@ -9,14 +9,13 @@
 
 use crate::kinds::{AstRole, EdgeKind, NodeKind};
 use intern::{LineIndex, Symbol};
-use serde::{Deserialize, Serialize};
 use solidity::Span;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,7 +31,7 @@ impl NodeId {
 /// Every textual property is an interned [`Symbol`]: copies are free,
 /// equality is an integer compare, and [`Props::get`] can hand out borrowed
 /// `&'static str` views without cloning.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Props {
     /// Canonical source form of the node (`msg.sender`, `a + b`, ...).
     pub code: Symbol,
@@ -82,7 +81,7 @@ impl Props {
 }
 
 /// A node: label + properties + source span.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Label.
     pub kind: NodeKind,
@@ -93,7 +92,7 @@ pub struct Node {
 }
 
 /// A directed, typed edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Source node.
     pub from: NodeId,
@@ -107,7 +106,7 @@ pub struct Edge {
 const NIL: u32 = u32::MAX;
 
 /// One stored edge plus its links in the per-node adjacency lists.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct EdgeCell {
     edge: Edge,
     next_out: u32,
@@ -115,7 +114,7 @@ struct EdgeCell {
 }
 
 /// Per-node heads and tails of the outgoing and incoming edge lists.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct AdjHead {
     first_out: u32,
     last_out: u32,
@@ -135,7 +134,7 @@ impl AdjHead {
 /// amortized growth of three flat `Vec`s. The previous representation
 /// (one out-`Vec` and one in-`Vec` per node) spent two heap allocations
 /// on every connected node, which dominated the translation hot path.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Graph {
     nodes: Vec<Node>,
     cells: Vec<EdgeCell>,

@@ -8,11 +8,10 @@
 //! `REFERS_TO` reference-resolution edges and `INVOKES`/`RETURNS`
 //! inter-procedural edges.
 
-use serde::{Deserialize, Serialize};
 
 /// Node labels. Names follow the upstream CPG library so the queries of the
 /// paper's Appendix B map one-to-one onto this graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeKind {
     /// Root of one translated source unit.
     TranslationUnit,
@@ -218,7 +217,7 @@ pub const ALL_KINDS: &[NodeKind] = &[
 ];
 
 /// Roles of syntax (`AST`) edges — the child's grammatical position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AstRole {
     /// Generic child.
     Child,
@@ -306,7 +305,7 @@ impl AstRole {
 }
 
 /// Edge kinds of the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EdgeKind {
     /// Syntax edge with its grammatical role.
     Ast(AstRole),

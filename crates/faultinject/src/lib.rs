@@ -59,6 +59,7 @@ pub const POINTS: &[&str] = &[
     "ccd/sweep",
     "server/request",
     "index/commit",
+    "corpus/apply",
     "wal/append",
     "wal/fsync",
     "wal/replay",

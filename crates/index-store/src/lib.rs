@@ -24,6 +24,9 @@
 //!   generation takes every insert before it is applied in memory, and
 //!   warm start replays the tail on top of the snapshot, so live inserts
 //!   survive `kill -9` without waiting for a compaction.
+//! * [`journal`] — the segment protocol's one owner: [`Journal`] creates,
+//!   recovers, appends to and rotates segments, and its [`Rotation`]
+//!   commits a generation and retires what it supersedes.
 //!
 //! The live-service layers above — incremental insert, compaction, the
 //! near-duplicate front cache and the `/v1/index` admin API — live in
@@ -33,9 +36,11 @@
 #![warn(missing_docs)]
 
 pub mod format;
+pub mod journal;
 pub mod store;
 pub mod wal;
 
 pub use format::{decode, encode, FORMAT_VERSION};
+pub use journal::{Journal, Recovery, Rotation};
 pub use store::{Snapshot, SnapshotStore, CURRENT};
 pub use wal::{FsyncPolicy, WalStats, WalWriter};

@@ -13,7 +13,7 @@
 //! torn pointer. The previous generation's file is kept until the new
 //! `CURRENT` is durable, so a kill during compaction always leaves a
 //! loadable snapshot behind (`ci.sh` proves this with a real `kill -9`);
-//! after that, [`SnapshotStore::retire_superseded`] deletes it with the
+//! after that, [`crate::journal::Rotation::commit`] deletes it with the
 //! WAL segments the new generation contains.
 //!
 //! Rename atomicity alone only covers process death. For power loss the
@@ -22,7 +22,7 @@
 //! `CURRENT` can never point at bytes (or a directory entry) the disk
 //! has not seen. The live-insert side of the same discipline is the
 //! write-ahead log in [`crate::wal`]; its `wal-<N>.log` segments live in
-//! this directory and are managed through [`SnapshotStore::wal_path`].
+//! this directory and are managed by [`crate::journal::Journal`] alone.
 
 use crate::format;
 use ccd::{CcdParams, CloneDetector, Fingerprint};
@@ -99,7 +99,7 @@ impl SnapshotStore {
     }
 
     /// Path of a generation's write-ahead log segment.
-    pub fn wal_path(&self, generation: u64) -> PathBuf {
+    pub(crate) fn wal_path(&self, generation: u64) -> PathBuf {
         self.dir.join(format!("wal-{generation}.log"))
     }
 
@@ -126,7 +126,7 @@ impl SnapshotStore {
 
     /// Generations that have a WAL segment on disk, ascending. Replay
     /// validates each segment by its header.
-    pub fn wal_generations(&self) -> Vec<u64> {
+    pub(crate) fn wal_generations(&self) -> Vec<u64> {
         let mut generations: Vec<u64> = self
             .generation_files(&[("wal-", ".log")])
             .into_iter()
@@ -140,7 +140,7 @@ impl SnapshotStore {
     /// `current`, once `CURRENT` durably names `current`: that snapshot
     /// holds every record of the older ones. Best-effort: a file that
     /// cannot be removed is re-attempted at the next commit or warm start.
-    pub fn retire_superseded(&self, current: u64) {
+    pub(crate) fn retire_superseded(&self, current: u64) {
         for (generation, path) in self.generation_files(&[("gen-", ".idx"), ("wal-", ".log")]) {
             if generation < current {
                 let _ = std::fs::remove_file(path);

@@ -4,7 +4,7 @@
 //! insert is appended here *before* it is applied in memory, so a
 //! `kill -9` between the append and the next compaction loses nothing:
 //! warm start loads the committed `gen-<N>.idx` snapshot and replays the
-//! segment's records on top of it.
+//! records of the segments at or above it on top.
 //!
 //! ## On-disk layout
 //!
@@ -44,7 +44,11 @@
 //! * `never` — leave flushing to the kernel entirely.
 //!
 //! Chaos hooks: `wal/append` fires before a record's bytes are written,
-//! `wal/fsync` before any segment fsync, `wal/replay` at replay entry.
+//! `wal/fsync` before an append's or a group commit's fsync, `wal/replay`
+//! at replay entry.
+//!
+//! Which segments exist, and which one takes appends, is decided by
+//! [`crate::journal::Journal`] alone.
 
 use ccd::Fingerprint;
 use ngram_index::DocId;
@@ -284,6 +288,14 @@ pub fn replay(path: &Path, expected_generation: u64) -> Result<Option<Replay>, A
     Ok(Some(replay))
 }
 
+/// Fsync the segment at `path`: a warm start makes each segment it
+/// replayed durable before serving the records again.
+pub(crate) fn sync_segment(path: &Path) -> Result<(), AnalysisError> {
+    File::open(path).and_then(|file| file.sync_data()).map_err(|e| {
+        AnalysisError::index_corrupt(format!("cannot sync WAL segment {}: {e}", path.display()))
+    })
+}
+
 struct FlushState {
     dirty: bool,
     stop: bool,
@@ -336,9 +348,8 @@ impl std::fmt::Debug for WalWriter {
 
 impl WalWriter {
     /// Start a fresh segment for `generation`, truncating any previous
-    /// file at `path` (cold boot and compaction rotation — the records
-    /// a truncated file held are either in the committed snapshot or in
-    /// memory about to be committed).
+    /// file at `path` (cold boot and compaction rotation; a rotation
+    /// never targets a segment that holds records).
     pub fn create(
         path: impl Into<PathBuf>,
         generation: u64,
@@ -425,9 +436,9 @@ impl WalWriter {
         self.generation
     }
 
-    /// Path of the segment file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// When this writer fsyncs its appends.
+    pub fn policy(&self) -> FsyncPolicy {
+        self.policy
     }
 
     /// Live counters.
@@ -479,17 +490,6 @@ impl WalWriter {
         WAL_APPENDS.incr();
         WAL_APPEND_US.observe(start.elapsed().as_micros() as u64);
         Ok(())
-    }
-
-    /// Force an fsync now, regardless of policy (used when consolidating
-    /// replayed segments at boot, before deleting their source files).
-    pub fn sync(&self) -> Result<(), AnalysisError> {
-        self.shared.sync().map_err(|e| {
-            AnalysisError::index_corrupt(format!(
-                "cannot sync WAL segment {}: {e}",
-                self.path.display()
-            ))
-        })
     }
 }
 

@@ -182,9 +182,6 @@ impl From<String> for Symbol {
     }
 }
 
-impl serde::Serialize for Symbol {}
-impl<'de> serde::Deserialize<'de> for Symbol {}
-
 /// A fast, non-cryptographic hasher (FxHash-style multiply-xor), used for
 /// the intern shards where DoS resistance is irrelevant and speed is not.
 #[derive(Default)]

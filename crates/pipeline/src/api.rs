@@ -61,12 +61,6 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
-    /// Restrict scans to a subset of the 17 detectors.
-    pub fn with_detectors(mut self, detectors: &[QueryId]) -> Self {
-        self.detectors = Some(detectors.to_vec());
-        self
-    }
-
     /// Restrict scans to detectors given by their stable names
     /// ([`QueryId::name`]); unknown names are a query error.
     pub fn with_detector_names<S: AsRef<str>>(
@@ -147,47 +141,6 @@ fn parse_detector_names<S: AsRef<str>>(names: &[S]) -> Result<Vec<QueryId>, Anal
             })
         })
         .collect()
-}
-
-/// Per-request trace identity carried alongside an [`AnalysisRequest`]
-/// through the facade.
-///
-/// The server's ingress builds one from the `X-Trace-Id` header;
-/// programmatic callers use [`TraceContext::none`] (a fresh id is minted
-/// if tracing is on) or [`TraceContext::with_id`] to correlate with an
-/// outer system. [`AnalysisEngine::analyze_traced`] opens the request's
-/// root span from it; the analysis stages below (parse, CPG build/expand,
-/// query eval, CCC detectors, CCD fingerprint/match) attach their spans
-/// via the thread-local set up by that root, so the context never needs
-/// to thread through their signatures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceContext {
-    /// Trace id to adopt; `None` mints a fresh id when tracing is on.
-    pub trace_id: Option<telemetry::trace::TraceId>,
-}
-
-impl TraceContext {
-    /// No caller-supplied id (mint one if tracing is enabled).
-    pub fn none() -> TraceContext {
-        TraceContext { trace_id: None }
-    }
-
-    /// Adopt an explicit trace id.
-    pub fn with_id(id: telemetry::trace::TraceId) -> TraceContext {
-        TraceContext { trace_id: Some(id) }
-    }
-
-    /// Parse a caller-supplied hex id (e.g. an `X-Trace-Id` header
-    /// value); unparseable input falls back to [`TraceContext::none`].
-    pub fn from_hex(hex: &str) -> TraceContext {
-        TraceContext { trace_id: telemetry::trace::TraceId::from_hex(hex) }
-    }
-
-    /// The id this context resolves to: the adopted id, or a freshly
-    /// minted one.
-    pub fn resolve(self) -> telemetry::trace::TraceId {
-        self.trace_id.unwrap_or_else(telemetry::trace::new_trace_id)
-    }
 }
 
 /// A typed analysis request — the facade's single entry point.
@@ -598,45 +551,18 @@ impl AnalysisEngine {
     }
 
     /// The deadline a request starting now would run under, per the
-    /// configured per-request timeout (`None` when unlimited). Callers
-    /// that do their own pre-work before [`analyze_deadline`] (e.g. the
-    /// server parsing the request body) use this to start the clock early.
-    ///
-    /// [`analyze_deadline`]: AnalysisEngine::analyze_deadline
-    pub fn deadline_from_now(&self) -> Option<Instant> {
+    /// configured per-request timeout (`None` when unlimited).
+    fn deadline_from_now(&self) -> Option<Instant> {
         self.config
             .timeout_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms))
-    }
-
-    /// Run one request under an explicit [`TraceContext`]: opens the
-    /// request's root trace span (adopting the context's id, or minting
-    /// one) unless this thread already has an active trace — the server
-    /// ingress opens the trace earlier to also cover request parsing, and
-    /// then this call is a no-op wrapper around [`analyze_deadline`].
-    ///
-    /// [`analyze_deadline`]: AnalysisEngine::analyze_deadline
-    pub fn analyze_traced(
-        &self,
-        request: &AnalysisRequest,
-        trace: TraceContext,
-        deadline: Option<Instant>,
-    ) -> Result<AnalysisResponse, AnalysisError> {
-        // Resolve the id only when tracing is on, so the disabled path
-        // neither allocates nor consumes ids from a seeded sequence.
-        let _trace = if telemetry::trace::enabled() {
-            telemetry::trace::start(trace.resolve(), "analyze")
-        } else {
-            telemetry::trace::TraceGuard::inert()
-        };
-        self.analyze_deadline(request, deadline)
     }
 
     /// Run one request with an explicit deadline. The deadline is checked
     /// cooperatively at stage boundaries (before graph construction,
     /// before query execution, before clone matching), so an expensive
     /// stage overruns by at most its own duration.
-    pub fn analyze_deadline(
+    fn analyze_deadline(
         &self,
         request: &AnalysisRequest,
         deadline: Option<Instant>,

@@ -6,12 +6,11 @@ use crate::api::{AnalysisConfig, AnalysisEngine, AnalysisRequest, AnalysisRespon
 use baselines::analyzers::{all_analyzers, Analyzer};
 use ccc::Dasp;
 use corpus::smartbugs::{score_file, CuratedDataset};
-use serde::{Deserialize, Serialize};
 use stats::Confusion;
 use std::collections::BTreeMap;
 
 /// Per-tool evaluation result across categories.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ToolResult {
     /// Tool name.
     pub tool: String,
@@ -86,7 +85,7 @@ fn evaluate_with(
 }
 
 /// Table 2: CCC on the Original / Functions / Statements datasets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnippetLevelResult {
     /// Dataset name.
     pub dataset: String,

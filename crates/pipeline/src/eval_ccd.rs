@@ -7,12 +7,11 @@ use crate::corpus_index::CorpusBuilder;
 use baselines::smartembed::{SmartEmbed, SMARTEMBED_THRESHOLD};
 use ccd::{CcdParams, SweepEngine};
 use corpus::honeypots::{HoneypotDataset, HoneypotType};
-use serde::{Deserialize, Serialize};
 use stats::Confusion;
 use std::collections::{BTreeMap, HashSet};
 
 /// Per-honeypot-type TP/FP of a clone detector (one Table 3 column pair).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HoneypotResult {
     /// Tool name.
     pub tool: String,
@@ -127,7 +126,7 @@ pub fn evaluate_smartembed(dataset: &HoneypotDataset) -> HoneypotResult {
 
 /// One Figure 9 series point: parameters plus precision/recall on the
 /// honeypot dataset.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SweepRow {
     /// Parameters.
     pub params: CcdParams,

@@ -4,12 +4,11 @@
 
 use corpus::keywords::looks_like_solidity;
 use corpus::qa::{QaCorpus, QaSnippet, Site};
-use serde::{Deserialize, Serialize};
 use solidity::SnippetLevel;
 use std::collections::HashMap;
 
 /// One Table 4 row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunnelRow {
     /// Q&A site, `None` for the Total row.
     pub site: Option<Site>,
@@ -26,7 +25,7 @@ pub struct FunnelRow {
 }
 
 /// A snippet that survived the funnel, ready for the study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UniqueSnippet {
     /// Original snippet id (the first occurrence of the text).
     pub id: u64,
@@ -39,7 +38,7 @@ pub struct UniqueSnippet {
 }
 
 /// Funnel statistics beyond the Table 4 rows (the §6.1 prose numbers).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FunnelStats {
     /// Table rows: one per site plus the total.
     pub rows: Vec<FunnelRow>,
@@ -54,7 +53,7 @@ pub struct FunnelStats {
 }
 
 /// The funnel output: statistics plus the surviving snippet set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FunnelOutput {
     /// Table 4 statistics.
     pub stats: FunnelStats,

@@ -14,11 +14,10 @@ use corpus::qa::{QaCorpus, SnippetTruth};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Oracle verdict on one sampled pairing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AuditVerdict {
     /// Snippet truly vulnerable (generator seeded a vulnerability)?
     pub snippet_tp: bool,
@@ -30,7 +29,7 @@ pub struct AuditVerdict {
 }
 
 /// Table 8: the 2×2×2 outcome grid.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditGrid {
     /// (true_clone, snippet_tp, contract_tp) → count.
     pub cells: BTreeMap<(bool, bool, bool), usize>,

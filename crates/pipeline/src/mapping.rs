@@ -6,11 +6,10 @@
 use crate::funnel::UniqueSnippet;
 use ccd::{CcdParams, CloneDetector};
 use corpus::contracts::ContractCorpus;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The snippet → contract clone mapping.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CloneMapping {
     /// For each snippet id: the contract ids containing a clone of it
     /// (score ≥ ε), sorted.

@@ -17,11 +17,10 @@ use ccd::CcdParams;
 use corpus::contracts::ContractCorpus;
 use corpus::qa::QaCorpus;
 use cpg::Cpg;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Study configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StudyConfig {
     /// CCD parameters (the paper uses the conservative N=3, η=0.5, ε=0.9).
     pub ccd: CcdParams,
@@ -51,7 +50,7 @@ impl Default for StudyConfig {
 }
 
 /// Validation outcome of one candidate contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValidationOutcome {
     /// Vulnerability confirmed in phase 1.
     VulnerablePhase1,
@@ -79,7 +78,7 @@ impl ValidationOutcome {
 }
 
 /// One validated (snippet, contract) pairing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationRecord {
     /// The vulnerable snippet.
     pub snippet: u64,
@@ -95,7 +94,7 @@ pub struct ValidationRecord {
 
 /// The study output: every Table 7 cell plus the Table 6 distribution and
 /// the per-pair records for manual validation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StudyResult {
     /// Unique parsable snippets (Table 7 "Unique").
     pub unique_snippets: usize,

@@ -16,12 +16,11 @@
 use crate::mapping::CloneMapping;
 use corpus::contracts::ContractCorpus;
 use corpus::qa::QaCorpus;
-use serde::{Deserialize, Serialize};
 use stats::spearman::{spearman, SpearmanResult};
 use std::collections::{HashMap, HashSet};
 
 /// Temporal category of Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TemporalGroup {
     /// All matched contracts.
     All,
@@ -43,7 +42,7 @@ impl TemporalGroup {
 }
 
 /// Per-snippet adoption record.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Adoption {
     /// Snippet id.
     pub snippet: u64,
@@ -110,7 +109,7 @@ pub fn adoptions(
 }
 
 /// One Table 5 row.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CorrelationRow {
     /// Temporal category.
     pub group: TemporalGroup,

@@ -189,6 +189,39 @@ const DOC_A: &str = "contract A { function w(uint v) public { msg.sender.transfe
 const DOC_B: &str = "contract B { uint t; function a(uint v) public { t += v; } }";
 const DOC_C: &str = "contract C { mapping(address=>uint) m; function s(uint v) public { m[msg.sender] = v; } }";
 
+/// Slot order is insertion order, which explicit-id inserts make differ
+/// from doc order: a compaction writes the slots as they are, a warm
+/// start loads them back in that order from the snapshot alone, and
+/// `fingerprints()` is sorted by doc id throughout.
+#[test]
+fn fingerprints_view_is_doc_sorted() {
+    let dir = temp_dir("slotorder");
+    let builder = || CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir);
+    let store = SnapshotStore::open(&dir).unwrap();
+    let committed_slots = || -> Vec<u64> {
+        let snapshot = store.load_current().unwrap().expect("a committed generation");
+        snapshot.fingerprints().iter().map(|(id, _)| *id).collect()
+    };
+    let handle = builder().from_sources([(5u64, DOC_A), (1u64, DOC_B)]);
+    handle.insert_source(Some(3), DOC_C).unwrap();
+    handle.insert_source(None, DOC_B).unwrap();
+    let ids: Vec<u64> = handle.fingerprints().iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, vec![1, 3, 5, 6]);
+    assert_eq!(handle.compact().unwrap(), 1);
+    assert_eq!(committed_slots(), vec![5, 1, 3, 6], "slot order is insertion order");
+    let warm = builder().load_snapshot().unwrap().expect("generation 1 committed");
+    assert_eq!(warm.replayed_on_boot(), 0);
+    assert_eq!(warm.fingerprints(), handle.fingerprints());
+    for source in [DOC_A, DOC_B, DOC_C] {
+        let query = CloneDetector::fingerprint_source(source).unwrap();
+        assert_eq!(warm.matches(&query), handle.matches(&query));
+    }
+    // The warm handle holds every document in the slot it had.
+    assert_eq!(warm.compact().unwrap(), 2);
+    assert_eq!(committed_slots(), vec![5, 1, 3, 6]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The tentpole invariant: inserts acknowledged after the last
 /// compaction survive a crash (modeled by simply never compacting and
 /// loading the directory fresh) and answer byte-identically.

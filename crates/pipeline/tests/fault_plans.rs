@@ -3,11 +3,12 @@
 //! body, and `armed` uninstalls the plan even when the closure panics, so
 //! no plan outlives the test that armed it.
 
-use ccd::CcdParams;
+use ccd::{CcdParams, CloneDetector};
 use pipeline::api::{AnalysisConfig, AnalysisEngine, AnalysisRequest};
-use pipeline::corpus_index::CorpusBuilder;
-use std::path::PathBuf;
+use pipeline::corpus_index::{CorpusBuilder, CorpusHandle};
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
@@ -31,8 +32,20 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The directory's file names, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    files
+}
+
 const DOC_A: &str = "contract A { function w(uint v) public { msg.sender.transfer(v); } }";
 const DOC_B: &str = "contract B { uint t; function a(uint v) public { t += v; } }";
+const DOC_C: &str = "contract C { mapping(address=>uint) m; function s(uint v) public { m[msg.sender] = v; } }";
+const DOC_D: &str = "contract D { address o; function k() public { selfdestruct(o); } }";
 
 /// Chaos runs must reach the real stages: while a plan is armed the
 /// response cache neither serves a stored answer nor stores a new one.
@@ -106,5 +119,85 @@ fn failed_wal_append_rejects_the_insert() {
     let warm =
         CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir).load_snapshot().unwrap().unwrap();
     assert_eq!(warm.len(), 2, "only the acknowledged insert replays");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An insert held between its WAL append and its apply keeps a
+/// compaction waiting: the compaction must not copy the corpus without
+/// the document and then retire the segment that holds its record, or the
+/// acknowledged insert lives only in memory.
+#[test]
+fn an_insert_held_before_its_apply_survives_a_compaction() {
+    let _lock = lock();
+    let dir = temp_dir("applyrace");
+    let handle =
+        CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir).from_sources([(0u64, DOC_A)]);
+    handle.compact().unwrap();
+    let segment = dir.join("wal-1.log");
+    let empty = std::fs::metadata(&segment).unwrap().len();
+    let fingerprint = CloneDetector::fingerprint_source(DOC_B).unwrap();
+    armed("corpus/apply:delay:300ms", || {
+        std::thread::scope(|scope| {
+            let insert = scope.spawn(|| handle.insert_fingerprint(Some(42), fingerprint));
+            // Once the segment grows the record is appended, and the
+            // insert sleeps before its apply.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while std::fs::metadata(&segment).unwrap().len() == empty {
+                assert!(Instant::now() < deadline, "the insert never reached the WAL");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(handle.compact().unwrap(), 2);
+            assert_eq!(insert.join().unwrap().unwrap(), 42);
+        });
+    });
+    let settled = (handle.generation(), handle.deltas());
+    drop(handle);
+    let warm =
+        CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir).load_snapshot().unwrap().unwrap();
+    let ids: Vec<u64> = warm.fingerprints().iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, vec![0, 42], "the acknowledged insert was lost");
+    assert_eq!(settled, (2, 0), "generation 2 was committed without the insert");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A commit that fails after its rotation leaves records in two
+/// segments: the committed generation's and the one above it. Warm starts
+/// replay both and resume the newer one, and the next compaction reuses
+/// it and retires the rest.
+#[test]
+fn records_on_both_sides_of_a_failed_commit_survive() {
+    let _lock = lock();
+    let dir = temp_dir("twosegments");
+    let builder = || CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir);
+    let handle = builder().from_sources([(0u64, DOC_A)]);
+    handle.compact().unwrap();
+    handle.insert_source(None, DOC_B).unwrap();
+    let err = armed("index:err:1.0", || handle.compact()).unwrap_err();
+    assert_eq!(err.code(), "internal", "{err}");
+    // The writer stayed on wal-2.log, so this record lands there, and a
+    // retry that fails again appends to that segment instead of
+    // truncating it.
+    handle.insert_source(None, DOC_C).unwrap();
+    armed("index:err:1.0", || handle.compact()).unwrap_err();
+    drop(handle);
+    let ids = |handle: &CorpusHandle| -> Vec<u64> {
+        handle.fingerprints().iter().map(|(id, _)| *id).collect()
+    };
+
+    let warm = builder().load_snapshot().unwrap().unwrap();
+    assert_eq!((warm.generation(), warm.replayed_on_boot()), (1, 2));
+    assert_eq!(ids(&warm), vec![0, 1, 2]);
+    warm.insert_source(None, DOC_D).unwrap();
+    drop(warm);
+    let warm = builder().load_snapshot().unwrap().unwrap();
+    assert_eq!((warm.generation(), warm.replayed_on_boot()), (1, 3));
+    assert_eq!(ids(&warm), vec![0, 1, 2, 3]);
+
+    assert_eq!(warm.compact().unwrap(), 2);
+    assert_eq!(listing(&dir), ["CURRENT", "gen-2.idx", "wal-2.log"]);
+    drop(warm);
+    let reloaded = builder().load_snapshot().unwrap().unwrap();
+    assert_eq!((reloaded.generation(), reloaded.deltas()), (2, 0));
+    assert_eq!(ids(&reloaded), vec![0, 1, 2, 3]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,7 +29,7 @@
 //! picks the fsync discipline (`always` per append, `batch:<ms>` group
 //! commit — the default `batch:5`, `never` leaves flushing to the OS).
 //! `--compact-after N` folds deltas into a new snapshot generation in
-//! the background once more than N accumulate (default off).
+//! the background once the delta count reaches N (default off).
 //!
 //! Observability: metrics and request tracing are on by default in the
 //! daemon (`--trace off` or `TELEMETRY=0` disables everything; the kill

@@ -60,7 +60,7 @@ compile_error!("the server's transport is an epoll reactor: it builds on Linux o
 use accesslog::{AccessLog, AccessRecord};
 use breaker::{BreakerConfig, CircuitBreaker};
 use http::{HttpError, Request};
-use pipeline::api::{error_to_json, AnalysisRequest, AnalysisResponse, TraceContext};
+use pipeline::api::{error_to_json, AnalysisRequest, AnalysisResponse};
 use pipeline::par::{PoolFull, PoolMonitor, WorkerPool};
 use pipeline::AnalysisEngine;
 use solidity::AnalysisError;
@@ -100,7 +100,7 @@ pub struct ServerConfig {
     /// the slow log.
     pub slow_ms: u64,
     /// Trigger a background compaction once the corpus delta count
-    /// crosses this threshold (`None` disables — compaction stays
+    /// reaches this threshold (`None` disables — compaction stays
     /// manual via `POST /v1/index/compact`).
     pub compact_after: Option<u64>,
 }
@@ -893,13 +893,7 @@ fn analyze(
             error_body("breaker_open", "circuit breaker is open; retry after cooldown"),
         );
     }
-    // Carry the ingress trace identity through the facade explicitly.
-    // The ingress already opened this thread's trace, so the engine's
-    // own root-span open is a no-op — but a programmatic caller going
-    // straight through `pipeline::api` gets the same propagation.
-    let trace_ctx = TraceContext { trace_id: trace::current_trace_id() };
-    let deadline = state.engine.deadline_from_now();
-    match state.engine.analyze_traced(&parsed, trace_ctx, deadline) {
+    match state.engine.analyze(&parsed) {
         Ok(response) => {
             breaker.record_success();
             (200, JSON, AnalysisResponse::to_json(&response))
@@ -949,13 +943,12 @@ fn batch(request: &Request, state: &ServiceState) -> (u16, &'static str, String)
         if i > 0 {
             out.push(',');
         }
-        let result = item.as_ref().map_err(Clone::clone).and_then(|request| {
-            let trace_ctx = TraceContext { trace_id: trace::current_trace_id() };
-            // Each item gets its own full deadline — a slow item times
-            // out alone instead of starving its successors.
-            let deadline = state.engine.deadline_from_now();
-            state.engine.analyze_traced(request, trace_ctx, deadline)
-        });
+        // Each item gets its own full deadline — a slow item times out
+        // alone instead of starving its successors.
+        let result = item
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|request| state.engine.analyze(request));
         match result {
             Ok(response) => out.push_str(&AnalysisResponse::to_json(&response)),
             Err(error) => {
@@ -1015,7 +1008,8 @@ fn index_status(state: &ServiceState) -> (u16, &'static str, String) {
 /// document is a *delta* until the next compaction: served from memory,
 /// made crash-durable by the write-ahead log when the server runs with a
 /// snapshot directory. With `--compact-after N` a successful insert that
-/// pushes the delta count over N kicks off a background compaction.
+/// brings the delta count to N or beyond kicks off a background
+/// compaction.
 fn index_insert(request: &Request, state: &ServiceState) -> (u16, &'static str, String) {
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,

@@ -7,12 +7,11 @@
 
 use crate::span::Span;
 use intern::{LineIndex, Symbol};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A parsed source unit: a full file, a bare function, or a pile of
 /// statements, depending on what the snippet contained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceUnit {
     /// Top-level items in source order.
     pub items: Vec<SourceItem>,
@@ -35,7 +34,7 @@ impl SourceUnit {
 }
 
 /// Anything that can appear at the top level of a (snippet) source unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SourceItem {
     /// `pragma solidity ^0.8.0;`
     Pragma(Pragma),
@@ -64,7 +63,7 @@ pub enum SourceItem {
 }
 
 /// `pragma <name> <value>;`
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pragma {
     /// Pragma name, usually `solidity`.
     pub name: Symbol,
@@ -75,7 +74,7 @@ pub struct Pragma {
 }
 
 /// Kind of a contract-like definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContractKind {
     /// `contract`
     Contract,
@@ -100,7 +99,7 @@ impl ContractKind {
 }
 
 /// A contract, interface or library definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContractDef {
     /// Contract kind.
     pub kind: ContractKind,
@@ -115,7 +114,7 @@ pub struct ContractDef {
 }
 
 /// One entry of an `is` clause: base name plus optional constructor args.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InheritanceSpecifier {
     /// Possibly qualified base name (`A.B` is stored joined with `.`).
     pub name: Symbol,
@@ -124,7 +123,7 @@ pub struct InheritanceSpecifier {
 }
 
 /// A member of a contract body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ContractPart {
     /// State variable declaration.
     Variable(StateVarDecl),
@@ -147,7 +146,7 @@ pub enum ContractPart {
 }
 
 /// Kind of a function-like definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FunctionKind {
     /// A named (or unnamed legacy default) function.
     Function,
@@ -162,7 +161,7 @@ pub enum FunctionKind {
 }
 
 /// Visibility of functions and state variables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Visibility {
     /// `public`
     Public,
@@ -187,7 +186,7 @@ impl Visibility {
 }
 
 /// State mutability of a function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mutability {
     /// `pure`
     Pure,
@@ -212,7 +211,7 @@ impl Mutability {
 }
 
 /// Data location of a parameter or local variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Storage {
     /// `memory`
     Memory,
@@ -234,7 +233,7 @@ impl Storage {
 }
 
 /// A function, constructor, fallback or receive definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionDef {
     /// What kind of function this is.
     pub kind: FunctionKind,
@@ -272,7 +271,7 @@ impl FunctionDef {
 }
 
 /// One `Modifier(args)` or bare `Modifier` in a function header.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModifierInvocation {
     /// Modifier (or base contract) name.
     pub name: Symbol,
@@ -283,7 +282,7 @@ pub struct ModifierInvocation {
 }
 
 /// A modifier definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModifierDef {
     /// Modifier name.
     pub name: Symbol,
@@ -296,7 +295,7 @@ pub struct ModifierDef {
 }
 
 /// A function/event/error/modifier parameter or return slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Declared type.
     pub ty: TypeName,
@@ -311,7 +310,7 @@ pub struct Param {
 }
 
 /// A state variable declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateVarDecl {
     /// Declared type.
     pub ty: TypeName,
@@ -330,7 +329,7 @@ pub struct StateVarDecl {
 }
 
 /// A struct definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructDef {
     /// Struct name.
     pub name: Symbol,
@@ -341,7 +340,7 @@ pub struct StructDef {
 }
 
 /// An enum definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnumDef {
     /// Enum name.
     pub name: Symbol,
@@ -352,7 +351,7 @@ pub struct EnumDef {
 }
 
 /// An event declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventDef {
     /// Event name.
     pub name: Symbol,
@@ -365,7 +364,7 @@ pub struct EventDef {
 }
 
 /// A custom error declaration (`error NotOwner(address caller);`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorDef {
     /// Error name.
     pub name: Symbol,
@@ -376,7 +375,7 @@ pub struct ErrorDef {
 }
 
 /// `using <library> for <type>;`
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsingFor {
     /// Library name.
     pub library: Symbol,
@@ -387,7 +386,7 @@ pub struct UsingFor {
 }
 
 /// A type name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TypeName {
     /// An elementary type (`uint256`, `address`, `address payable`, ...).
     Elementary(Symbol),
@@ -446,7 +445,7 @@ impl TypeName {
 }
 
 /// A block of statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Statements in order.
     pub statements: Vec<Statement>,
@@ -455,7 +454,7 @@ pub struct Block {
 }
 
 /// A statement with its source location.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Statement {
     /// The statement proper.
     pub kind: StatementKind,
@@ -464,7 +463,7 @@ pub struct Statement {
 }
 
 /// One local declaration slot inside a variable-declaration statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarDeclPart {
     /// Declared type; `None` inside tuple destructuring with `var`.
     pub ty: Option<TypeName>,
@@ -477,7 +476,7 @@ pub struct VarDeclPart {
 }
 
 /// Statement kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StatementKind {
     /// `{ ... }`
     Block(Block),
@@ -557,7 +556,7 @@ pub enum StatementKind {
 }
 
 /// An expression with its source location.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
     /// The expression proper.
     pub kind: ExprKind,
@@ -566,7 +565,7 @@ pub struct Expr {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -649,7 +648,7 @@ impl BinOp {
 }
 
 /// Assignment operators (`=`, `+=`, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AssignOp {
     /// `=`
     Assign,
@@ -703,7 +702,7 @@ impl AssignOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// `!`
     Not,
@@ -734,7 +733,7 @@ impl UnOp {
 }
 
 /// Literal values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Lit {
     /// Numeric literal with an optional unit suffix (`1 ether`, `30 days`).
     Number {
@@ -752,7 +751,7 @@ pub enum Lit {
 }
 
 /// Expression kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExprKind {
     /// `lhs op rhs`
     Binary {

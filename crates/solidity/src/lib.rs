@@ -47,7 +47,7 @@ pub use span::Span;
 /// Classification of what a parsed snippet contains at its top level,
 /// mirroring the composition statistics reported in §6.1 of the paper
 /// (contract definitions vs. only functions vs. only statements).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SnippetLevel {
     /// At least one contract / interface / library definition.
     Contract,

@@ -6,11 +6,10 @@
 //! [`crate::ast::SourceUnit`]), instead of being threaded through every
 //! token and AST node as they were before the interning rebuild.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open byte range `[start, end)` into the original source text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: u32,

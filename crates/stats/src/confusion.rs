@@ -1,11 +1,10 @@
 //! Confusion-matrix accounting: TP/FP/FN counters with precision, recall
 //! and F1, as reported in Tables 1–3 of the paper.
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// A TP/FP/FN counter.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Confusion {
     /// True positives.
     pub tp: usize,

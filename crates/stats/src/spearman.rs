@@ -1,10 +1,9 @@
 //! Spearman's rank correlation coefficient ρ with a t-approximation
 //! p-value.
 
-use serde::{Deserialize, Serialize};
 
 /// Result of a Spearman correlation test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpearmanResult {
     /// The rank correlation coefficient, in [-1, 1].
     pub rho: f64,

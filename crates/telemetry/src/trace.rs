@@ -248,15 +248,6 @@ pub struct TraceGuard {
     live: bool,
 }
 
-impl TraceGuard {
-    /// An inert guard recording nothing — for call sites that resolve
-    /// the trace id lazily and must not consume one while tracing is
-    /// off.
-    pub const fn inert() -> TraceGuard {
-        TraceGuard { live: false }
-    }
-}
-
 /// Open a trace with root span `name`. Returns an inert guard while
 /// tracing is disabled, or when this thread already has an active trace
 /// (traces never nest within a thread).
