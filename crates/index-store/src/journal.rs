@@ -34,6 +34,7 @@ use std::path::PathBuf;
 pub struct Journal {
     store: SnapshotStore,
     writer: WalWriter,
+    policy: FsyncPolicy,
 }
 
 /// What [`Journal::recover`] rebuilt from a directory.
@@ -65,12 +66,14 @@ impl Journal {
     pub fn create(dir: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Journal, AnalysisError> {
         let store = SnapshotStore::open(dir)?;
         let writer = WalWriter::create(store.wal_path(0), 0, policy)?;
-        Ok(Journal { store, writer })
+        Ok(Journal { store, writer, policy })
     }
 
     /// A warm start (see the module docs). `Ok(None)` when the directory
     /// has no committed snapshot; typed `index_corrupt`/`index_version`
-    /// errors when the snapshot or a segment header cannot be trusted.
+    /// errors when the snapshot or a segment header cannot be trusted,
+    /// and an `internal` error when a replayed segment cannot be fsynced
+    /// (the directory is intact; its records are not yet durable).
     /// Torn segment tails are truncated with a warning, never an error.
     pub fn recover(
         dir: impl Into<PathBuf>,
@@ -101,7 +104,7 @@ impl Journal {
             Some(replay) => WalWriter::resume(store.wal_path(replay.generation), policy, &replay)?,
             None => WalWriter::create(store.wal_path(committed), committed, policy)?,
         };
-        Ok(Some(Recovery { journal: Journal { store, writer }, snapshot, records }))
+        Ok(Some(Recovery { journal: Journal { store, writer, policy }, snapshot, records }))
     }
 
     /// Append one record to the active segment (durable per the fsync
@@ -119,11 +122,8 @@ impl Journal {
         if self.writer.generation() < generation {
             // The old writer drops here: its flusher drains, and its
             // segment stays on disk until the commit supersedes it.
-            self.writer = WalWriter::create(
-                self.store.wal_path(generation),
-                generation,
-                self.writer.policy(),
-            )?;
+            self.writer =
+                WalWriter::create(self.store.wal_path(generation), generation, self.policy)?;
         }
         Ok(Rotation { store: self.store.clone(), generation })
     }
@@ -131,11 +131,6 @@ impl Journal {
     /// Live counters of the active segment.
     pub fn stats(&self) -> WalStats {
         self.writer.stats()
-    }
-
-    /// The fsync policy of the active segment.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.writer.policy()
     }
 }
 

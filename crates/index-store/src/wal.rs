@@ -44,8 +44,8 @@
 //! * `never` — leave flushing to the kernel entirely.
 //!
 //! Chaos hooks: `wal/append` fires before a record's bytes are written,
-//! `wal/fsync` before an append's or a group commit's fsync, `wal/replay`
-//! at replay entry.
+//! `wal/fsync` before an append's, a group commit's or a warm start's
+//! fsync, `wal/replay` at replay entry.
 //!
 //! Which segments exist, and which one takes appends, is decided by
 //! [`crate::journal::Journal`] alone.
@@ -289,10 +289,17 @@ pub fn replay(path: &Path, expected_generation: u64) -> Result<Option<Replay>, A
 }
 
 /// Fsync the segment at `path`: a warm start makes each segment it
-/// replayed durable before serving the records again.
+/// replayed durable before serving the records again. A failure is an
+/// `internal` error, not `index_corrupt`: the bytes validated, and a
+/// caller that rebuilds over a corrupt directory must not rebuild over
+/// this one.
 pub(crate) fn sync_segment(path: &Path) -> Result<(), AnalysisError> {
-    File::open(path).and_then(|file| file.sync_data()).map_err(|e| {
-        AnalysisError::index_corrupt(format!("cannot sync WAL segment {}: {e}", path.display()))
+    let synced = match faultinject::fire("wal/fsync") {
+        Some(message) => Err(std::io::Error::other(format!("injected: {message}"))),
+        None => File::open(path).and_then(|file| file.sync_data()),
+    };
+    synced.map_err(|e| {
+        AnalysisError::internal(format!("cannot sync WAL segment {}: {e}", path.display()))
     })
 }
 
@@ -434,11 +441,6 @@ impl WalWriter {
     /// Generation of the segment this writer appends to.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// When this writer fsyncs its appends.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
     }
 
     /// Live counters.

@@ -31,8 +31,8 @@ use index_store::{FsyncPolicy, Journal, WalStats};
 use ngram_index::DocId;
 use solidity::AnalysisError;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 /// Default capacity of each front-cache tier.
 pub const DEFAULT_FRONT_CACHE_CAPACITY: usize = 2048;
@@ -168,6 +168,7 @@ impl CorpusBuilder {
             .max()
             .unwrap_or(0);
         let ids = detector.iter_fingerprints().map(|(doc, _)| doc).collect();
+        let wal_policy = journal.is_some().then_some(self.wal_fsync);
         CorpusHandle {
             inner: Arc::new(HandleInner {
                 params: self.params,
@@ -175,7 +176,8 @@ impl CorpusBuilder {
                 generation: AtomicU64::new(generation),
                 deltas: AtomicU64::new(replayed),
                 writer: Mutex::new(Writer { ids, next_doc, journal }),
-                compacting: Mutex::new(()),
+                wal_policy,
+                compacting: AtomicBool::new(false),
                 front: FrontCache::new(self.front_cache_capacity),
                 replayed_on_boot: replayed,
                 auto_compactions: AtomicU64::new(0),
@@ -199,11 +201,14 @@ struct HandleInner {
     deltas: AtomicU64,
     /// The one writer lock. An insert holds it from the duplicate check
     /// through the WAL append and the detector apply; a compaction holds
-    /// it to rotate the journal and copy the corpus. Taken before the
-    /// detector's guard, never after.
+    /// it to rotate the journal. Taken before the detector's guard, never
+    /// after.
     writer: Mutex<Writer>,
-    /// Held by the compaction in flight; `try_lock`ed, never waited on.
-    compacting: Mutex<()>,
+    /// The WAL fsync policy (`None` without a snapshot directory). Fixed
+    /// at assembly, so reading it takes no lock.
+    wal_policy: Option<FsyncPolicy>,
+    /// Set while a compaction is in flight.
+    compacting: AtomicBool,
     front: FrontCache,
     /// WAL records replayed when this handle warm-started.
     replayed_on_boot: u64,
@@ -259,8 +264,9 @@ impl CorpusHandle {
         self.inner.deltas.load(Ordering::SeqCst)
     }
 
-    /// Live write-ahead log counters; `None` without a snapshot
-    /// directory (nothing to log against).
+    /// Live write-ahead log counters of the active segment, read under
+    /// the writer lock that appends to it and rotates it; `None` without
+    /// a snapshot directory (nothing to log against).
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.writer().journal.as_ref().map(Journal::stats)
     }
@@ -268,10 +274,7 @@ impl CorpusHandle {
     /// The WAL fsync policy's canonical name, or `"off"` when the handle
     /// has no WAL.
     pub fn fsync_policy_name(&self) -> String {
-        match &self.writer().journal {
-            Some(journal) => journal.policy().name(),
-            None => "off".into(),
-        }
+        self.inner.wal_policy.map_or_else(|| "off".into(), |policy| policy.name())
     }
 
     /// WAL records replayed when this handle warm-started (0 for cold
@@ -372,13 +375,15 @@ impl CorpusHandle {
             if let Some(journal) = writer.journal.as_mut() {
                 journal.append(doc, &fingerprint)?;
             }
-            // Chaos hook: a delay holds the insert between its append and
-            // its apply. The record is already logged, so no other fault
-            // kind is honoured here.
-            let _ = faultinject::fire("corpus/apply");
+            // The record is logged: reserve its id before anything else
+            // can fail, so no later insert logs a second record under it.
             writer.ids.insert(doc);
             // Keep the allocator above every id ever seen.
             writer.next_doc = writer.next_doc.max(doc + 1);
+            // Chaos hook: a delay holds the insert between its append and
+            // its apply. A panic rule fires here too, after the record is
+            // logged and its id reserved; an error rule is ignored.
+            let _ = faultinject::fire("corpus/apply");
             let mut detector =
                 self.inner.detector.write().unwrap_or_else(|poisoned| poisoned.into_inner());
             detector.insert_fingerprint(doc, fingerprint);
@@ -409,35 +414,37 @@ impl CorpusHandle {
     /// the committed generation.
     ///
     /// Under the writer lock, the journal rotates to the next
-    /// generation's WAL segment ([`Journal::rotate`]) and the live
-    /// detector's fingerprints (in slot order) and N-gram index are
-    /// copied under its read guard. Every insert whose record is in an
-    /// older segment was applied before the lock was taken, so the copy
-    /// holds it; later inserts land in the new segment (and possibly also
-    /// in the copy: replay deduplicates by doc id). Encoding, the fsyncs
-    /// and the retirement of the superseded snapshot and segments run
-    /// after both locks are released, so clone checks and inserts proceed.
+    /// generation's WAL segment ([`Journal::rotate`]). Every insert whose
+    /// record is in an older segment held that lock through its apply, so
+    /// it is in the live detector, whose fingerprints (in slot order) and
+    /// N-gram index are then copied under its read guard; later inserts
+    /// land in the new segment (and possibly also in the copy: replay
+    /// deduplicates by doc id). Encoding, the fsyncs and the retirement of
+    /// the superseded snapshot and segments run after the guard is
+    /// released, so clone checks and inserts proceed.
     pub fn compact(&self) -> Result<u64, AnalysisError> {
         static COMPACTIONS: telemetry::Counter = telemetry::Counter::new("corpus.compactions");
-        let _compacting = match self.inner.compacting.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                return Err(AnalysisError::index_busy("a compaction is already in flight"));
+        if self.inner.compacting.swap(true, Ordering::SeqCst) {
+            return Err(AnalysisError::index_busy("a compaction is already in flight"));
+        }
+        // Clear the flag on every exit path, including commit errors.
+        struct Clear<'a>(&'a AtomicBool);
+        impl Drop for Clear<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::SeqCst);
             }
-        };
+        }
+        let _clear = Clear(&self.inner.compacting);
         let generation = self.generation() + 1;
-        let (rotation, docs, index, captured_deltas) = {
-            let mut writer = self.writer();
-            let journal = writer
-                .journal
-                .as_mut()
-                .ok_or_else(|| AnalysisError::invalid("no snapshot directory configured"))?;
-            let rotation = journal.rotate(generation)?;
+        let rotation = match self.writer().journal.as_mut() {
+            Some(journal) => journal.rotate(generation)?,
+            None => return Err(AnalysisError::invalid("no snapshot directory configured")),
+        };
+        let (docs, index, captured_deltas) = {
             let detector = self.read();
             let docs: Vec<(DocId, Fingerprint)> =
                 detector.iter_fingerprints().map(|(doc, fp)| (doc, fp.clone())).collect();
-            (rotation, docs, detector.index().clone(), self.deltas())
+            (docs, detector.index().clone(), self.deltas())
         };
         rotation.commit(&docs, &index)?;
         self.inner.generation.store(generation, Ordering::SeqCst);
@@ -456,9 +463,9 @@ impl CorpusHandle {
     pub fn maybe_auto_compact(&self, threshold: u64) -> bool {
         static AUTO_COMPACTIONS: telemetry::Counter =
             telemetry::Counter::new("corpus.auto_compactions");
-        if self.deltas() < threshold.max(1)
-            || matches!(self.inner.compacting.try_lock(), Err(TryLockError::WouldBlock))
-            || self.writer().journal.is_none()
+        if self.inner.wal_policy.is_none()
+            || self.deltas() < threshold.max(1)
+            || self.inner.compacting.load(Ordering::SeqCst)
         {
             return false;
         }

@@ -188,6 +188,9 @@ fn compaction_lifecycle_advances_generations() {
 const DOC_A: &str = "contract A { function w(uint v) public { msg.sender.transfer(v); } }";
 const DOC_B: &str = "contract B { uint t; function a(uint v) public { t += v; } }";
 const DOC_C: &str = "contract C { mapping(address=>uint) m; function s(uint v) public { m[msg.sender] = v; } }";
+/// Type-2 near-duplicate of DOC_A (renamed identifiers, extra spaces).
+const DOC_A_NEAR: &str =
+    "contract Wallet {  function out(uint amount) public { msg.sender.transfer(amount); } }";
 
 /// Slot order is insertion order, which explicit-id inserts make differ
 /// from doc order: a compaction writes the slots as they are, a warm
@@ -203,7 +206,7 @@ fn fingerprints_view_is_doc_sorted() {
         snapshot.fingerprints().iter().map(|(id, _)| *id).collect()
     };
     let handle = builder().from_sources([(5u64, DOC_A), (1u64, DOC_B)]);
-    handle.insert_source(Some(3), DOC_C).unwrap();
+    handle.insert_source(Some(3), DOC_A_NEAR).unwrap();
     handle.insert_source(None, DOC_B).unwrap();
     let ids: Vec<u64> = handle.fingerprints().iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, vec![1, 3, 5, 6]);
@@ -212,10 +215,15 @@ fn fingerprints_view_is_doc_sorted() {
     let warm = builder().load_snapshot().unwrap().expect("generation 1 committed");
     assert_eq!(warm.replayed_on_boot(), 0);
     assert_eq!(warm.fingerprints(), handle.fingerprints());
-    for source in [DOC_A, DOC_B, DOC_C] {
+    for source in [DOC_A, DOC_B, DOC_A_NEAR] {
         let query = CloneDetector::fingerprint_source(source).unwrap();
         assert_eq!(warm.matches(&query), handle.matches(&query));
     }
+    // The case the canonical order exists for: one answer holding two
+    // documents whose slot order (5 before 3) reverses their doc order.
+    let query = CloneDetector::fingerprint_source(DOC_A_NEAR).unwrap();
+    let docs: Vec<u64> = handle.matches(&query).iter().map(|m| m.doc).collect();
+    assert!(docs.contains(&3) && docs.contains(&5), "DOC_A_NEAR matched {docs:?}");
     // The warm handle holds every document in the slot it had.
     assert_eq!(warm.compact().unwrap(), 2);
     assert_eq!(committed_slots(), vec![5, 1, 3, 6]);

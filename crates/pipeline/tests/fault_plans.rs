@@ -122,6 +122,25 @@ fn failed_wal_append_rejects_the_insert() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A warm start that cannot fsync a replayed segment fails as
+/// `internal`, not `index_corrupt`: the directory validated, so a caller
+/// must not rebuild over it, and a retry recovers every record.
+#[test]
+fn failed_boot_fsync_is_not_reported_as_corruption() {
+    let _lock = lock();
+    let dir = temp_dir("bootsync");
+    let builder = || CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir);
+    let handle = builder().from_sources([(0u64, DOC_A)]);
+    handle.compact().unwrap();
+    handle.insert_source(None, DOC_B).unwrap();
+    drop(handle);
+    let err = armed("wal/fsync:err:1.0", || builder().load_snapshot()).err().expect("sync fails");
+    assert_eq!(err.code(), "internal", "{err}");
+    let warm = builder().load_snapshot().unwrap().unwrap();
+    assert_eq!((warm.len(), warm.replayed_on_boot()), (2, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An insert held between its WAL append and its apply keeps a
 /// compaction waiting: the compaction must not copy the corpus without
 /// the document and then retire the segment that holds its record, or the
@@ -157,6 +176,30 @@ fn an_insert_held_before_its_apply_survives_a_compaction() {
     let ids: Vec<u64> = warm.fingerprints().iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, vec![0, 42], "the acknowledged insert was lost");
     assert_eq!(settled, (2, 0), "generation 2 was committed without the insert");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A panic between an insert's append and its apply leaves the record
+/// in the log, so its id stays taken: the next insert gets a fresh id,
+/// and a reload keeps that acknowledged insert under it.
+#[test]
+fn a_panic_before_the_apply_keeps_the_logged_id_taken() {
+    let _lock = lock();
+    let dir = temp_dir("applypanic");
+    let builder = || CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir);
+    let handle = builder().from_sources([(0u64, DOC_A)]);
+    handle.compact().unwrap();
+    let panicked = armed("corpus/apply:panic:1.0", || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle.insert_source(None, DOC_B)
+        }))
+    });
+    assert!(panicked.is_err(), "the panic rule did not fire");
+    assert_eq!(handle.insert_source(None, DOC_C).unwrap(), 2);
+    drop(handle);
+    let warm = builder().load_snapshot().unwrap().unwrap();
+    let acknowledged = (2, CloneDetector::fingerprint_source(DOC_C).unwrap());
+    assert!(warm.fingerprints().contains(&acknowledged), "the acknowledged insert was lost");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -19,7 +19,10 @@
 //! Warm start: with `--snapshot-dir`, the corpus is loaded from the
 //! directory's committed snapshot generation (milliseconds — no
 //! re-fingerprinting) when one exists; otherwise it is built from source
-//! and committed as generation 1 so the *next* start is warm. The
+//! and committed as generation 1 so the *next* start is warm. A
+//! snapshot that fails validation is rebuilt from source; a directory
+//! that validated but cannot be recovered (a replayed WAL segment fails
+//! to fsync) stops the daemon with exit 1 instead. The
 //! `/v1/index` endpoints then manage the live corpus: `insert` adds
 //! documents in memory, `compact` folds them into the next generation.
 //!
@@ -223,9 +226,16 @@ fn main() {
                     }
                     handle
                 }
-                Err(e) => {
+                Err(e) if matches!(e.code(), "index_corrupt" | "index_version") => {
                     eprintln!("[serve] cannot load snapshot ({e}); rebuilding from source");
                     build_cold(builder().snapshot_dir(dir))
+                }
+                // The directory validated but could not be recovered (a
+                // failed fsync of a replayed segment): a cold rebuild
+                // would drop the inserts only its WAL holds.
+                Err(e) => {
+                    eprintln!("[serve] cannot recover snapshot directory: {e}");
+                    std::process::exit(1);
                 }
             }
         }
