@@ -217,6 +217,44 @@ grep -q "warm start: generation 1 (18 docs, 2 replayed from WAL)" /tmp/serve_sna
   || { echo "torn commit lost an insert or the warm start"; cat /tmp/serve_snap_recover.log; exit 1; }
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
+
+# Rebuild over an unloadable snapshot: the directory now holds CURRENT
+# (generation 1), gen-1.idx, wal-1.log and wal-2.log. Truncate the
+# committed snapshot, require the boot to rebuild from source and commit
+# above every generation the directory names (3), then insert, kill -9,
+# and require the next boot to warm-load generation 3 with that insert
+# replayed, and nothing of the old lineage's WAL.
+truncate -s 10 "$SNAP_DIR/gen-1.idx"
+: > "$PORT_FILE"
+./target/release/serve --port 0 --port-file "$PORT_FILE" --corpus 16 \
+  --snapshot-dir "$SNAP_DIR" >/tmp/serve_snap_rebuild.log 2>&1 &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+  [ -s "$PORT_FILE" ] && break
+  sleep 0.1
+done
+[ -s "$PORT_FILE" ] || { echo "rebuild serve never wrote its port"; cat /tmp/serve_snap_rebuild.log; exit 1; }
+grep -q "rebuilding from source" /tmp/serve_snap_rebuild.log \
+  && grep -q "committed as snapshot generation 3" /tmp/serve_snap_rebuild.log \
+  || { echo "unloadable snapshot not rebuilt above the old lineage"; cat /tmp/serve_snap_rebuild.log; exit 1; }
+curl -sf -X POST "http://127.0.0.1:$(cat "$PORT_FILE")/v1/index/insert" \
+  --data '{"v":1,"source":"contract CiRebuilt { function h() public { msg.sender.transfer(2); } }"}' \
+  -o /dev/null
+kill -9 "$SERVE_PID"
+wait "$SERVE_PID" 2>/dev/null || true
+: > "$PORT_FILE"
+./target/release/serve --port 0 --port-file "$PORT_FILE" --corpus 16 \
+  --snapshot-dir "$SNAP_DIR" >/tmp/serve_snap_rebuilt.log 2>&1 &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+  [ -s "$PORT_FILE" ] && break
+  sleep 0.1
+done
+[ -s "$PORT_FILE" ] || { echo "post-rebuild serve never wrote its port"; cat /tmp/serve_snap_rebuilt.log; exit 1; }
+grep -q "warm start: generation 3 (17 docs, 1 replayed from WAL)" /tmp/serve_snap_rebuilt.log \
+  || { echo "insert after a rebuild lost or old lineage replayed"; cat /tmp/serve_snap_rebuilt.log; exit 1; }
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
 rm -rf "$SNAP_DIR"
 rm -f "$PORT_FILE"
 

@@ -327,15 +327,6 @@ impl<'a> Ctx<'a> {
             )
     }
 
-    /// Whether the function contains a check on `msg.data` (typically
-    /// `msg.data.length`) feeding a guard — the Listing 12 mitigation.
-    pub fn checks_msg_data(&self, function: NodeId) -> bool {
-        self.g().descendants(function).into_iter().any(|n| {
-            let node = self.g().node(n);
-            node.props.code.starts_with("msg.data") && self.feeds_guard(n)
-        })
-    }
-
     /// Nodes evaluation-order reachable from `from`, crossing into called
     /// functions (`EOG|INVOKES|RETURNS*`, the Listing 17 closure).
     pub fn eog_interproc_after(&self, from: NodeId) -> HashSet<NodeId> {

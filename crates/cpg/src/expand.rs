@@ -8,7 +8,6 @@
 
 use intern::Symbol;
 use solidity::ast::*;
-use solidity::Span;
 use std::borrow::Cow;
 use intern::FxHashMap;
 
@@ -159,12 +158,6 @@ pub fn collect_modifiers(unit: &SourceUnit) -> FxHashMap<Symbol, &ModifierDef> {
         }
     }
     map
-}
-
-/// A dummy span-carrying helper used by tests.
-#[doc(hidden)]
-pub fn dummy_span() -> Span {
-    Span::DUMMY
 }
 
 #[cfg(test)]

@@ -347,14 +347,6 @@ impl Graph {
         self.enclosing(id, |n| n.kind.is_function_like())
     }
 
-    /// The enclosing record (contract) of a node, if any.
-    pub fn enclosing_record(&self, id: NodeId) -> Option<NodeId> {
-        if self.node(id).kind == NodeKind::RecordDeclaration {
-            return Some(id);
-        }
-        self.enclosing(id, |n| n.kind == NodeKind::RecordDeclaration)
-    }
-
     /// All AST descendants of a node (excluding the node itself).
     pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
         let mut result = Vec::new();

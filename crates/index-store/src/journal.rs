@@ -6,9 +6,13 @@
 //!
 //! * **append** — every accepted insert is appended to the active segment
 //!   before the caller applies it in memory;
+//! * **create** — a cold start's segment sits above every generation the
+//!   directory names, so its first commit supersedes whatever an
+//!   unloadable snapshot left behind;
 //! * **rotate** — a compaction targeting generation G starts `wal-G.log`
 //!   before it copies the corpus, unless the active segment is already at
-//!   G or beyond: a segment that holds records is never truncated;
+//!   G or beyond, in which case it commits the active segment's
+//!   generation: a segment that holds records is never truncated;
 //! * **commit** — the [`Rotation`] writes `gen-G.idx`, flips `CURRENT`,
 //!   and only then deletes every snapshot file and segment below G;
 //! * **recover** — a warm start loads the committed generation C, deletes
@@ -16,8 +20,9 @@
 //!   order (skipping doc ids already present), fsyncs each replayed
 //!   segment unless the policy is `never`, and resumes the newest.
 //!
-//! At most one segment sits above `CURRENT`: a compaction only rotates to
-//! C+1, and a failed commit leaves the writer on C+1, which the next
+//! At most one segment sits above `CURRENT` once a commit succeeds: a
+//! compaction only rotates to C+1 (or commits the higher active segment),
+//! and a failed commit leaves the writer on its segment, which the next
 //! compaction reuses. A record can be both in a snapshot and in a segment
 //! above it (an insert that raced a compaction, or a retried commit);
 //! replay's doc-id dedup absorbs the overlap.
@@ -61,11 +66,16 @@ pub struct Rotation {
 
 impl Journal {
     /// A cold start: open (creating if needed) `dir` and start a fresh
-    /// generation-0 segment. The caller's in-memory corpus is the whole
-    /// corpus, so a stale segment at that name has nothing to add.
+    /// segment above every generation the directory already names (its
+    /// `gen-N.idx` and `wal-N.log` files and `CURRENT`), or at 0 in an
+    /// empty directory. The caller's in-memory corpus is the whole
+    /// corpus, so the first commit (at that generation, see
+    /// [`Journal::rotate`]) supersedes the older lineage instead of
+    /// sitting below it.
     pub fn create(dir: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Journal, AnalysisError> {
         let store = SnapshotStore::open(dir)?;
-        let writer = WalWriter::create(store.wal_path(0), 0, policy)?;
+        let generation = store.newest_generation().map_or(0, |newest| newest + 1);
+        let writer = WalWriter::create(store.wal_path(generation), generation, policy)?;
         Ok(Journal { store, writer, policy })
     }
 
@@ -116,9 +126,12 @@ impl Journal {
 
     /// Start appending to `generation`'s segment, unless the active one
     /// is already at or beyond it, and return the commit that supersedes
-    /// the older segments. The caller copies its corpus after this
-    /// returns and before any further append is applied.
+    /// the older segments: at `generation`, or at the active segment's
+    /// generation when that is higher ([`Rotation::generation`]). The
+    /// caller copies its corpus after this returns and before any further
+    /// append is applied.
     pub fn rotate(&mut self, generation: u64) -> Result<Rotation, AnalysisError> {
+        let generation = generation.max(self.writer.generation());
         if self.writer.generation() < generation {
             // The old writer drops here: its flusher drains, and its
             // segment stays on disk until the commit supersedes it.
@@ -135,6 +148,11 @@ impl Journal {
 }
 
 impl Rotation {
+    /// The generation [`Rotation::commit`] writes.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Commit `docs` and `index` as the rotated generation
     /// ([`SnapshotStore::commit`]), then delete every snapshot file and
     /// segment it supersedes. On error nothing is deleted and the journal

@@ -136,6 +136,15 @@ impl SnapshotStore {
         generations
     }
 
+    /// The highest generation the directory names: its `gen-N.idx` and
+    /// `wal-N.log` files and a readable `CURRENT`. `None` when it names
+    /// none.
+    pub(crate) fn newest_generation(&self) -> Option<u64> {
+        let files = self.generation_files(&[("gen-", ".idx"), ("wal-", ".log")]);
+        let current = self.current_generation().ok().flatten();
+        files.into_iter().map(|(generation, _)| generation).chain(current).max()
+    }
+
     /// Delete every snapshot file and WAL segment of a generation before
     /// `current`, once `CURRENT` durably names `current`: that snapshot
     /// holds every record of the older ones. Best-effort: a file that

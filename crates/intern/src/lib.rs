@@ -15,11 +15,9 @@
 //! * [`Bump`] — a chunked bump arena for byte/string allocation. The
 //!   interner stores all symbol text in one; the CPG builder uses one as
 //!   its code-printing scratch space.
-//! * [`LineIndex`] / [`SourceMap`] — O(log n) resolution of `u32` byte
-//!   offsets to 1-based line/column, replacing the per-token line/col
-//!   fields the old lexer threaded through every `Span`.
-//! * [`newtype_index!`] — typed `u32` index newtypes (`NodeId`, `EdgeId`,
-//!   ...) for arena-backed graphs.
+//! * [`LineIndex`] — O(log n) resolution of `u32` byte offsets to
+//!   1-based line/column, replacing the per-token line/col fields the old
+//!   lexer threaded through every `Span`.
 //!
 //! Interned text is deliberately never freed: symbols are handles into an
 //! append-only table that lives for the process. Telemetry counters
@@ -29,13 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod index;
 pub mod source_map;
 pub mod symbol;
 pub mod table;
 
 pub use arena::Bump;
-pub use source_map::{LineIndex, SourceMap};
+pub use source_map::LineIndex;
 pub use table::StrTable;
 pub use symbol::{
     intern_fmt, interner_stats, sym, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, Symbol,

@@ -6,8 +6,6 @@
 //! over newline positions — replacing the line/col pair the old lexer
 //! threaded through every token.
 
-use std::sync::Arc;
-
 /// Newline positions of one source text, for O(log n) offset → (line,
 /// column) resolution. Lines and columns are 1-based; columns count
 /// **bytes**, matching what the pre-interning lexer reported.
@@ -61,48 +59,6 @@ impl LineIndex {
     /// Whether the indexed text was empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-}
-
-/// A source text bundled with its [`LineIndex`]. Cheap to clone and share:
-/// both the text and the index sit behind `Arc`s.
-#[derive(Debug, Clone)]
-pub struct SourceMap {
-    text: Arc<str>,
-    index: Arc<LineIndex>,
-}
-
-impl SourceMap {
-    /// Take ownership of `text` and index it.
-    pub fn new(text: impl Into<Arc<str>>) -> SourceMap {
-        let text = text.into();
-        let index = Arc::new(LineIndex::new(&text));
-        SourceMap { text, index }
-    }
-
-    /// The full source text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// The slice of the source covered by `[start, end)`, clamped to the
-    /// text's bounds (and empty when the range is inverted or not on
-    /// UTF-8 boundaries).
-    pub fn slice(&self, start: u32, end: u32) -> &str {
-        let len = self.text.len();
-        let start = (start as usize).min(len);
-        let end = (end as usize).min(len);
-        self.text.get(start..end).unwrap_or("")
-    }
-
-    /// The line index, shareable across consumers.
-    pub fn line_index(&self) -> &Arc<LineIndex> {
-        &self.index
-    }
-
-    /// The 1-based (line, byte-column) of byte `offset`.
-    pub fn line_col(&self, offset: u32) -> (u32, u32) {
-        self.index.line_col(offset)
     }
 }
 
@@ -162,16 +118,5 @@ mod tests {
         assert_eq!(idx.line_col(x_off), (1, 6));
         let y_off = text.find('y').unwrap() as u32;
         assert_eq!(idx.line_col(y_off), (2, 1));
-    }
-
-    #[test]
-    fn source_map_slices_and_resolves() {
-        let sm = SourceMap::new("contract C {\n  uint x;\n}");
-        assert_eq!(sm.slice(0, 8), "contract");
-        assert_eq!(sm.slice(15, 19), "uint");
-        assert_eq!(sm.line_col(15), (2, 3));
-        assert_eq!(sm.slice(0, 10_000), sm.text());
-        let sm2 = sm.clone();
-        assert_eq!(sm2.text(), sm.text());
     }
 }

@@ -80,11 +80,6 @@ impl Symbol {
     pub fn as_u32(self) -> u32 {
         self.0
     }
-
-    /// Whether this is the empty-string symbol.
-    pub fn is_empty_sym(self) -> bool {
-        self == sym::EMPTY
-    }
 }
 
 impl Default for Symbol {

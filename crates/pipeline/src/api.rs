@@ -420,11 +420,8 @@ impl AnalysisResponse {
 /// Encode an [`AnalysisError`] as a versioned JSON error document — the
 /// wire form of the facade's `Err` arm.
 pub fn error_to_json(error: &AnalysisError) -> String {
-    let mut out = format!(
-        "{{\"v\":{API_VERSION},\"kind\":\"error\",\"code\":\"{}\",\"message\":\"{}\"",
-        error.code(),
-        escape(&error.to_string())
-    );
+    let mut out = error_json(error.code(), &error.to_string());
+    out.pop(); // reopen the document for the kind's own fields
     match error {
         AnalysisError::Parse { line, col, .. } => {
             out.push_str(&format!(",\"line\":{line},\"col\":{col}"));
@@ -439,6 +436,16 @@ pub fn error_to_json(error: &AnalysisError) -> String {
     }
     out.push('}');
     out
+}
+
+/// The versioned JSON error document with `code` and `message` alone:
+/// the shape [`error_to_json`] extends, and the body of every error the
+/// service raises itself (a shed request, a malformed HTTP head).
+pub fn error_json(code: &str, message: &str) -> String {
+    format!(
+        "{{\"v\":{API_VERSION},\"kind\":\"error\",\"code\":\"{code}\",\"message\":\"{}\"}}",
+        escape(message)
+    )
 }
 
 fn decode_error(value: &Value) -> AnalysisError {

@@ -144,7 +144,8 @@ impl CorpusBuilder {
     }
 
     /// Cold assembly: with a snapshot directory attached, a cold
-    /// [`Journal`] starts generation 0's segment ([`Journal::create`]).
+    /// [`Journal`] starts a segment above every generation the directory
+    /// already names ([`Journal::create`]).
     fn assemble(self, detector: CloneDetector) -> CorpusHandle {
         let journal = self.snapshot_dir.as_ref().map(|dir| {
             Journal::create(dir, self.wal_fsync)
@@ -411,7 +412,8 @@ impl CorpusHandle {
     /// Compact the full corpus (snapshot + deltas) into the next snapshot
     /// generation and commit it. Requires a snapshot directory; at most
     /// one compaction runs at a time (`index_busy` otherwise). Returns
-    /// the committed generation.
+    /// the committed generation: the rotation's, which is above the
+    /// committed one and never below the journal's active segment.
     ///
     /// Under the writer lock, the journal rotates to the next
     /// generation's WAL segment ([`Journal::rotate`]). Every insert whose
@@ -435,11 +437,11 @@ impl CorpusHandle {
             }
         }
         let _clear = Clear(&self.inner.compacting);
-        let generation = self.generation() + 1;
         let rotation = match self.writer().journal.as_mut() {
-            Some(journal) => journal.rotate(generation)?,
+            Some(journal) => journal.rotate(self.generation() + 1)?,
             None => return Err(AnalysisError::invalid("no snapshot directory configured")),
         };
+        let generation = rotation.generation();
         let (docs, index, captured_deltas) = {
             let detector = self.read();
             let docs: Vec<(DocId, Fingerprint)> =

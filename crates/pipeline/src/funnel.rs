@@ -3,7 +3,7 @@
 //! grammar) → unique (deduplication).
 
 use corpus::keywords::looks_like_solidity;
-use corpus::qa::{QaCorpus, QaSnippet, Site};
+use corpus::qa::{QaCorpus, Site};
 use solidity::SnippetLevel;
 use std::collections::HashMap;
 
@@ -143,11 +143,6 @@ pub fn run_funnel(qa: &QaCorpus) -> FunnelOutput {
         stats: FunnelStats { rows, standard_parsable, levels, loc },
         unique,
     }
-}
-
-/// Look up a snippet in the original corpus.
-pub fn snippet_of(qa: &QaCorpus, id: u64) -> &QaSnippet {
-    &qa.snippets[id as usize]
 }
 
 #[cfg(test)]

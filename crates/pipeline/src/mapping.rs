@@ -17,14 +17,6 @@ pub struct CloneMapping {
 }
 
 impl CloneMapping {
-    /// Snippets with at least one matched contract.
-    pub fn matched_snippets(&self) -> impl Iterator<Item = u64> + '_ {
-        self.matches
-            .iter()
-            .filter(|(_, contracts)| !contracts.is_empty())
-            .map(|(id, _)| *id)
-    }
-
     /// Matches of one snippet.
     pub fn contracts_of(&self, snippet: u64) -> &[u64] {
         self.matches.get(&snippet).map(Vec::as_slice).unwrap_or(&[])

@@ -13,6 +13,7 @@
 //! the queue) and graceful drain-then-join shutdown.
 
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -95,11 +96,8 @@ struct PoolShared {
     state: Mutex<PoolState>,
     work_ready: Condvar,
     capacity: usize,
-    /// Handles of live workers — including respawned ones, which register
-    /// themselves here so shutdown can join them.
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Workers respawned after a job panicked through them.
-    respawns: AtomicU64,
+    /// Jobs that panicked; their workers caught the panic and went on.
+    panics: AtomicU64,
 }
 
 impl PoolShared {
@@ -111,54 +109,6 @@ impl PoolShared {
     }
 }
 
-/// A cheap cloneable view of a pool's health, for reporting (the analysis
-/// service surfaces it through `/health`). Stays valid after the pool
-/// itself shuts down.
-#[derive(Clone)]
-pub struct PoolMonitor {
-    shared: Arc<PoolShared>,
-}
-
-impl PoolMonitor {
-    /// Workers respawned after a panic.
-    pub fn respawns(&self) -> u64 {
-        self.shared.respawns.load(Ordering::Relaxed)
-    }
-
-    /// Jobs currently queued (excluding jobs already picked up).
-    pub fn queue_len(&self) -> usize {
-        self.shared.lock_state().jobs.len()
-    }
-}
-
-/// Respawn guard armed for the lifetime of a worker thread. Leaked
-/// (`mem::forget`) on orderly exit; dropped during unwind when a job
-/// panics, where it replaces the dying worker so the pool never loses
-/// capacity to a poisoned job.
-struct Sentinel {
-    shared: Arc<PoolShared>,
-}
-
-impl Drop for Sentinel {
-    fn drop(&mut self) {
-        static RESPAWNS: telemetry::Counter = telemetry::Counter::new("pool.respawns");
-        if !std::thread::panicking() {
-            return;
-        }
-        {
-            // During shutdown a successor is still needed while jobs are
-            // queued — shutdown promises to drain them.
-            let state = self.shared.lock_state();
-            if state.shutdown && state.jobs.is_empty() {
-                return;
-            }
-        }
-        self.shared.respawns.fetch_add(1, Ordering::Relaxed);
-        RESPAWNS.incr();
-        WorkerPool::spawn_worker(&self.shared);
-    }
-}
-
 /// A fixed-size worker pool over a bounded job queue.
 ///
 /// Unlike [`par_map`] (one-shot fan-out over a known slice), the pool
@@ -166,11 +116,13 @@ impl Drop for Sentinel {
 /// *refuses* once `capacity` jobs are queued, making overload explicit at
 /// the edge instead of hiding it in unbounded memory growth. Workers park
 /// on a condvar between jobs; [`WorkerPool::shutdown`] drains the queue
-/// and joins every worker. A job that panics kills only its worker, and
-/// the worker is respawned on the spot (counted in `pool.respawns`).
+/// and joins every worker. A job that panics unwinds only itself: its
+/// worker catches the panic (counted in `pool.respawns`) and takes the
+/// next job, so the pool never loses capacity to a poisoned job.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    worker_count: usize,
+    /// The workers, taken and joined by [`WorkerPool::shutdown`].
+    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerPool {
@@ -181,45 +133,29 @@ impl WorkerPool {
             state: Mutex::new(PoolState { jobs: VecDeque::new(), shutdown: false }),
             work_ready: Condvar::new(),
             capacity: capacity.max(1),
-            handles: Mutex::new(Vec::new()),
-            respawns: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         });
-        let worker_count = workers.max(1);
-        for _ in 0..worker_count {
-            Self::spawn_worker(&shared);
-        }
-        WorkerPool { shared, worker_count }
-    }
-
-    /// Spawn one worker and register its handle for shutdown to join.
-    /// Called both at construction and from a dying worker's [`Sentinel`];
-    /// in the latter case the handle is registered before the panicking
-    /// thread terminates, so shutdown's join loop always sees it.
-    fn spawn_worker(shared: &Arc<PoolShared>) {
-        let worker_shared = Arc::clone(shared);
-        let handle = std::thread::spawn(move || {
-            let sentinel = Sentinel { shared: Arc::clone(&worker_shared) };
-            Self::worker_loop(&worker_shared);
-            std::mem::forget(sentinel); // orderly exit: disarm the respawn guard
-        });
-        shared
-            .handles
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(handle);
+        let handles = (0..workers.max(1))
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || Self::worker_loop(&shared))
+            })
+            .collect();
+        WorkerPool { shared, handles: Mutex::new(handles) }
     }
 
     fn worker_loop(shared: &PoolShared) {
         static EXECUTED: telemetry::Counter = telemetry::Counter::new("pool.executed");
+        static RESPAWNS: telemetry::Counter = telemetry::Counter::new("pool.respawns");
         loop {
             let job = {
                 let mut state = shared.lock_state();
                 loop {
                     if let Some(job) = state.jobs.pop_front() {
-                        break Some(job);
+                        break job;
                     }
                     if state.shutdown {
-                        break None;
+                        return;
                     }
                     state = shared
                         .work_ready
@@ -227,19 +163,15 @@ impl WorkerPool {
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
                 }
             };
-            match job {
-                Some(job) => {
-                    job();
-                    EXECUTED.incr();
+            // The job's own guards run as it unwinds; the worker lives on.
+            match std::panic::catch_unwind(AssertUnwindSafe(job)) {
+                Ok(()) => EXECUTED.incr(),
+                Err(_) => {
+                    shared.panics.fetch_add(1, Ordering::Relaxed);
+                    RESPAWNS.incr();
                 }
-                None => return,
             }
         }
-    }
-
-    /// Number of worker threads the pool maintains.
-    pub fn workers(&self) -> usize {
-        self.worker_count
     }
 
     /// Jobs currently queued (excluding jobs already picked up).
@@ -247,14 +179,9 @@ impl WorkerPool {
         self.shared.lock_state().jobs.len()
     }
 
-    /// Workers respawned after a panicking job killed their predecessor.
-    pub fn respawns(&self) -> u64 {
-        self.shared.respawns.load(Ordering::Relaxed)
-    }
-
-    /// A cloneable health view of this pool for reporting endpoints.
-    pub fn monitor(&self) -> PoolMonitor {
-        PoolMonitor { shared: Arc::clone(&self.shared) }
+    /// Jobs that panicked (each caught by the worker that ran it).
+    pub fn panics(&self) -> u64 {
+        self.shared.panics.load(Ordering::Relaxed)
     }
 
     /// Submit a job without blocking. Returns the job inside
@@ -281,30 +208,15 @@ impl WorkerPool {
     }
 
     /// Graceful shutdown: already-queued jobs still run, new submissions
-    /// are refused, and every worker is joined before returning. Joining
-    /// loops because a worker dying mid-shutdown may still register a
-    /// respawned successor.
-    pub fn shutdown(self) {
-        {
-            let mut state = self.shared.lock_state();
-            state.shutdown = true;
-        }
+    /// are refused, and every worker is joined before returning.
+    pub fn shutdown(&self) {
+        self.shared.lock_state().shutdown = true;
         self.shared.work_ready.notify_all();
-        loop {
-            let handles: Vec<JoinHandle<()>> = {
-                let mut registered = self
-                    .shared
-                    .handles
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                std::mem::take(&mut *registered)
-            };
-            if handles.is_empty() {
-                break;
-            }
-            for handle in handles {
-                let _ = handle.join(); // a worker that died panicking is fine here
-            }
+        let handles = std::mem::take(
+            &mut *self.handles.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
+        );
+        for handle in handles {
+            handle.join().expect("a worker catches every job's panic");
         }
     }
 }
@@ -432,7 +344,6 @@ mod tests {
     #[test]
     fn panicking_jobs_respawn_workers_and_later_jobs_still_run() {
         let pool = WorkerPool::new(2, 64);
-        let monitor = pool.monitor();
         for _ in 0..4 {
             pool.try_submit(|| panic!("injected job panic")).unwrap();
         }
@@ -446,14 +357,7 @@ mod tests {
         }
         pool.shutdown();
         assert_eq!(hits.load(Ordering::Relaxed), 8, "pool survives panicking jobs");
-        // A worker unwinding while the queue drains may legitimately skip
-        // its respawn once shutdown is flagged and no work remains, so the
-        // final panic accounts for 3-or-4, never fewer.
-        let respawns = monitor.respawns();
-        assert!(
-            (3..=4).contains(&respawns),
-            "each panicking job kills one worker (respawns: {respawns})"
-        );
+        assert_eq!(pool.panics(), 4, "each panicking job is caught once");
     }
 
     #[test]

@@ -295,6 +295,50 @@ fn torn_wal_tail_is_truncated_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A corpus rebuilt from source over a snapshot that cannot be loaded
+/// commits above every generation the directory names: its first commit
+/// retires the old lineage, WAL included, and its own inserts land in the
+/// segment the next start replays.
+#[test]
+fn a_rebuild_over_an_unloadable_snapshot_commits_above_the_old_lineage() {
+    let dir = temp_dir("rebuild");
+    let builder = || CorpusBuilder::new(CcdParams::best()).snapshot_dir(&dir);
+    // The old lineage: generation 2, then an insert only wal-2.log holds.
+    let old = builder().from_sources([(0u64, DOC_A)]);
+    assert_eq!(old.compact().unwrap(), 1);
+    old.insert_source(Some(10), DOC_B).unwrap();
+    assert_eq!(old.compact().unwrap(), 2);
+    old.insert_source(Some(11), DOC_C).unwrap();
+    drop(old);
+    let snapshot = std::fs::OpenOptions::new().write(true).open(dir.join("gen-2.idx")).unwrap();
+    snapshot.set_len(10).unwrap();
+    let loaded = builder().load_snapshot();
+    assert_eq!(loaded.err().map(|e| e.code()), Some("index_corrupt"));
+
+    let rebuilt = builder().from_sources([(0u64, DOC_A_NEAR)]);
+    let generation = rebuilt.compact().unwrap();
+    assert!(generation > 2, "the rebuild committed generation {generation}");
+    assert_eq!(rebuilt.generation(), generation);
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let expected_files =
+        ["CURRENT".to_string(), format!("gen-{generation}.idx"), format!("wal-{generation}.log")];
+    assert_eq!(files, expected_files);
+    rebuilt.insert_source(Some(20), DOC_B).unwrap();
+    let expected = rebuilt.fingerprints();
+    drop(rebuilt);
+
+    let warm = builder().load_snapshot().unwrap().expect("the rebuild committed");
+    assert_eq!((warm.generation(), warm.replayed_on_boot()), (generation, 1));
+    let ids: Vec<u64> = warm.fingerprints().iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, [0, 20], "nothing of the old lineage (docs 10 and 11) comes back");
+    assert_eq!(warm.fingerprints(), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `maybe_auto_compact` folds deltas once the threshold is crossed and
 /// stays quiet below it.
 #[test]

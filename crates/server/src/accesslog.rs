@@ -25,17 +25,17 @@ use std::path::Path;
 use std::sync::Mutex;
 use telemetry::json::escape;
 
-/// One access-log record, already resolved to strings.
+/// One access-log record, borrowing the request's strings.
 #[derive(Debug, Clone)]
-pub struct AccessRecord {
+pub struct AccessRecord<'a> {
     /// Trace id (hex) echoed on the response.
-    pub trace_id: String,
+    pub trace_id: &'a str,
     /// Request id (hex) echoed on the response.
-    pub request_id: String,
+    pub request_id: &'a str,
     /// Request method (`GET`, `POST`, or `?` when the head never parsed).
-    pub method: String,
+    pub method: &'a str,
     /// Request path.
-    pub path: String,
+    pub path: &'a str,
     /// Response status code.
     pub status: u16,
     /// Wall time from accept to response write, microseconds.
@@ -95,7 +95,7 @@ impl AccessLog {
 
     /// Append one record (and tee it to the slow log when it qualifies).
     /// Write errors are swallowed: logging must never fail a request.
-    pub fn record(&self, rec: &AccessRecord) {
+    pub fn record(&self, rec: &AccessRecord<'_>) {
         let slow = rec.dur_us >= self.slow_us;
         let line = render_line(rec, slow);
         {
@@ -123,7 +123,7 @@ fn append_file(path: &Path) -> std::io::Result<File> {
     OpenOptions::new().create(true).append(true).open(path)
 }
 
-fn render_line(rec: &AccessRecord, slow: bool) -> String {
+fn render_line(rec: &AccessRecord<'_>, slow: bool) -> String {
     let ts_ms = std::time::UNIX_EPOCH
         .elapsed()
         .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
@@ -132,10 +132,10 @@ fn render_line(rec: &AccessRecord, slow: bool) -> String {
         "{{\"ts_ms\":{ts_ms},\"trace_id\":\"{}\",\"request_id\":\"{}\",\"method\":\"{}\",\
          \"path\":\"{}\",\"status\":{},\"dur_us\":{},\"outcome\":\"{}\",\"body_bytes\":{},\
          \"slow\":{slow}}}\n",
-        escape(&rec.trace_id),
-        escape(&rec.request_id),
-        escape(&rec.method),
-        escape(&rec.path),
+        escape(rec.trace_id),
+        escape(rec.request_id),
+        escape(rec.method),
+        escape(rec.path),
         rec.status,
         rec.dur_us,
         rec.outcome,
@@ -168,12 +168,12 @@ mod tests {
         }
     }
 
-    fn record(dur_us: u64, status: u16, outcome: &'static str) -> AccessRecord {
+    fn record(dur_us: u64, status: u16, outcome: &'static str) -> AccessRecord<'static> {
         AccessRecord {
-            trace_id: "00000000deadbeef".into(),
-            request_id: "00000000cafef00d".into(),
-            method: "POST".into(),
-            path: "/v1/scan".into(),
+            trace_id: "00000000deadbeef",
+            request_id: "00000000cafef00d",
+            method: "POST",
+            path: "/v1/scan",
             status,
             dur_us,
             outcome,
@@ -217,7 +217,7 @@ mod tests {
         let main = Buffer::default();
         let log = AccessLog::from_sinks(Box::new(main.clone()), None, 1000);
         let mut rec = record(10, 404, "error");
-        rec.path = "/x\"y\\z\nq".into();
+        rec.path = "/x\"y\\z\nq";
         log.record(&rec);
         let text = main.contents();
         telemetry::json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}: {text}"));

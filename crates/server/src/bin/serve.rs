@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve [--port N] [--port-file PATH] [--workers N] [--queue-cap N]
-//!       [--shards N] [--read-timeout-ms N] [--max-pipeline N]
+//!       [--read-timeout-ms N] [--max-pipeline N]
 //!       [--timeout-ms N] [--corpus N]
 //!       [--snapshot-dir PATH]
 //!       [--wal-fsync always|batch:<ms>|never] [--compact-after N]
@@ -19,12 +19,14 @@
 //! Warm start: with `--snapshot-dir`, the corpus is loaded from the
 //! directory's committed snapshot generation (milliseconds — no
 //! re-fingerprinting) when one exists; otherwise it is built from source
-//! and committed as generation 1 so the *next* start is warm. A
-//! snapshot that fails validation is rebuilt from source; a directory
-//! that validated but cannot be recovered (a replayed WAL segment fails
-//! to fsync) stops the daemon with exit 1 instead. The
-//! `/v1/index` endpoints then manage the live corpus: `insert` adds
-//! documents in memory, `compact` folds them into the next generation.
+//! and committed at once (generation 1 in a fresh directory) so the
+//! *next* start is warm. A snapshot that fails validation is rebuilt and
+//! committed the same way, above every generation already in the
+//! directory, which retires the unloadable lineage; a directory that
+//! validated but cannot be recovered (a replayed WAL segment fails to
+//! fsync) stops the daemon with exit 1 instead. The `/v1/index`
+//! endpoints then manage the live corpus: `insert` adds documents in
+//! memory, `compact` folds them into the next generation.
 //!
 //! Durability: with a snapshot dir every insert is appended to a
 //! write-ahead log before it is acknowledged, so acknowledged deltas
@@ -90,10 +92,6 @@ fn main() {
             }
             "--queue-cap" => {
                 config.queue_capacity = value(i).parse().expect("--queue-cap must be a count");
-                i += 2;
-            }
-            "--shards" => {
-                config.shards = value(i).parse().expect("--shards must be a count");
                 i += 2;
             }
             "--read-timeout-ms" => {
@@ -198,47 +196,47 @@ fn main() {
     };
     let started = Instant::now();
     let corpus = match &snapshot_dir {
-        Some(dir) => {
-            // Warm path: assemble the matcher from the committed snapshot
-            // generation — no fingerprinting, no re-gramming.
-            match builder().snapshot_dir(dir).load_snapshot() {
-                Ok(Some(handle)) => {
-                    eprintln!(
-                        "[serve] warm start: generation {} ({} docs, {} replayed from WAL) \
-                         loaded in {:.1} ms",
-                        handle.generation(),
-                        handle.len(),
-                        handle.replayed_on_boot(),
-                        started.elapsed().as_secs_f64() * 1e3,
-                    );
-                    handle
-                }
-                Ok(None) => {
-                    // Fresh directory: cold build, then commit generation 1
-                    // so the next start is warm.
-                    eprintln!("[serve] no snapshot yet; building warm corpus ...");
-                    let handle = build_cold(builder().snapshot_dir(dir));
-                    match handle.compact() {
-                        Ok(generation) => eprintln!(
-                            "[serve] corpus committed as snapshot generation {generation}"
-                        ),
-                        Err(e) => eprintln!("[serve] snapshot commit failed: {e}"),
-                    }
-                    handle
-                }
-                Err(e) if matches!(e.code(), "index_corrupt" | "index_version") => {
-                    eprintln!("[serve] cannot load snapshot ({e}); rebuilding from source");
-                    build_cold(builder().snapshot_dir(dir))
-                }
-                // The directory validated but could not be recovered (a
-                // failed fsync of a replayed segment): a cold rebuild
-                // would drop the inserts only its WAL holds.
-                Err(e) => {
-                    eprintln!("[serve] cannot recover snapshot directory: {e}");
-                    std::process::exit(1);
-                }
+        // Warm path: assemble the matcher from the committed snapshot
+        // generation — no fingerprinting, no re-gramming.
+        Some(dir) => match builder().snapshot_dir(dir).load_snapshot() {
+            Ok(Some(handle)) => {
+                eprintln!(
+                    "[serve] warm start: generation {} ({} docs, {} replayed from WAL) \
+                     loaded in {:.1} ms",
+                    handle.generation(),
+                    handle.len(),
+                    handle.replayed_on_boot(),
+                    started.elapsed().as_secs_f64() * 1e3,
+                );
+                handle
             }
-        }
+            loaded => {
+                match loaded {
+                    Ok(_) => eprintln!("[serve] no snapshot yet; building warm corpus ..."),
+                    Err(e) if matches!(e.code(), "index_corrupt" | "index_version") => {
+                        eprintln!("[serve] cannot load snapshot ({e}); rebuilding from source")
+                    }
+                    // The directory validated but could not be recovered
+                    // (a failed fsync of a replayed segment): a cold
+                    // rebuild would drop the inserts only its WAL holds.
+                    Err(e) => {
+                        eprintln!("[serve] cannot recover snapshot directory: {e}");
+                        std::process::exit(1);
+                    }
+                }
+                // Commit the cold build at once: the next start is warm,
+                // and inserts acknowledged from now on land in a segment
+                // that start replays.
+                let handle = build_cold(builder().snapshot_dir(dir));
+                match handle.compact() {
+                    Ok(generation) => {
+                        eprintln!("[serve] corpus committed as snapshot generation {generation}")
+                    }
+                    Err(e) => eprintln!("[serve] snapshot commit failed: {e}"),
+                }
+                handle
+            }
+        },
         None => {
             eprintln!("[serve] building warm corpus ...");
             build_cold(builder())

@@ -16,9 +16,9 @@
 //!   running an event loop with non-blocking reads, an incremental
 //!   zero-copy HTTP/1.1 parser, keep-alive and pipelining with a
 //!   bounded in-flight depth, and responses written in request order,
-//! * bounded per-shard [`WorkerPool`]s (`pipeline::par`) running the
-//!   analysis — overload is shed at the edge with HTTP 429 instead of
-//!   queueing without bound,
+//! * one bounded [`WorkerPool`] (`pipeline::par`) shared by every shard,
+//!   running the analysis — overload is shed at the edge with HTTP 429
+//!   instead of queueing without bound,
 //! * cooperative per-request timeouts inside the engine (HTTP 504),
 //! * graceful shutdown: SIGTERM/`POST /shutdown` stop the accept loop,
 //!   in-flight requests drain, shards and workers join.
@@ -60,8 +60,8 @@ compile_error!("the server's transport is an epoll reactor: it builds on Linux o
 use accesslog::{AccessLog, AccessRecord};
 use breaker::{BreakerConfig, CircuitBreaker};
 use http::{HttpError, Request};
-use pipeline::api::{error_to_json, AnalysisRequest, AnalysisResponse};
-use pipeline::par::{PoolFull, PoolMonitor, WorkerPool};
+use pipeline::api::{error_json, error_to_json, AnalysisRequest, AnalysisResponse};
+use pipeline::par::{PoolFull, WorkerPool};
 use pipeline::AnalysisEngine;
 use solidity::AnalysisError;
 use std::io;
@@ -76,14 +76,12 @@ use telemetry::trace::{self, TraceId};
 /// [`pipeline::api::AnalysisConfig`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads serving requests (split across reactor shards).
+    /// Worker threads serving requests, in one pool shared by every
+    /// reactor shard.
     pub workers: usize,
-    /// Maximum pending (accepted but unserved) requests before the
-    /// service sheds load with 429 (split across reactor shards).
+    /// Maximum pending (accepted but unserved) requests across the whole
+    /// server before it sheds load with 429.
     pub queue_capacity: usize,
-    /// Reactor shard threads; `0` picks `min(available cores, 4)`,
-    /// clamped so a shard never exists without a worker or queue slot.
-    pub shards: usize,
     /// How long a partial request may trickle in before the connection
     /// is answered 408 and closed (slowloris bound), in milliseconds.
     pub read_timeout_ms: u64,
@@ -110,7 +108,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             queue_capacity: 256,
-            shards: 0,
             read_timeout_ms: 10_000,
             max_pipeline: 32,
             breaker: BreakerConfig::default(),
@@ -163,39 +160,19 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// Per-endpoint circuit breakers for the four analysis endpoints and the
-/// index-management surface.
-struct Breakers {
-    scan: CircuitBreaker,
-    clone_check: CircuitBreaker,
-    analyze: CircuitBreaker,
-    batch: CircuitBreaker,
-    index: CircuitBreaker,
-}
-
-impl Breakers {
-    fn new(config: BreakerConfig) -> Breakers {
-        Breakers {
-            scan: CircuitBreaker::new(config),
-            clone_check: CircuitBreaker::new(config),
-            analyze: CircuitBreaker::new(config),
-            batch: CircuitBreaker::new(config),
-            index: CircuitBreaker::new(config),
-        }
-    }
-}
-
-/// Shared immutable state handed to every worker.
+/// Shared state handed to every shard and worker.
 struct ServiceState {
     engine: Arc<AnalysisEngine>,
     shutdown: ShutdownHandle,
     workers: usize,
     queue_capacity: usize,
     shards: usize,
-    breakers: Breakers,
-    /// Health views of the per-shard worker pools; empty only in unit
-    /// tests that exercise routing without a pool.
-    pools: Vec<PoolMonitor>,
+    /// The circuit breakers of the four analysis endpoints and the
+    /// index-management surface, under the names `/health` and the
+    /// `breaker.state|endpoint=<name>` gauges report.
+    breakers: [(&'static str, CircuitBreaker); 5],
+    /// The one worker pool; every shard submits to it.
+    pool: WorkerPool,
     /// Structured access log; `None` disables logging.
     access_log: Option<AccessLog>,
     /// Delta threshold for background auto-compaction (`None` = off).
@@ -203,83 +180,61 @@ struct ServiceState {
 }
 
 impl ServiceState {
-    fn pool_respawns(&self) -> u64 {
-        self.pools.iter().map(PoolMonitor::respawns).sum()
+    fn new(config: &ServerConfig, engine: Arc<AnalysisEngine>) -> io::Result<ServiceState> {
+        let access_log = match &config.access_log {
+            Some(path) => Some(AccessLog::open(path, config.slow_log.as_deref(), config.slow_ms)?),
+            None => None,
+        };
+        Ok(ServiceState {
+            engine,
+            shutdown: ShutdownHandle::default(),
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            shards: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4),
+            breakers: ["scan", "clone_check", "analyze", "batch", "index"]
+                .map(|name| (name, CircuitBreaker::new(config.breaker))),
+            pool: WorkerPool::new(config.workers, config.queue_capacity),
+            access_log,
+            compact_after: config.compact_after,
+        })
     }
 
-    fn pool_queued(&self) -> usize {
-        self.pools.iter().map(PoolMonitor::queue_len).sum()
+    fn breaker(&self, name: &str) -> &CircuitBreaker {
+        let (_, breaker) = self
+            .breakers
+            .iter()
+            .find(|(named, _)| *named == name)
+            .expect("every breaker a handler names exists");
+        breaker
     }
 }
 
 static ACCEPTED: telemetry::Counter = telemetry::Counter::new("server.accepted");
 static SHED: telemetry::Counter = telemetry::Counter::new("server.shed");
 
-const OVERLOADED_BODY: &str = "{\"v\":1,\"kind\":\"error\",\"code\":\"overloaded\",\
-     \"message\":\"request queue is full\"}";
-
-/// The analysis daemon: listener + reactor shards + per-shard worker
-/// pools + warm engine.
+/// The analysis daemon: listener + reactor shards + one worker pool +
+/// warm engine.
 pub struct Server {
     listener: TcpListener,
-    pools: Vec<Arc<WorkerPool>>,
     state: Arc<ServiceState>,
     read_timeout: Duration,
     max_pipeline: usize,
 }
 
-/// Shard count actually used: the configured value (or
-/// `min(cores, 4)` when 0), clamped so every shard has at least one
-/// worker and one queue slot — a `workers: 1, queue_capacity: 1` config
-/// keeps its strict single-lane shedding semantics.
-fn effective_shards(config: &ServerConfig) -> usize {
-    let auto = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4);
-    let requested = if config.shards > 0 { config.shards } else { auto };
-    requested
-        .min(config.workers.max(1))
-        .min(config.queue_capacity.max(1))
-        .max(1)
-}
-
 impl Server {
     /// Bind the service. `addr` accepts anything `TcpListener::bind`
     /// does; port 0 picks an ephemeral port (see
-    /// [`Server::local_addr`]).
+    /// [`Server::local_addr`]). The reactor runs `min(available cores,
+    /// 4)` shards over one pool of `config.workers` workers.
     pub fn bind(
         addr: &str,
         config: ServerConfig,
         engine: Arc<AnalysisEngine>,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let shard_count = effective_shards(&config);
-        let per_workers = (config.workers / shard_count).max(1);
-        let per_capacity = (config.queue_capacity / shard_count).max(1);
-        let pools: Vec<Arc<WorkerPool>> = (0..shard_count)
-            .map(|_| Arc::new(WorkerPool::new(per_workers, per_capacity)))
-            .collect();
-        let access_log = match &config.access_log {
-            Some(path) => Some(AccessLog::open(
-                path,
-                config.slow_log.as_deref(),
-                config.slow_ms,
-            )?),
-            None => None,
-        };
-        let state = Arc::new(ServiceState {
-            engine,
-            shutdown: ShutdownHandle::default(),
-            workers: config.workers,
-            queue_capacity: config.queue_capacity,
-            shards: shard_count,
-            breakers: Breakers::new(config.breaker),
-            pools: pools.iter().map(|p| p.monitor()).collect(),
-            access_log,
-            compact_after: config.compact_after,
-        });
         Ok(Server {
             listener,
-            pools,
-            state,
+            state: Arc::new(ServiceState::new(&config, engine)?),
             read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
             max_pipeline: config.max_pipeline.max(1),
         })
@@ -304,13 +259,12 @@ impl Server {
         use reactor::{Shard, ShardConfig, ShardInbox};
         let shard_cfg =
             ShardConfig { read_timeout: self.read_timeout, max_pipeline: self.max_pipeline };
-        let mut inboxes = Vec::with_capacity(self.pools.len());
-        let mut threads = Vec::with_capacity(self.pools.len());
-        for (id, pool) in self.pools.iter().enumerate() {
+        let mut inboxes = Vec::with_capacity(self.state.shards);
+        let mut threads = Vec::with_capacity(self.state.shards);
+        for id in 0..self.state.shards {
             let inbox = ShardInbox::new()?;
             let handler = Arc::new(ShardService {
                 state: Arc::clone(&self.state),
-                pool: Arc::clone(pool),
                 inbox: Arc::clone(&inbox),
                 read_timeout: self.read_timeout,
                 conns: telemetry::Gauge::named(format!("server.shard_conns|shard={id}")),
@@ -359,25 +313,19 @@ impl Server {
         }
         // All connections are gone, so every dispatched job has
         // completed; join the workers.
-        for pool in self.pools {
-            if let Some(pool) = Arc::into_inner(pool) {
-                pool.shutdown();
-            }
-        }
+        self.state.pool.shutdown();
         match accept_error {
             Some(e) => Err(e),
             None => Ok(()),
         }
     }
-
 }
 
-/// The per-shard service half of the reactor: routes parsed requests to
-/// this shard's worker pool, sheds with 429 when the pool is full, and
-/// renders the protocol-level error classes.
+/// The per-shard service half of the reactor: submits parsed requests
+/// to the worker pool, sheds with 429 when its queue is full, and
+/// answers the protocol-level error classes.
 struct ShardService {
     state: Arc<ServiceState>,
-    pool: Arc<WorkerPool>,
     inbox: Arc<reactor::ShardInbox>,
     read_timeout: Duration,
     /// `server.shard_conns|shard=<id>`, set every reactor tick.
@@ -399,7 +347,7 @@ impl reactor::ShardHandler for ShardService {
         let request = view.to_request_lean();
         let state = Arc::clone(&self.state);
         let inbox = Arc::clone(&self.inbox);
-        let submitted = self.pool.try_submit(move || {
+        let submitted = self.state.pool.try_submit(move || {
             // First statement: arm the completion guard so a panic
             // anywhere below still reports (and fails) the connection.
             let guard = reactor::CompletionGuard::new(inbox, token, seq);
@@ -416,48 +364,32 @@ impl reactor::ShardHandler for ShardService {
                 // destroyed by an RST.
                 drop(job);
                 SHED.incr();
-                let ids = RequestIds::from_view(view);
-                let bytes = http::render_response(
-                    429,
-                    JSON,
-                    OVERLOADED_BODY,
-                    &ids.headers(),
-                    keep_alive,
-                );
-                observe_request(view.path, 429, started.elapsed());
-                log_access(
+                let reply = (429, JSON, error_json("overloaded", "request queue is full"));
+                reactor::Dispatch::Inline(respond(
                     &self.state,
-                    &ids,
+                    &RequestIds::from_view(view),
                     view.method,
                     view.path,
-                    429,
-                    started.elapsed(),
-                    "shed",
-                    OVERLOADED_BODY.len(),
-                );
-                reactor::Dispatch::Inline(bytes)
+                    reply,
+                    keep_alive,
+                    || started.elapsed(),
+                ))
             }
         }
     }
 
     fn protocol_error(&self, err: &HttpError) -> Vec<u8> {
-        let ids = RequestIds::fresh();
-        let (status, body) = match err {
-            HttpError::TooLarge => (413, error_body("too_large", "request too large")),
-            HttpError::Malformed(m) => (400, error_body("bad_request", m)),
+        let reply = match err {
+            HttpError::TooLarge => (413, JSON, error_json("too_large", "request too large")),
+            HttpError::Malformed(m) => (400, JSON, error_json("bad_request", m)),
         };
-        observe_request("?", status, Duration::ZERO);
-        log_access(&self.state, &ids, "?", "?", status, Duration::ZERO, "error", body.len());
-        http::render_response(status, JSON, &body, &ids.headers(), false)
+        respond(&self.state, &RequestIds::fresh(), "?", "?", reply, false, || Duration::ZERO)
     }
 
     fn read_timeout_response(&self) -> Vec<u8> {
-        let ids = RequestIds::fresh();
-        let body =
-            error_body("timeout", "request did not arrive within the read deadline");
-        observe_request("?", 408, self.read_timeout);
-        log_access(&self.state, &ids, "?", "?", 408, self.read_timeout, "timeout", body.len());
-        http::render_response(408, JSON, &body, &ids.headers(), false)
+        let body = error_json("timeout", "request did not arrive within the read deadline");
+        let reply = (408, JSON, body);
+        respond(&self.state, &RequestIds::fresh(), "?", "?", reply, false, || self.read_timeout)
     }
 
     fn draining(&self) -> bool {
@@ -471,8 +403,8 @@ impl reactor::ShardHandler for ShardService {
 }
 
 /// Run one request end to end on a worker thread: trace, chaos hook,
-/// route, render, metrics, access log. Returns the rendered response
-/// bytes for the shard to write in pipeline order.
+/// route, then [`respond`]. Returns the rendered response bytes for the
+/// shard to write in pipeline order.
 fn run_request(
     state: &ServiceState,
     request: &Request,
@@ -489,34 +421,63 @@ fn run_request(
     trace::annotate("request_id", &ids.request_id);
     // Chaos hook at the service edge, after the request is fully parsed
     // (answering earlier would RST the peer's in-flight write). Injected
-    // errors answer with a typed 500; injected *panics* unwind through
-    // this function, killing the worker — the completion guard fails the
-    // connection and the pool's respawn sentinel replaces the worker,
-    // exactly the failure the client's retry policy exists for.
-    let (status, content_type, body) = match faultinject::fire("server/request") {
-        Some(message) => (500, JSON, error_body("internal", &message)),
+    // errors answer with a typed 500; injected *panics* unwind out of
+    // the job — the completion guard fails the connection and the worker
+    // catches the panic, exactly the failure the client's retry policy
+    // exists for.
+    let reply = match faultinject::fire("server/request") {
+        Some(message) => (500, JSON, error_json("internal", &message)),
         None => route(request, state),
     };
-    trace::annotate("status", status);
-    if status >= 500 {
+    trace::annotate("status", reply.0);
+    if reply.0 >= 500 {
         trace::mark_error();
     }
     // Finish and buffer the trace *before* the response ships, so a
     // client can immediately GET /debug/trace/<the-echoed-id>.
     drop(trace_guard);
+    respond(state, ids, &request.method, &request.path, reply, keep_alive, || started.elapsed())
+}
+
+/// Render a response and record it: the RED metrics of the endpoint
+/// serving `path` and the access-log line. Every response the server
+/// sends is made here. `elapsed` gives the recorded duration once the
+/// response is rendered: the time since the request was parsed, zero for
+/// a head that never parsed, the read deadline for a 408.
+fn respond(
+    state: &ServiceState,
+    ids: &RequestIds,
+    method: &str,
+    path: &str,
+    (status, content_type, body): Reply,
+    keep_alive: bool,
+    elapsed: impl FnOnce() -> Duration,
+) -> Vec<u8> {
     let bytes = http::render_response(status, content_type, &body, &ids.headers(), keep_alive);
-    let elapsed = started.elapsed();
-    observe_request(&request.path, status, elapsed);
-    log_access(
-        state,
-        ids,
-        &request.method,
-        &request.path,
-        status,
-        elapsed,
-        outcome_of(status, &body),
-        body.len(),
-    );
+    let dur_us = elapsed().as_micros().min(u64::MAX as u128) as u64;
+    if telemetry::enabled() {
+        let red = endpoint(path).map_or(&OTHER, |endpoint| &endpoint.red);
+        let class = match status {
+            200..=299 => 0,
+            300..=399 => 1,
+            400..=499 => 2,
+            _ => 3,
+        };
+        red.requests[class].incr();
+        red.duration_us.observe(dur_us);
+    }
+    if let Some(log) = &state.access_log {
+        log.record(&AccessRecord {
+            trace_id: ids.trace_hex(),
+            request_id: &ids.request_id,
+            method,
+            path,
+            status,
+            dur_us,
+            outcome: outcome_of(status, &body),
+            body_bytes: body.len(),
+        });
+    }
     bytes
 }
 
@@ -585,122 +546,119 @@ fn outcome_of(status: u16, body: &str) -> &'static str {
     }
 }
 
-/// Bounded endpoint label for RED metrics: known routes keep their path,
-/// the trace-by-id route collapses to one label, everything else is
-/// `other` (an attacker scanning paths must not mint unbounded metric
-/// names).
-fn endpoint_label(path: &str) -> &'static str {
-    match path {
-        "/v1/scan" => "/v1/scan",
-        "/v1/clone-check" => "/v1/clone-check",
-        "/v1/analyze" => "/v1/analyze",
-        "/v1/batch" => "/v1/batch",
-        "/v1/index/status" => "/v1/index/status",
-        "/v1/index/insert" => "/v1/index/insert",
-        "/v1/index/compact" => "/v1/index/compact",
-        "/health" => "/health",
-        "/telemetry" => "/telemetry",
-        "/metrics" => "/metrics",
-        "/shutdown" => "/shutdown",
-        "/debug/traces/recent" => "/debug/traces/recent",
-        _ if path.starts_with("/debug/trace/") => "/debug/trace",
-        _ => "other",
-    }
-}
+/// A handler's answer: status, content type and body.
+type Reply = (u16, &'static str, String);
 
 /// The RED-metric handles of one endpoint label, resolved once: a
 /// request counter per status class (2xx, 3xx, 4xx, 5xx) and a
 /// log-linear latency histogram.
-struct Endpoint {
-    label: &'static str,
+struct Red {
     requests: [telemetry::Counter; 4],
     duration_us: telemetry::Histogram,
 }
 
-macro_rules! endpoints {
-    ($($label:literal),* $(,)?) => {
-        [$(Endpoint {
-            label: $label,
+macro_rules! red {
+    ($label:literal) => {
+        Red {
             requests: [
                 telemetry::Counter::new(concat!("http.requests|endpoint=", $label, "|status=2xx")),
                 telemetry::Counter::new(concat!("http.requests|endpoint=", $label, "|status=3xx")),
                 telemetry::Counter::new(concat!("http.requests|endpoint=", $label, "|status=4xx")),
                 telemetry::Counter::new(concat!("http.requests|endpoint=", $label, "|status=5xx")),
             ],
-            duration_us: telemetry::Histogram::duration_us(
-                concat!("http.request_duration_us|endpoint=", $label),
-            ),
-        }),*]
+            duration_us: telemetry::Histogram::duration_us(concat!(
+                "http.request_duration_us|endpoint=",
+                $label
+            )),
+        }
     };
 }
 
-/// The handles of every label [`endpoint_label`] returns; `other` last.
-static ENDPOINTS: [Endpoint; 14] = endpoints![
-    "/v1/scan",
-    "/v1/clone-check",
-    "/v1/analyze",
-    "/v1/batch",
-    "/v1/index/status",
-    "/v1/index/insert",
-    "/v1/index/compact",
-    "/health",
-    "/telemetry",
-    "/metrics",
-    "/shutdown",
-    "/debug/traces/recent",
-    "/debug/trace",
-    "other",
+/// One endpoint: the method and path it serves, its handler, and the
+/// RED metrics its requests are counted under, labelled by `path`.
+struct Endpoint {
+    method: &'static str,
+    path: &'static str,
+    /// Serve `path/<suffix>` instead of `path` itself.
+    prefix: bool,
+    handler: fn(&Request, &ServiceState) -> Reply,
+    red: Red,
+}
+
+macro_rules! endpoint {
+    ($method:literal, $path:literal, $prefix:literal, $handler:expr) => {
+        Endpoint {
+            method: $method,
+            path: $path,
+            prefix: $prefix,
+            handler: $handler,
+            red: red!($path),
+        }
+    };
+}
+
+/// Every endpoint the server answers. The table routes a request,
+/// answers 405 to a served path under another method and 404 to any
+/// other path, and labels each request's RED metrics; a path outside it
+/// is labelled `other` ([`OTHER`]), so an attacker scanning paths cannot
+/// mint unbounded metric names.
+static ENDPOINTS: [Endpoint; 13] = [
+    endpoint!("POST", "/v1/scan", false, |request, state| {
+        analyze(request, state, Some(RequestKind::Scan), state.breaker("scan"))
+    }),
+    endpoint!("POST", "/v1/clone-check", false, |request, state| {
+        analyze(request, state, Some(RequestKind::CloneCheck), state.breaker("clone_check"))
+    }),
+    endpoint!("POST", "/v1/analyze", false, |request, state| {
+        analyze(request, state, None, state.breaker("analyze"))
+    }),
+    endpoint!("POST", "/v1/batch", false, batch),
+    endpoint!("GET", "/v1/index/status", false, |_, state| index_status(state)),
+    endpoint!("POST", "/v1/index/insert", false, index_insert),
+    endpoint!("POST", "/v1/index/compact", false, |_, state| index_compact(state)),
+    endpoint!("GET", "/health", false, |_, state| health(state)),
+    endpoint!("GET", "/telemetry", false, |_, state| {
+        refresh_gauges(state);
+        (200, JSON, telemetry::snapshot().to_json())
+    }),
+    endpoint!("GET", "/metrics", false, |_, state| {
+        refresh_gauges(state);
+        (200, PROM, telemetry::prom::render(&telemetry::snapshot()))
+    }),
+    endpoint!("POST", "/shutdown", false, |_, state| {
+        state.shutdown.shutdown();
+        (200, JSON, "{\"status\":\"shutting_down\"}".to_string())
+    }),
+    endpoint!("GET", "/debug/traces/recent", false, |request, _| {
+        let limit =
+            request.query_param("limit").and_then(|v| v.parse().ok()).unwrap_or(32usize).min(512);
+        (200, JSON, trace::recent_json(limit))
+    }),
+    endpoint!("GET", "/debug/trace", true, |request, _| trace_by_id(request)),
 ];
 
-/// Record the RED metrics of one request: a counter per endpoint ×
-/// status class and a log-linear latency histogram per endpoint.
-fn observe_request(path: &str, status: u16, elapsed: Duration) {
-    if !telemetry::enabled() {
-        return;
+/// The RED handles of every request no endpoint serves, and of protocol
+/// errors, whose path never parsed.
+static OTHER: Red = red!("other");
+
+/// The endpoint serving `path`, under whichever method.
+fn endpoint(path: &str) -> Option<&'static Endpoint> {
+    ENDPOINTS.iter().find(|endpoint| match path.strip_prefix(endpoint.path) {
+        Some(rest) if endpoint.prefix => rest.starts_with('/'),
+        Some(rest) => rest.is_empty(),
+        None => false,
+    })
+}
+
+fn route(request: &Request, state: &ServiceState) -> Reply {
+    match endpoint(&request.path) {
+        Some(endpoint) if endpoint.method == request.method => (endpoint.handler)(request, state),
+        Some(_) => (405, JSON, error_json("method_not_allowed", "wrong method for endpoint")),
+        None => {
+            let message = format!("no such endpoint {}", request.path);
+            (404, JSON, error_json("not_found", &message))
+        }
     }
-    let label = endpoint_label(path);
-    let (other, routes) = ENDPOINTS.split_last().expect("the table ends with `other`");
-    let endpoint = routes.iter().find(|e| e.label == label).unwrap_or(other);
-    let class = match status {
-        200..=299 => 0,
-        300..=399 => 1,
-        400..=499 => 2,
-        _ => 3,
-    };
-    endpoint.requests[class].incr();
-    endpoint.duration_us.observe(elapsed.as_micros().min(u64::MAX as u128) as u64);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn log_access(
-    state: &ServiceState,
-    ids: &RequestIds,
-    method: &str,
-    path: &str,
-    status: u16,
-    elapsed: Duration,
-    outcome: &'static str,
-    body_bytes: usize,
-) {
-    let Some(log) = &state.access_log else { return };
-    log.record(&AccessRecord {
-        trace_id: ids.trace_hex().to_string(),
-        request_id: ids.request_id.clone(),
-        method: method.to_string(),
-        path: path.to_string(),
-        status,
-        dur_us: elapsed.as_micros().min(u64::MAX as u128) as u64,
-        outcome,
-        body_bytes,
-    });
-}
-
-fn error_body(code: &str, message: &str) -> String {
-    format!(
-        "{{\"v\":1,\"kind\":\"error\",\"code\":\"{}\",\"message\":\"{}\"}}",
-        code,
-        telemetry::json::escape(message)
-    )
 }
 
 const JSON: &str = "application/json";
@@ -710,98 +668,52 @@ const MAX_EXACT_ID: f64 = 9_007_199_254_740_991.0;
 /// Prometheus exposition content type (format 0.0.4).
 const PROM: &str = "text/plain; version=0.0.4";
 
-fn route(request: &Request, state: &ServiceState) -> (u16, &'static str, String) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/health") => (
-            200,
+/// `GET /health`: liveness, corpus size, the pool's sizing and state,
+/// and every breaker's state.
+fn health(state: &ServiceState) -> Reply {
+    let breakers: Vec<String> = state
+        .breakers
+        .iter()
+        .map(|(name, breaker)| format!("\"{name}\":\"{}\"", breaker.state_name()))
+        .collect();
+    let body = format!(
+        "{{\"status\":\"ok\",\"v\":1,\"corpus\":{},\"workers\":{},\"queue_capacity\":{},\
+         \"shards\":{},\"pool\":{{\"respawns\":{},\"queued\":{}}},\"breakers\":{{{}}}}}",
+        state.engine.corpus_len(),
+        state.workers,
+        state.queue_capacity,
+        state.shards,
+        state.pool.panics(),
+        state.pool.queue_len(),
+        breakers.join(","),
+    );
+    (200, JSON, body)
+}
+
+/// `GET /debug/trace/<id>`: one buffered span tree, plain or (with
+/// `?format=chrome`) in Chrome's trace-event format.
+fn trace_by_id(request: &Request) -> Reply {
+    let id_hex = &request.path["/debug/trace/".len()..];
+    let Some(id) = TraceId::from_hex(id_hex) else {
+        return (400, JSON, error_json("bad_request", "trace id must be 1-16 hex digits"));
+    };
+    match trace::find(id) {
+        Some(found) => {
+            let body = if request.query_param("format") == Some("chrome") {
+                trace::to_chrome_json(&found)
+            } else {
+                trace::to_json(&found)
+            };
+            (200, JSON, body)
+        }
+        None => (
+            404,
             JSON,
-            format!(
-                "{{\"status\":\"ok\",\"v\":1,\"corpus\":{},\"workers\":{},\"queue_capacity\":{},\
-                 \"shards\":{},\"pool\":{{\"respawns\":{},\"queued\":{}}},\
-                 \"breakers\":{{\"scan\":\"{}\",\"clone_check\":\"{}\",\"analyze\":\"{}\",\
-                 \"batch\":\"{}\",\"index\":\"{}\"}}}}",
-                state.engine.corpus_len(),
-                state.workers,
-                state.queue_capacity,
-                state.shards,
-                state.pool_respawns(),
-                state.pool_queued(),
-                state.breakers.scan.state_name(),
-                state.breakers.clone_check.state_name(),
-                state.breakers.analyze.state_name(),
-                state.breakers.batch.state_name(),
-                state.breakers.index.state_name(),
+            error_json(
+                "not_found",
+                "no buffered trace with that id (evicted, sampled out, or tracing is off)",
             ),
         ),
-        ("GET", "/telemetry") => {
-            refresh_gauges(state);
-            (200, JSON, telemetry::snapshot().to_json())
-        }
-        ("GET", "/metrics") => {
-            refresh_gauges(state);
-            (200, PROM, telemetry::prom::render(&telemetry::snapshot()))
-        }
-        ("GET", "/debug/traces/recent") => {
-            let limit = request
-                .query_param("limit")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(32usize)
-                .min(512);
-            (200, JSON, trace::recent_json(limit))
-        }
-        ("GET", path) if path.starts_with("/debug/trace/") => {
-            let id_hex = &path["/debug/trace/".len()..];
-            let Some(id) = TraceId::from_hex(id_hex) else {
-                return (
-                    400,
-                    JSON,
-                    error_body("bad_request", "trace id must be 1-16 hex digits"),
-                );
-            };
-            match trace::find(id) {
-                Some(found) => {
-                    let body = if request.query_param("format") == Some("chrome") {
-                        trace::to_chrome_json(&found)
-                    } else {
-                        trace::to_json(&found)
-                    };
-                    (200, JSON, body)
-                }
-                None => (
-                    404,
-                    JSON,
-                    error_body(
-                        "not_found",
-                        "no buffered trace with that id (evicted, sampled out, or tracing is off)",
-                    ),
-                ),
-            }
-        }
-        ("POST", "/shutdown") => {
-            state.shutdown.shutdown();
-            (200, JSON, "{\"status\":\"shutting_down\"}".to_string())
-        }
-        ("POST", "/v1/scan") => {
-            analyze(request, state, Some(RequestKind::Scan), &state.breakers.scan)
-        }
-        ("POST", "/v1/clone-check") => {
-            analyze(request, state, Some(RequestKind::CloneCheck), &state.breakers.clone_check)
-        }
-        ("POST", "/v1/analyze") => analyze(request, state, None, &state.breakers.analyze),
-        ("POST", "/v1/batch") => batch(request, state),
-        ("GET", "/v1/index/status") => index_status(state),
-        ("POST", "/v1/index/insert") => index_insert(request, state),
-        ("POST", "/v1/index/compact") => index_compact(state),
-        (
-            _,
-            "/health" | "/telemetry" | "/metrics" | "/shutdown" | "/v1/scan" | "/v1/clone-check"
-            | "/v1/analyze" | "/v1/batch" | "/v1/index/status" | "/v1/index/insert"
-            | "/v1/index/compact" | "/debug/traces/recent",
-        ) => (405, JSON, error_body("method_not_allowed", "wrong method for endpoint")),
-        (_, path) if path.starts_with("/debug/trace/") => {
-            (405, JSON, error_body("method_not_allowed", "wrong method for endpoint"))
-        }
-        (_, path) => (404, JSON, error_body("not_found", &format!("no such endpoint {path}"))),
     }
 }
 
@@ -812,8 +724,8 @@ fn refresh_gauges(state: &ServiceState) {
     telemetry::gauge_set("intern.symbols", symbols as u64);
     telemetry::gauge_set("intern.bytes", bytes as u64);
     telemetry::gauge_set("pool.workers", state.workers as u64);
-    telemetry::gauge_set("pool.queue_depth", state.pool_queued() as u64);
-    telemetry::gauge_set("pool.respawns", state.pool_respawns());
+    telemetry::gauge_set("pool.queue_depth", state.pool.queue_len() as u64);
+    telemetry::gauge_set("pool.respawns", state.pool.panics());
     telemetry::gauge_set("server.shards", state.shards as u64);
     let corpus = state.engine.corpus_handle();
     telemetry::gauge_set("index.generation", corpus.generation());
@@ -830,13 +742,7 @@ fn refresh_gauges(state: &ServiceState) {
         "index.front_cache_hit_rate_bp",
         (stats.hit_rate() * 10_000.0) as u64,
     );
-    for (endpoint, breaker) in [
-        ("scan", &state.breakers.scan),
-        ("clone_check", &state.breakers.clone_check),
-        ("analyze", &state.breakers.analyze),
-        ("batch", &state.breakers.batch),
-        ("index", &state.breakers.index),
-    ] {
+    for (name, breaker) in &state.breakers {
         // 1-based so the closed (normal) state still renders: the
         // snapshot omits zero-valued gauges.
         let code = match breaker.state_name() {
@@ -844,7 +750,7 @@ fn refresh_gauges(state: &ServiceState) {
             "open" => 2,
             _ => 3, // half_open
         };
-        telemetry::gauge_set(&format!("breaker.state|endpoint={endpoint}"), code);
+        telemetry::gauge_set(&format!("breaker.state|endpoint={name}"), code);
     }
 }
 
@@ -859,11 +765,11 @@ fn analyze(
     state: &ServiceState,
     expected: Option<RequestKind>,
     breaker: &CircuitBreaker,
-) -> (u16, &'static str, String) {
+) -> Reply {
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,
         Err(_) => {
-            return (400, JSON, error_body("bad_request", "request body is not UTF-8"));
+            return (400, JSON, error_json("bad_request", "request body is not UTF-8"));
         }
     };
     let parsed = match AnalysisRequest::from_json(body) {
@@ -880,7 +786,7 @@ fn analyze(
         return (
             400,
             JSON,
-            error_body("bad_request", "request kind does not match endpoint"),
+            error_json("bad_request", "request kind does not match endpoint"),
         );
     }
     // Acquire the breaker only once the request is validated: malformed
@@ -890,7 +796,7 @@ fn analyze(
         return (
             503,
             JSON,
-            error_body("breaker_open", "circuit breaker is open; retry after cooldown"),
+            error_json("breaker_open", "circuit breaker is open; retry after cooldown"),
         );
     }
     match state.engine.analyze(&parsed) {
@@ -917,22 +823,23 @@ fn analyze(
 /// or typed error), so errors are isolated per item — one hostile
 /// snippet fails its slot, not the batch. The batch breaker is acquired
 /// once and charged if *any* item fails internally.
-fn batch(request: &Request, state: &ServiceState) -> (u16, &'static str, String) {
+fn batch(request: &Request, state: &ServiceState) -> Reply {
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,
         Err(_) => {
-            return (400, JSON, error_body("bad_request", "request body is not UTF-8"));
+            return (400, JSON, error_json("bad_request", "request body is not UTF-8"));
         }
     };
     let items = match pipeline::api::batch_from_json(body) {
         Ok(items) => items,
         Err(error) => return (status_of(&error), JSON, error_to_json(&error)),
     };
-    if !state.breakers.batch.try_acquire() {
+    let breaker = state.breaker("batch");
+    if !breaker.try_acquire() {
         return (
             503,
             JSON,
-            error_body("breaker_open", "circuit breaker is open; retry after cooldown"),
+            error_json("breaker_open", "circuit breaker is open; retry after cooldown"),
         );
     }
     let mut any_internal = false;
@@ -961,9 +868,9 @@ fn batch(request: &Request, state: &ServiceState) -> (u16, &'static str, String)
     }
     out.push_str("]}");
     if any_internal {
-        state.breakers.batch.record_failure();
+        breaker.record_failure();
     } else {
-        state.breakers.batch.record_success();
+        breaker.record_success();
     }
     (200, JSON, out)
 }
@@ -971,7 +878,7 @@ fn batch(request: &Request, state: &ServiceState) -> (u16, &'static str, String)
 /// `GET /v1/index/status`: the corpus handle's live lifecycle view —
 /// committed snapshot generation, document count, write-ahead log
 /// durability state and front-cache effectiveness.
-fn index_status(state: &ServiceState) -> (u16, &'static str, String) {
+fn index_status(state: &ServiceState) -> Reply {
     let corpus = state.engine.corpus_handle();
     let stats = corpus.front_cache_stats();
     let wal = corpus.wal_stats().unwrap_or_default();
@@ -1010,25 +917,25 @@ fn index_status(state: &ServiceState) -> (u16, &'static str, String) {
 /// snapshot directory. With `--compact-after N` a successful insert that
 /// brings the delta count to N or beyond kicks off a background
 /// compaction.
-fn index_insert(request: &Request, state: &ServiceState) -> (u16, &'static str, String) {
+fn index_insert(request: &Request, state: &ServiceState) -> Reply {
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,
         Err(_) => {
-            return (400, JSON, error_body("bad_request", "request body is not UTF-8"));
+            return (400, JSON, error_json("bad_request", "request body is not UTF-8"));
         }
     };
     let value = match telemetry::json::parse(body) {
         Ok(value) => value,
         Err(e) => {
-            return (400, JSON, error_body("bad_request", &format!("body is not JSON: {e}")));
+            return (400, JSON, error_json("bad_request", &format!("body is not JSON: {e}")));
         }
     };
     match value.get("v").and_then(telemetry::json::Value::as_f64) {
         Some(1.0) => {}
-        _ => return (400, JSON, error_body("bad_request", "missing or unsupported \"v\"")),
+        _ => return (400, JSON, error_json("bad_request", "missing or unsupported \"v\"")),
     }
     let Some(source) = value.get("source").and_then(telemetry::json::Value::as_str) else {
-        return (400, JSON, error_body("bad_request", "missing \"source\""));
+        return (400, JSON, error_json("bad_request", "missing \"source\""));
     };
     let id = match value.get("id").map(telemetry::json::Value::as_f64) {
         None => None,
@@ -1039,17 +946,18 @@ fn index_insert(request: &Request, state: &ServiceState) -> (u16, &'static str, 
             return (400, JSON, error_to_json(&error));
         }
     };
-    if !state.breakers.index.try_acquire() {
+    let breaker = state.breaker("index");
+    if !breaker.try_acquire() {
         return (
             503,
             JSON,
-            error_body("breaker_open", "circuit breaker is open; retry after cooldown"),
+            error_json("breaker_open", "circuit breaker is open; retry after cooldown"),
         );
     }
     let corpus = state.engine.corpus_handle();
     match corpus.insert_source(id, source) {
         Ok(doc) => {
-            state.breakers.index.record_success();
+            breaker.record_success();
             if let Some(threshold) = state.compact_after {
                 corpus.maybe_auto_compact(threshold);
             }
@@ -1066,7 +974,7 @@ fn index_insert(request: &Request, state: &ServiceState) -> (u16, &'static str, 
             )
         }
         Err(error) => {
-            record_index_outcome(state, &error);
+            record_index_outcome(breaker, &error);
             (status_of(&error), JSON, error_to_json(&error))
         }
     }
@@ -1076,18 +984,19 @@ fn index_insert(request: &Request, state: &ServiceState) -> (u16, &'static str, 
 /// snapshot generation on disk. Answers 503 `index_busy` while another
 /// compaction is in flight and 400 when the server runs without a
 /// snapshot directory.
-fn index_compact(state: &ServiceState) -> (u16, &'static str, String) {
-    if !state.breakers.index.try_acquire() {
+fn index_compact(state: &ServiceState) -> Reply {
+    let breaker = state.breaker("index");
+    if !breaker.try_acquire() {
         return (
             503,
             JSON,
-            error_body("breaker_open", "circuit breaker is open; retry after cooldown"),
+            error_json("breaker_open", "circuit breaker is open; retry after cooldown"),
         );
     }
     let corpus = state.engine.corpus_handle();
     match corpus.compact() {
         Ok(generation) => {
-            state.breakers.index.record_success();
+            breaker.record_success();
             (
                 200,
                 JSON,
@@ -1100,7 +1009,7 @@ fn index_compact(state: &ServiceState) -> (u16, &'static str, String) {
             )
         }
         Err(error) => {
-            record_index_outcome(state, &error);
+            record_index_outcome(breaker, &error);
             (status_of(&error), JSON, error_to_json(&error))
         }
     }
@@ -1109,11 +1018,11 @@ fn index_compact(state: &ServiceState) -> (u16, &'static str, String) {
 /// Charge the index breaker only for failures that are the service's
 /// fault (I/O corruption, internal errors); caller mistakes and the
 /// transient busy state are breaker successes, same rule as `analyze`.
-fn record_index_outcome(state: &ServiceState, error: &AnalysisError) {
+fn record_index_outcome(breaker: &CircuitBreaker, error: &AnalysisError) {
     if matches!(error.code(), "internal" | "index_corrupt") {
-        state.breakers.index.record_failure();
+        breaker.record_failure();
     } else {
-        state.breakers.index.record_success();
+        breaker.record_success();
     }
 }
 
@@ -1137,17 +1046,9 @@ mod tests {
     use pipeline::api::AnalysisConfig;
 
     fn state() -> Arc<ServiceState> {
-        Arc::new(ServiceState {
-            engine: Arc::new(AnalysisEngine::new(AnalysisConfig::default())),
-            shutdown: ShutdownHandle::default(),
-            workers: 1,
-            queue_capacity: 1,
-            shards: 1,
-            breakers: Breakers::new(BreakerConfig::default()),
-            pools: Vec::new(),
-            access_log: None,
-            compact_after: None,
-        })
+        let config = ServerConfig { workers: 1, queue_capacity: 1, ..ServerConfig::default() };
+        let engine = Arc::new(AnalysisEngine::new(AnalysisConfig::default()));
+        Arc::new(ServiceState::new(&config, engine).expect("no access log to open"))
     }
 
     fn get(path: &str) -> Request {
@@ -1169,7 +1070,9 @@ mod tests {
         let (status, _, body) = route(&get("/health"), &state);
         assert_eq!(status, 200);
         assert!(body.contains("\"status\":\"ok\""));
-        assert!(body.contains("\"shards\":1"), "{body}");
+        // One worker and one queue slot no longer clamp the shard count.
+        let shards = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+        assert!(body.contains(&format!("\"shards\":{shards}")), "{body}");
         assert!(body.contains("\"batch\":\"closed\""), "{body}");
         let (status, _, _) = route(&get("/nope"), &state);
         assert_eq!(status, 404);
@@ -1243,7 +1146,7 @@ mod tests {
         assert!(response.contains("\"kind\":\"findings\""), "{response}");
         assert!(response.contains("\"kind\":\"error\""), "{response}");
         // The breaker saw the request-caused error as a success.
-        assert_eq!(state.breakers.batch.state_name(), "closed");
+        assert_eq!(state.breaker("batch").state_name(), "closed");
     }
 
     #[test]
@@ -1334,7 +1237,7 @@ mod tests {
         // Duplicate id is the caller's fault: 400, breaker stays closed.
         let (status, _, response) = route(&post("/v1/index/insert", body), &state);
         assert_eq!(status, 400, "{response}");
-        assert_eq!(state.breakers.index.state_name(), "closed");
+        assert_eq!(state.breaker("index").state_name(), "closed");
         // The inserted document is immediately matchable.
         let check = AnalysisRequest::clone_check(
             "contract B { function out(uint a) public { msg.sender.transfer(a); } }",
@@ -1381,24 +1284,36 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_labels_are_bounded() {
-        assert_eq!(endpoint_label("/v1/scan"), "/v1/scan");
-        assert_eq!(endpoint_label("/v1/batch"), "/v1/batch");
-        assert_eq!(endpoint_label("/v1/index/status"), "/v1/index/status");
-        assert_eq!(endpoint_label("/v1/index/compact"), "/v1/index/compact");
-        assert_eq!(endpoint_label("/debug/trace/deadbeef"), "/debug/trace");
-        assert_eq!(endpoint_label("/anything/else"), "other");
-    }
-
-    #[test]
-    fn every_endpoint_label_has_its_own_handles() {
-        for endpoint in &ENDPOINTS {
-            let path = match endpoint.label {
-                "/debug/trace" => "/debug/trace/deadbeef",
-                "other" => "/anything/else",
-                label => label,
-            };
-            assert_eq!(endpoint_label(path), endpoint.label);
+    fn every_endpoint_row_routes_and_counts_under_its_own_label() {
+        let state = state();
+        telemetry::enable();
+        let mut probes: Vec<(&str, String, &str)> = ENDPOINTS
+            .iter()
+            .map(|endpoint| {
+                let path = match endpoint.prefix {
+                    true => format!("{}/zz", endpoint.path),
+                    false => endpoint.path.to_string(),
+                };
+                (endpoint.method, path, endpoint.path)
+            })
+            .collect();
+        probes.push(("GET", "/anything/else".into(), "other"));
+        for (method, path, label) in probes {
+            let request =
+                Request { method: method.into(), path: path.clone(), ..Request::default() };
+            let reply = route(&request, &state);
+            if label == "other" {
+                assert_eq!(reply.0, 404, "{path} → {}", reply.2);
+            } else {
+                assert!(!matches!(reply.0, 404 | 405), "{method} {path} → {reply:?}");
+                let wrong = Request { method: "DELETE".into(), ..request };
+                assert_eq!(route(&wrong, &state).0, 405, "DELETE {path}");
+            }
+            let counter = format!("http.requests|endpoint={label}|status={}xx", reply.0 / 100);
+            let count = || telemetry::snapshot().counter(&counter).unwrap_or(0);
+            let before = count();
+            respond(&state, &RequestIds::fresh(), method, &path, reply, false, || Duration::ZERO);
+            assert_eq!(count(), before + 1, "{method} {path} → {counter}");
         }
     }
 
@@ -1412,18 +1327,5 @@ mod tests {
         assert_eq!(outcome_of(503, "{\"code\":\"overloaded\"}"), "error");
         assert_eq!(outcome_of(504, "{}"), "timeout");
         assert_eq!(outcome_of(400, "{}"), "error");
-    }
-
-    #[test]
-    fn effective_shards_respects_worker_and_queue_floors() {
-        let mut config = ServerConfig { workers: 1, queue_capacity: 1, ..Default::default() };
-        assert_eq!(effective_shards(&config), 1, "single-lane config keeps one shard");
-        config.workers = 8;
-        config.queue_capacity = 256;
-        config.shards = 3;
-        assert_eq!(effective_shards(&config), 3);
-        config.shards = 100;
-        config.queue_capacity = 2;
-        assert_eq!(effective_shards(&config), 2, "clamped to queue slots");
     }
 }

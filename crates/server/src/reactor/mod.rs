@@ -4,8 +4,8 @@
 //! outright — non-blocking reads into growable buffers, the
 //! incremental zero-copy parser from [`crate::http`], keep-alive and
 //! pipelining with a bounded in-flight depth, and responses written
-//! strictly in request order. Analysis work runs on per-shard worker
-//! pools; finished responses come back through the shard's
+//! strictly in request order. Analysis work runs on the server's one
+//! worker pool; finished responses come back through the shard's
 //! [`ShardInbox`].
 
 mod conn;

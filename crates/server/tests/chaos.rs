@@ -98,8 +98,7 @@ fn query_eval_fault_escalates_to_catchable_panic() {
 fn sweep_fault_escalates_to_catchable_panic() {
     // The batch sweep has no per-request isolation layer of its own; the
     // contract is that its injected faults are catchable panics with the
-    // faultinject marker, which batch drivers absorb via their pool's
-    // respawn sentinel.
+    // faultinject marker, which a worker pool catches per job.
     with_plan("ccd/sweep:err:1.0", 1, || {
         let payload = std::panic::catch_unwind(|| {
             let mut corpus = ccd::LabelledCorpus::default();
@@ -178,15 +177,15 @@ fn server_request_fault_returns_typed_500() {
 #[test]
 fn worker_panics_are_respawned_and_reported() {
     with_plan("server/request:panic:1.0", 1, || {
-        let config = ServerConfig { workers: 2, ..ServerConfig::default() };
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
         let server =
             Server::bind("127.0.0.1:0", config, Arc::new(engine())).expect("bind");
         let addr = server.local_addr().expect("addr").to_string();
         let handle = server.shutdown_handle();
         let join = std::thread::spawn(move || server.run().expect("run"));
 
-        // Each request panics its worker mid-connection: the client sees
-        // a dead socket, the pool's sentinel respawns the worker.
+        // Each request panics its job mid-connection: the client sees a
+        // dead socket, and the one worker catches the panic and serves on.
         for _ in 0..3 {
             assert!(
                 client::get(&addr, "/health").is_err(),

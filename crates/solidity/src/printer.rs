@@ -63,13 +63,6 @@ pub fn print_function(f: &FunctionDef) -> String {
     out
 }
 
-/// Print a contract definition.
-pub fn print_contract(c: &ContractDef) -> String {
-    let mut out = String::new();
-    Printer::new(&mut out).contract(c);
-    out
-}
-
 struct Printer<'a> {
     out: &'a mut String,
     indent: usize,
