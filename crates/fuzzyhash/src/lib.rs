@@ -137,7 +137,7 @@ impl FuzzyHasher {
         }
     }
 
-    /// Feed raw bytes; a piece may end at any byte (classic ssdeep mode).
+    /// Feed raw bytes; a piece may end at any byte, as in classic ssdeep.
     pub fn update_bytes(&mut self, data: &[u8]) {
         for &byte in data {
             self.push_byte(byte);
@@ -177,52 +177,6 @@ impl FuzzyHasher {
         }
         self.digest
     }
-}
-
-/// Hash a token stream with a fixed block size.
-pub fn hash_tokens(tokens: &[String], block_size: u32) -> String {
-    let mut hasher = FuzzyHasher::new(block_size);
-    for token in tokens {
-        hasher.update_token(token);
-    }
-    hasher.finish()
-}
-
-/// Classic whole-input fuzzy hash with ssdeep's adaptive block size,
-/// formatted as `blocksize:digest`. Used for whole-file deduplication.
-pub fn fuzzy_hash_bytes(data: &[u8]) -> String {
-    // bs = 3 * 2^i such that bs * 64 >= len (ssdeep's SPAMSUM_LENGTH = 64).
-    let mut block_size: u32 = 3;
-    while (block_size as u64) * 64 < data.len() as u64 {
-        block_size *= 2;
-    }
-    loop {
-        let mut hasher = FuzzyHasher::new(block_size);
-        hasher.update_bytes(data);
-        let digest = hasher.finish();
-        // ssdeep halves the block size when the digest is too short.
-        if digest.len() >= 32 || block_size <= 3 {
-            return format!("{block_size}:{digest}");
-        }
-        block_size /= 2;
-    }
-}
-
-/// Compare two classic `blocksize:digest` hashes the way ssdeep does:
-/// comparable only when the block sizes are equal or adjacent (factor 2),
-/// scored with the normalized edit-distance similarity.
-///
-/// Returns `None` for malformed inputs or incomparable block sizes.
-pub fn compare_classic(a: &str, b: &str) -> Option<f64> {
-    let (bs_a, dig_a) = a.split_once(':')?;
-    let (bs_b, dig_b) = b.split_once(':')?;
-    let bs_a: u32 = bs_a.parse().ok()?;
-    let bs_b: u32 = bs_b.parse().ok()?;
-    let comparable = bs_a == bs_b || bs_a == bs_b * 2 || bs_b == bs_a * 2;
-    if !comparable {
-        return None;
-    }
-    Some(similarity(dig_a, dig_b))
 }
 
 /// Levenshtein edit distance between two strings (two-row DP, O(n·m) time,
@@ -486,6 +440,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Hash a token stream with a fixed block size.
+    fn hash_tokens(tokens: &[String], block_size: u32) -> String {
+        let mut hasher = FuzzyHasher::new(block_size);
+        for token in tokens {
+            hasher.update_token(token);
+        }
+        hasher.finish()
+    }
+
     #[test]
     fn rolling_hash_depends_only_on_window() {
         let mut a = RollingHash::new();
@@ -552,14 +515,6 @@ mod tests {
         let tokens: Vec<String> = (0..1000).map(|i| format!("tok{i}")).collect();
         let digest = hash_tokens(&tokens, 8);
         assert!(digest.len() < 400, "len = {}", digest.len());
-        assert!(!digest.is_empty());
-    }
-
-    #[test]
-    fn classic_mode_formats_block_size() {
-        let h = fuzzy_hash_bytes(b"hello world, this is a longer input for hashing");
-        let (bs, digest) = h.split_once(':').unwrap();
-        assert!(bs.parse::<u32>().is_ok());
         assert!(!digest.is_empty());
     }
 
@@ -644,42 +599,13 @@ mod tests {
 
     #[test]
     fn token_boundaries_enforce_context() {
-        // `ab`,`c` and `a`,`bc` must hash differently despite identical
-        // concatenation.
+        // `ab`,`c` and `a`,`bc` concatenate alike, but the separator after
+        // each token puts different bytes into the stream.
         let x = hash_tokens(&["ab".into(), "c".into(), "pad1".into(), "pad2".into()], 2);
         let y = hash_tokens(&["a".into(), "bc".into(), "pad1".into(), "pad2".into()], 2);
-        // Not necessarily entirely different, but not byte-identical
-        // derivation: the separator placement changes the rolling stream.
-        let _ = &y;
+        assert_ne!(x, y);
         let x2 = hash_tokens(&["ab".into(), "c".into(), "pad1".into(), "pad2".into()], 2);
         assert_eq!(x, x2);
-    }
-
-
-    #[test]
-    fn classic_comparison_requires_adjacent_block_sizes() {
-        let short = fuzzy_hash_bytes(b"tiny input");
-        let long_data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
-        let long = fuzzy_hash_bytes(&long_data);
-        // Same input compares to itself at 100.
-        assert_eq!(compare_classic(&short, &short), Some(100.0));
-        // Wildly different block sizes are incomparable, as in ssdeep.
-        assert_eq!(compare_classic(&short, &long), None);
-        assert_eq!(compare_classic("notahash", &short), None);
-    }
-
-    #[test]
-    fn classic_comparison_scores_similar_inputs_high() {
-        let base: Vec<u8> = (0..4000u32).map(|i| (i % 199) as u8).collect();
-        let mut tweaked = base.clone();
-        for slot in tweaked.iter_mut().skip(2000).take(40) {
-            *slot = 7;
-        }
-        let ha = fuzzy_hash_bytes(&base);
-        let hb = fuzzy_hash_bytes(&tweaked);
-        if let Some(score) = compare_classic(&ha, &hb) {
-            assert!(score > 50.0, "{ha} vs {hb}: {score}");
-        }
     }
 
     proptest! {

@@ -13,8 +13,7 @@
 //!   are pre-interned with fixed ids in [`sym`], so hot comparisons
 //!   compile to integer compares against constants.
 //! * [`Bump`] — a chunked bump arena for byte/string allocation. The
-//!   interner stores all symbol text in one; the CPG builder uses one as
-//!   its code-printing scratch space.
+//!   interner stores all symbol text in one.
 //! * [`LineIndex`] — O(log n) resolution of `u32` byte offsets to
 //!   1-based line/column, replacing the per-token line/col fields the old
 //!   lexer threaded through every `Span`.

@@ -14,7 +14,9 @@
 //! printed and, with `--port-file`, written to a file for scripts to
 //! pick up). The clone corpus is the honeypot dataset of the recorded
 //! run, truncated to `--corpus` contracts (0 → all 379). SIGTERM and
-//! SIGINT trigger a graceful drain.
+//! SIGINT trigger a graceful drain, which starts within the event loop's
+//! 250 ms poll cap. Running out of file descriptors pauses accepting
+//! for a short backoff and never stops the daemon.
 //!
 //! Warm start: with `--snapshot-dir`, the corpus is loaded from the
 //! directory's committed snapshot generation (milliseconds — no
@@ -257,7 +259,7 @@ fn main() {
     match server.run() {
         Ok(()) => eprintln!("[serve] drained and stopped"),
         Err(e) => {
-            eprintln!("[serve] accept loop failed: {e}");
+            eprintln!("[serve] event loop failed: {e}");
             std::process::exit(1);
         }
     }

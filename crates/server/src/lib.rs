@@ -11,17 +11,17 @@
 //!   corpus front cache) shared by every worker; the corpus is one
 //!   detector behind one read/write lock, read by clone checks and
 //!   updated in place by `/v1/index/insert`,
-//! * a sharded epoll reactor (Linux; see [`reactor`]) — one acceptor
-//!   thread hands connections round-robin to N shard threads, each
-//!   running an event loop with non-blocking reads, an incremental
-//!   zero-copy HTTP/1.1 parser, keep-alive and pipelining with a
-//!   bounded in-flight depth, and responses written in request order,
-//! * one bounded [`WorkerPool`] (`pipeline::par`) shared by every shard,
+//! * an epoll event loop (Linux; see [`reactor`]) on the thread that
+//!   calls [`Server::run`] — it accepts connections itself and runs
+//!   non-blocking reads, an incremental zero-copy HTTP/1.1 parser,
+//!   keep-alive and pipelining with a bounded in-flight depth, and
+//!   responses written in request order,
+//! * one bounded [`WorkerPool`] (`pipeline::par`) the loop submits to,
 //!   running the analysis — overload is shed at the edge with HTTP 429
 //!   instead of queueing without bound,
 //! * cooperative per-request timeouts inside the engine (HTTP 504),
-//! * graceful shutdown: SIGTERM/`POST /shutdown` stop the accept loop,
-//!   in-flight requests drain, shards and workers join.
+//! * graceful shutdown: SIGTERM/`POST /shutdown` close the listener,
+//!   in-flight requests drain, the loop returns and the workers join.
 //!
 //! Endpoints (JSON bodies use the wire format of [`pipeline::api`]):
 //!
@@ -76,8 +76,8 @@ use telemetry::trace::{self, TraceId};
 /// [`pipeline::api::AnalysisConfig`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads serving requests, in one pool shared by every
-    /// reactor shard.
+    /// Worker threads serving requests, in the one pool the event loop
+    /// submits to.
     pub workers: usize,
     /// Maximum pending (accepted but unserved) requests across the whole
     /// server before it sheds load with 429.
@@ -119,19 +119,24 @@ impl Default for ServerConfig {
     }
 }
 
-/// A cloneable handle that stops a running server's accept loop.
-#[derive(Debug, Clone, Default)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+/// A cloneable handle that stops a running server: it sets the drain
+/// flag and wakes the event loop, which closes its listener at once.
+#[derive(Clone)]
+pub struct ShutdownHandle {
+    stop: Arc<AtomicBool>,
+    inbox: Arc<reactor::Inbox>,
+}
 
 impl ShutdownHandle {
     /// Request a graceful shutdown.
     pub fn shutdown(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.stop.store(true, Ordering::SeqCst);
+        self.inbox.notify();
     }
 
     /// Whether shutdown has been requested (by this handle or a signal).
     pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::SeqCst) || signal_stop_requested()
+        self.stop.load(Ordering::SeqCst) || signal_stop_requested()
     }
 }
 
@@ -145,6 +150,9 @@ pub fn signal_stop_requested() -> bool {
 /// Install SIGTERM/SIGINT handlers that flip the shutdown flag, turning
 /// `kill -TERM` into a graceful drain. Uses the C `signal` entry point
 /// directly (std already links libc), so no extra dependency is needed.
+/// The handler does not wake the event loop: a signal that interrupts its
+/// `epoll_wait` is seen at once, one delivered to another thread within
+/// the loop's 250 ms poll cap.
 pub fn install_signal_handlers() {
     extern "C" fn on_signal(_signum: i32) {
         SIGNAL_STOP.store(true, Ordering::SeqCst);
@@ -160,18 +168,22 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// Shared state handed to every shard and worker.
+/// Shared state of the event loop and every worker; the loop's request
+/// handler.
 struct ServiceState {
     engine: Arc<AnalysisEngine>,
     shutdown: ShutdownHandle,
+    /// Where workers send finished responses back to the event loop.
+    inbox: Arc<reactor::Inbox>,
     workers: usize,
     queue_capacity: usize,
-    shards: usize,
+    /// The read deadline, which a 408 reports as its duration.
+    read_timeout: Duration,
     /// The circuit breakers of the four analysis endpoints and the
     /// index-management surface, under the names `/health` and the
     /// `breaker.state|endpoint=<name>` gauges report.
     breakers: [(&'static str, CircuitBreaker); 5],
-    /// The one worker pool; every shard submits to it.
+    /// The one worker pool; the event loop submits every job to it.
     pool: WorkerPool,
     /// Structured access log; `None` disables logging.
     access_log: Option<AccessLog>,
@@ -185,12 +197,14 @@ impl ServiceState {
             Some(path) => Some(AccessLog::open(path, config.slow_log.as_deref(), config.slow_ms)?),
             None => None,
         };
+        let inbox = reactor::Inbox::new()?;
         Ok(ServiceState {
             engine,
-            shutdown: ShutdownHandle::default(),
+            shutdown: ShutdownHandle { stop: Arc::default(), inbox: Arc::clone(&inbox) },
+            inbox,
             workers: config.workers,
             queue_capacity: config.queue_capacity,
-            shards: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4),
+            read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
             breakers: ["scan", "clone_check", "analyze", "batch", "index"]
                 .map(|name| (name, CircuitBreaker::new(config.breaker))),
             pool: WorkerPool::new(config.workers, config.queue_capacity),
@@ -209,23 +223,21 @@ impl ServiceState {
     }
 }
 
-static ACCEPTED: telemetry::Counter = telemetry::Counter::new("server.accepted");
 static SHED: telemetry::Counter = telemetry::Counter::new("server.shed");
 
-/// The analysis daemon: listener + reactor shards + one worker pool +
-/// warm engine.
+/// The analysis daemon: listener + event loop + one worker pool + warm
+/// engine.
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServiceState>,
-    read_timeout: Duration,
     max_pipeline: usize,
 }
 
 impl Server {
     /// Bind the service. `addr` accepts anything `TcpListener::bind`
     /// does; port 0 picks an ephemeral port (see
-    /// [`Server::local_addr`]). The reactor runs `min(available cores,
-    /// 4)` shards over one pool of `config.workers` workers.
+    /// [`Server::local_addr`]). One event loop serves every connection
+    /// over one pool of `config.workers` workers.
     pub fn bind(
         addr: &str,
         config: ServerConfig,
@@ -235,7 +247,6 @@ impl Server {
         Ok(Server {
             listener,
             state: Arc::new(ServiceState::new(&config, engine)?),
-            read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
             max_pipeline: config.max_pipeline.max(1),
         })
     }
@@ -245,96 +256,34 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A handle that stops the accept loop from another thread (or from
-    /// the `POST /shutdown` endpoint).
+    /// A handle that stops the server from another thread (or from the
+    /// `POST /shutdown` endpoint).
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         self.state.shutdown.clone()
     }
 
     /// Serve until shutdown is requested, then drain in-flight requests
-    /// and join shards and workers. Shard threads own the connections;
-    /// this thread accepts and hands them out round-robin through the
-    /// shard inboxes.
+    /// and join the workers. The event loop runs on the calling thread:
+    /// it accepts, reads, parses and writes every connection itself, and
+    /// submits each request to the worker pool. Returns an error only
+    /// when setting up or waiting on the loop's epoll instance fails.
     pub fn run(self) -> io::Result<()> {
-        use reactor::{Shard, ShardConfig, ShardInbox};
-        let shard_cfg =
-            ShardConfig { read_timeout: self.read_timeout, max_pipeline: self.max_pipeline };
-        let mut inboxes = Vec::with_capacity(self.state.shards);
-        let mut threads = Vec::with_capacity(self.state.shards);
-        for id in 0..self.state.shards {
-            let inbox = ShardInbox::new()?;
-            let handler = Arc::new(ShardService {
-                state: Arc::clone(&self.state),
-                inbox: Arc::clone(&inbox),
-                read_timeout: self.read_timeout,
-                conns: telemetry::Gauge::named(format!("server.shard_conns|shard={id}")),
-                inflight: telemetry::Gauge::named(format!("server.shard_inflight|shard={id}")),
-            });
-            let shard = Shard::new(id, Arc::clone(&inbox), handler, shard_cfg)?;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("shard-{id}"))
-                    .spawn(move || shard.run())?,
-            );
-            inboxes.push(inbox);
-        }
-        self.listener.set_nonblocking(true)?;
-        let mut next = 0usize;
-        let mut accept_error = None;
-        while !self.state.shutdown.is_shutdown() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    ACCEPTED.incr();
-                    inboxes[next % inboxes.len()].hand_off(stream);
-                    next += 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => {
-                    accept_error = Some(e);
-                    self.state.shutdown.shutdown();
-                    break;
-                }
-            }
-        }
-        // Graceful drain: wake every shard so it notices the flag,
-        // serves what is in flight, closes its connections, and exits.
-        for inbox in &inboxes {
-            inbox.notify();
-        }
-        for thread in threads {
-            match thread.join() {
-                Ok(result) => result?,
-                Err(_) => {
-                    return Err(io::Error::other("reactor shard panicked"));
-                }
-            }
-        }
-        // All connections are gone, so every dispatched job has
-        // completed; join the workers.
+        let config =
+            reactor::Config { read_timeout: self.state.read_timeout, max_pipeline: self.max_pipeline };
+        let inbox = Arc::clone(&self.state.inbox);
+        let served = reactor::Reactor::new(self.listener, inbox, Arc::clone(&self.state), config)
+            .and_then(reactor::Reactor::run);
+        // Every connection is closed, so no response can reach a client
+        // any more; join the workers (queued jobs still run).
         self.state.pool.shutdown();
-        match accept_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        served
     }
 }
 
-/// The per-shard service half of the reactor: submits parsed requests
-/// to the worker pool, sheds with 429 when its queue is full, and
-/// answers the protocol-level error classes.
-struct ShardService {
-    state: Arc<ServiceState>,
-    inbox: Arc<reactor::ShardInbox>,
-    read_timeout: Duration,
-    /// `server.shard_conns|shard=<id>`, set every reactor tick.
-    conns: telemetry::Gauge,
-    /// `server.shard_inflight|shard=<id>`, set every reactor tick.
-    inflight: telemetry::Gauge,
-}
-
-impl reactor::ShardHandler for ShardService {
+/// The service half of the event loop: submits parsed requests to the
+/// worker pool, sheds with 429 when its queue is full, and answers the
+/// protocol-level error classes.
+impl reactor::Handler for Arc<ServiceState> {
     fn handle(
         &self,
         view: &http::ReqView<'_>,
@@ -345,12 +294,11 @@ impl reactor::ShardHandler for ShardService {
         let started = Instant::now();
         let ids = RequestIds::from_view(view);
         let request = view.to_request_lean();
-        let state = Arc::clone(&self.state);
-        let inbox = Arc::clone(&self.inbox);
-        let submitted = self.state.pool.try_submit(move || {
+        let state = Arc::clone(self);
+        let submitted = self.pool.try_submit(move || {
             // First statement: arm the completion guard so a panic
             // anywhere below still reports (and fails) the connection.
-            let guard = reactor::CompletionGuard::new(inbox, token, seq);
+            let guard = reactor::CompletionGuard::new(Arc::clone(&state.inbox), token, seq);
             let bytes = run_request(&state, &request, &ids, keep_alive, started);
             guard.send(bytes);
         });
@@ -366,7 +314,7 @@ impl reactor::ShardHandler for ShardService {
                 SHED.incr();
                 let reply = (429, JSON, error_json("overloaded", "request queue is full"));
                 reactor::Dispatch::Inline(respond(
-                    &self.state,
+                    self,
                     &RequestIds::from_view(view),
                     view.method,
                     view.path,
@@ -383,28 +331,23 @@ impl reactor::ShardHandler for ShardService {
             HttpError::TooLarge => (413, JSON, error_json("too_large", "request too large")),
             HttpError::Malformed(m) => (400, JSON, error_json("bad_request", m)),
         };
-        respond(&self.state, &RequestIds::fresh(), "?", "?", reply, false, || Duration::ZERO)
+        respond(self, &RequestIds::fresh(), "?", "?", reply, false, || Duration::ZERO)
     }
 
     fn read_timeout_response(&self) -> Vec<u8> {
         let body = error_json("timeout", "request did not arrive within the read deadline");
         let reply = (408, JSON, body);
-        respond(&self.state, &RequestIds::fresh(), "?", "?", reply, false, || self.read_timeout)
+        respond(self, &RequestIds::fresh(), "?", "?", reply, false, || self.read_timeout)
     }
 
     fn draining(&self) -> bool {
-        self.state.shutdown.is_shutdown()
-    }
-
-    fn on_tick(&self, _shard_id: usize, conns: usize, inflight: usize) {
-        self.conns.set(conns as u64);
-        self.inflight.set(inflight as u64);
+        self.shutdown.is_shutdown()
     }
 }
 
 /// Run one request end to end on a worker thread: trace, chaos hook,
 /// route, then [`respond`]. Returns the rendered response bytes for the
-/// shard to write in pipeline order.
+/// event loop to write in pipeline order.
 fn run_request(
     state: &ServiceState,
     request: &Request,
@@ -678,11 +621,10 @@ fn health(state: &ServiceState) -> Reply {
         .collect();
     let body = format!(
         "{{\"status\":\"ok\",\"v\":1,\"corpus\":{},\"workers\":{},\"queue_capacity\":{},\
-         \"shards\":{},\"pool\":{{\"respawns\":{},\"queued\":{}}},\"breakers\":{{{}}}}}",
+         \"pool\":{{\"respawns\":{},\"queued\":{}}},\"breakers\":{{{}}}}}",
         state.engine.corpus_len(),
         state.workers,
         state.queue_capacity,
-        state.shards,
         state.pool.panics(),
         state.pool.queue_len(),
         breakers.join(","),
@@ -726,7 +668,6 @@ fn refresh_gauges(state: &ServiceState) {
     telemetry::gauge_set("pool.workers", state.workers as u64);
     telemetry::gauge_set("pool.queue_depth", state.pool.queue_len() as u64);
     telemetry::gauge_set("pool.respawns", state.pool.panics());
-    telemetry::gauge_set("server.shards", state.shards as u64);
     let corpus = state.engine.corpus_handle();
     telemetry::gauge_set("index.generation", corpus.generation());
     telemetry::gauge_set("index.deltas", corpus.deltas());
@@ -1070,9 +1011,6 @@ mod tests {
         let (status, _, body) = route(&get("/health"), &state);
         assert_eq!(status, 200);
         assert!(body.contains("\"status\":\"ok\""));
-        // One worker and one queue slot no longer clamp the shard count.
-        let shards = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
-        assert!(body.contains(&format!("\"shards\":{shards}")), "{body}");
         assert!(body.contains("\"batch\":\"closed\""), "{body}");
         let (status, _, _) = route(&get("/nope"), &state);
         assert_eq!(status, 404);

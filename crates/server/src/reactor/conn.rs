@@ -1,4 +1,4 @@
-//! Per-connection state owned by exactly one reactor shard: the
+//! Per-connection state owned by the event loop: the
 //! growable read buffer the incremental parser scans, the ordered
 //! response slots that keep pipelined replies in request order, and the
 //! pending write backlog.
@@ -12,7 +12,8 @@ use std::time::Instant;
 /// out of order) as workers complete; writes drain strictly from the
 /// front, so a response is never sent before all its predecessors.
 pub struct Slot {
-    /// Dispatch sequence number within this connection (diagnostic).
+    /// Dispatch sequence number within this connection: the key a
+    /// completion names to fill this slot.
     pub seq: u64,
     /// The rendered response, once the worker (or an inline error
     /// path) has produced it.
@@ -22,11 +23,11 @@ pub struct Slot {
     pub close_after: bool,
 }
 
-/// A connection owned by a shard.
+/// A connection owned by the event loop.
 pub struct Conn {
     /// The non-blocking stream.
     pub stream: TcpStream,
-    /// Shard-unique monotonic token — also the epoll token, so a
+    /// Loop-unique monotonic token — also the epoll token, so a
     /// recycled fd can never be confused with its predecessor.
     pub token: u64,
     /// Bytes read but not yet consumed by the parser. `read_pos` marks
@@ -55,8 +56,6 @@ pub struct Conn {
     pub close_when_flushed: bool,
     /// Interest mask currently registered with epoll.
     pub interest: u32,
-    /// Requests served on this connection (diagnostic).
-    pub served: u64,
 }
 
 impl Conn {
@@ -75,7 +74,6 @@ impl Conn {
             closing: false,
             close_when_flushed: false,
             interest: 0,
-            served: 0,
         }
     }
 
@@ -129,7 +127,6 @@ impl Conn {
             let slot = self.slots.pop_front().expect("front exists");
             self.write_buf
                 .extend_from_slice(slot.response.as_deref().expect("checked Some"));
-            self.served += 1;
             if slot.close_after {
                 self.close_when_flushed = true;
                 self.closing = true;

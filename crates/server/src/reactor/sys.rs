@@ -118,8 +118,8 @@ impl Drop for Epoll {
     }
 }
 
-/// An eventfd used to wake a shard's `epoll_wait` from other threads
-/// (acceptor handoffs, worker completions). Closed on drop.
+/// An eventfd used to wake the event loop's `epoll_wait` from other
+/// threads (worker completions, shutdown). Closed on drop.
 pub struct WakeFd {
     fd: RawFd,
 }
@@ -139,15 +139,15 @@ impl WakeFd {
         self.fd
     }
 
-    /// Wake the owning shard. A full counter (`EAGAIN`) already means a
+    /// Wake the event loop. A full counter (`EAGAIN`) already means a
     /// wake is pending, so errors are ignored.
     pub fn wake(&self) {
         let one: u64 = 1;
         unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
     }
 
-    /// Drain pending wakeups (reset the counter). Called by the shard
-    /// *before* it takes items from its inboxes, so a producer that
+    /// Drain pending wakeups (reset the counter). Called by the loop
+    /// *before* it takes completions from its inbox, so a producer that
     /// enqueues after the drain leaves a fresh wake behind; a stale
     /// extra wake is harmless.
     pub fn drain(&self) {

@@ -161,13 +161,13 @@ fn adopted_trace_id_round_trips_through_debug_endpoints() {
             metrics.contains("stage_duration_ns_count{stage=\"parse\"}"),
             "metrics miss the parse stage histogram:\n{metrics}"
         );
-        // The RED series and the per-shard gauges keep their names and
+        // The RED series and the transport gauges keep their names and
         // labels.
         for needle in [
             "http_requests_total{endpoint=\"/v1/scan\",status=\"2xx\"}",
             "http_request_duration_us_count{endpoint=\"/v1/scan\"}",
-            "server_shard_conns{shard=\"0\"}",
-            "server_shard_inflight{shard=\"0\"}",
+            "server_conns",
+            "server_inflight",
         ] {
             assert!(metrics.contains(needle), "metrics miss {needle}:\n{metrics}");
         }

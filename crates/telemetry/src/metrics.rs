@@ -4,12 +4,10 @@
 //! Metric cells live in a global registry keyed by name and are leaked
 //! (`&'static`) so handles can cache a direct pointer: after the first
 //! touch, a [`Counter::add`] is one enabled-check plus one relaxed
-//! `fetch_add`. Every recording site holds a handle: a `static` for a
-//! fixed name, or one [`Gauge::named`] built once for a name known only at
-//! run time (a per-shard label). [`gauge_set`] pays one registry lock per
-//! call and serves only the gauges sampled at scrape time.
+//! `fetch_add`. Every recording site holds a `static` handle.
+//! [`gauge_set`] pays one registry lock per call and serves only the
+//! gauges sampled at scrape time.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -226,20 +224,14 @@ impl Counter {
 /// A named last-value gauge.
 #[derive(Debug)]
 pub struct Gauge {
-    name: Cow<'static, str>,
+    name: &'static str,
     cell: OnceLock<&'static AtomicU64>,
 }
 
 impl Gauge {
     /// A gauge handle for `name` (registered lazily).
     pub const fn new(name: &'static str) -> Gauge {
-        Gauge { name: Cow::Borrowed(name), cell: OnceLock::new() }
-    }
-
-    /// A gauge handle for a name built at run time, such as a per-shard
-    /// label. Build it once and keep it, like a `static` handle.
-    pub fn named(name: String) -> Gauge {
-        Gauge { name: Cow::Owned(name), cell: OnceLock::new() }
+        Gauge { name, cell: OnceLock::new() }
     }
 
     /// Store `value`. No-op while telemetry is disabled.
@@ -249,7 +241,7 @@ impl Gauge {
             return;
         }
         self.cell
-            .get_or_init(|| gauge_cell(&self.name))
+            .get_or_init(|| gauge_cell(self.name))
             .store(value, Ordering::Relaxed);
     }
 
@@ -260,7 +252,7 @@ impl Gauge {
             return;
         }
         self.cell
-            .get_or_init(|| gauge_cell(&self.name))
+            .get_or_init(|| gauge_cell(self.name))
             .fetch_max(value, Ordering::Relaxed);
     }
 }
