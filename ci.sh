@@ -40,11 +40,12 @@ cargo test -q --workspace
 # Determinism: the pipeline suite once failed intermittently when a test
 # armed the process-global fault plan beside tests that expect none; the
 # plan-arming tests of pipeline and index-store now have binaries of their
-# own. Run both suites 20 times at the default thread count; any failure
-# stops CI.
+# own. The server's transport runs one event loop per worker thread, so
+# its lib and integration suites repeat too. Run the three suites 20
+# times at the default thread count; any failure stops CI.
 for run in $(seq 1 20); do
-  cargo test --release -q -p pipeline -p index-store --lib --tests >/tmp/pipeline_repeat.log 2>&1 \
-    || { echo "pipeline/index-store suites failed on run $run of 20"; cat /tmp/pipeline_repeat.log; exit 1; }
+  cargo test --release -q -p pipeline -p index-store -p server --lib --tests >/tmp/pipeline_repeat.log 2>&1 \
+    || { echo "pipeline/index-store/server suites failed on run $run of 20"; cat /tmp/pipeline_repeat.log; exit 1; }
 done
 
 cargo clippy --workspace --all-targets -- -D warnings

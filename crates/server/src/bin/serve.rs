@@ -14,9 +14,17 @@
 //! printed and, with `--port-file`, written to a file for scripts to
 //! pick up). The clone corpus is the honeypot dataset of the recorded
 //! run, truncated to `--corpus` contracts (0 → all 379). SIGTERM and
-//! SIGINT trigger a graceful drain, which starts within the event loop's
-//! 250 ms poll cap. Running out of file descriptors pauses accepting
-//! for a short backoff and never stops the daemon.
+//! SIGINT trigger a graceful drain, which starts within each event
+//! loop's 250 ms poll cap. Running out of file descriptors pauses
+//! accepting for a short backoff and never stops the daemon.
+//!
+//! Transport: `--workers N` runs N event loops (default: the available
+//! parallelism), each accepting connections and reading, running and
+//! answering its own connections' requests. `--queue-cap N`
+//! (default 256) bounds the requests parsed but not yet answered across
+//! the whole server: a request parsed past it gets a 429.
+//! `--max-pipeline` bounds one connection's requests in flight, and
+//! `--read-timeout-ms` how long a partial request may trickle in (408).
 //!
 //! Warm start: with `--snapshot-dir`, the corpus is loaded from the
 //! directory's committed snapshot generation (milliseconds — no

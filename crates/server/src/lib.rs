@@ -8,20 +8,22 @@
 //!
 //! * one [`AnalysisEngine`] behind an `Arc` — warm state (checker,
 //!   fingerprint corpus + N-gram index, the scan response cache and the
-//!   corpus front cache) shared by every worker; the corpus is one
+//!   corpus front cache) shared by every event loop; the corpus is one
 //!   detector behind one read/write lock, read by clone checks and
 //!   updated in place by `/v1/index/insert`,
-//! * an epoll event loop (Linux; see [`reactor`]) on the thread that
-//!   calls [`Server::run`] — it accepts connections itself and runs
-//!   non-blocking reads, an incremental zero-copy HTTP/1.1 parser,
-//!   keep-alive and pipelining with a bounded in-flight depth, and
-//!   responses written in request order,
-//! * one bounded [`WorkerPool`] (`pipeline::par`) the loop submits to,
-//!   running the analysis — overload is shed at the edge with HTTP 429
+//! * one epoll event loop per worker (Linux; see [`reactor`]), each
+//!   owning its connections for their whole life: non-blocking reads,
+//!   an incremental zero-copy HTTP/1.1 parser, keep-alive and pipelining
+//!   with a bounded in-flight depth, the analysis itself, and responses
+//!   written in request order — a request is read, run and answered on
+//!   one thread. Every loop polls the listener; the loop that accepts a
+//!   connection hands it to the loop with the fewest,
+//! * one queue bound for the whole server: a request parsed while
+//!   `queue_capacity` others wait for their answer is shed with HTTP 429
 //!   instead of queueing without bound,
 //! * cooperative per-request timeouts inside the engine (HTTP 504),
 //! * graceful shutdown: SIGTERM/`POST /shutdown` close the listener,
-//!   in-flight requests drain, the loop returns and the workers join.
+//!   in-flight requests drain, and every loop returns.
 //!
 //! Endpoints (JSON bodies use the wire format of [`pipeline::api`]):
 //!
@@ -61,7 +63,6 @@ use accesslog::{AccessLog, AccessRecord};
 use breaker::{BreakerConfig, CircuitBreaker};
 use http::{HttpError, Request};
 use pipeline::api::{error_json, error_to_json, AnalysisRequest, AnalysisResponse};
-use pipeline::par::{PoolFull, WorkerPool};
 use pipeline::AnalysisEngine;
 use solidity::AnalysisError;
 use std::io;
@@ -76,11 +77,12 @@ use telemetry::trace::{self, TraceId};
 /// [`pipeline::api::AnalysisConfig`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads serving requests, in the one pool the event loop
-    /// submits to.
+    /// Event loops, each reading, running and answering its own
+    /// connections' requests on its own thread (at least one; the caller
+    /// of [`Server::run`] runs the first).
     pub workers: usize,
-    /// Maximum pending (accepted but unserved) requests across the whole
-    /// server before it sheds load with 429.
+    /// Maximum requests parsed but not yet answered across the whole
+    /// server; a request parsed past it is answered 429.
     pub queue_capacity: usize,
     /// How long a partial request may trickle in before the connection
     /// is answered 408 and closed (slowloris bound), in milliseconds.
@@ -120,18 +122,19 @@ impl Default for ServerConfig {
 }
 
 /// A cloneable handle that stops a running server: it sets the drain
-/// flag and wakes the event loop, which closes its listener at once.
+/// flag and wakes every event loop, which closes its handle on the
+/// listener at once.
 #[derive(Clone)]
 pub struct ShutdownHandle {
     stop: Arc<AtomicBool>,
-    inbox: Arc<reactor::Inbox>,
+    loops: Arc<reactor::Loops>,
 }
 
 impl ShutdownHandle {
     /// Request a graceful shutdown.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.inbox.notify();
+        self.loops.wake_all();
     }
 
     /// Whether shutdown has been requested (by this handle or a signal).
@@ -150,9 +153,9 @@ pub fn signal_stop_requested() -> bool {
 /// Install SIGTERM/SIGINT handlers that flip the shutdown flag, turning
 /// `kill -TERM` into a graceful drain. Uses the C `signal` entry point
 /// directly (std already links libc), so no extra dependency is needed.
-/// The handler does not wake the event loop: a signal that interrupts its
-/// `epoll_wait` is seen at once, one delivered to another thread within
-/// the loop's 250 ms poll cap.
+/// The handler wakes no event loop: the loop whose `epoll_wait` a signal
+/// interrupts sees it at once, every other loop within its 250 ms poll
+/// cap.
 pub fn install_signal_handlers() {
     extern "C" fn on_signal(_signum: i32) {
         SIGNAL_STOP.store(true, Ordering::SeqCst);
@@ -168,13 +171,12 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// Shared state of the event loop and every worker; the loop's request
-/// handler.
+/// Shared state of every event loop; the loops' request handler.
 struct ServiceState {
     engine: Arc<AnalysisEngine>,
     shutdown: ShutdownHandle,
-    /// Where workers send finished responses back to the event loop.
-    inbox: Arc<reactor::Inbox>,
+    /// What the event loops share: hand-offs and the request counts.
+    loops: Arc<reactor::Loops>,
     workers: usize,
     queue_capacity: usize,
     /// The read deadline, which a 408 reports as its duration.
@@ -183,8 +185,6 @@ struct ServiceState {
     /// index-management surface, under the names `/health` and the
     /// `breaker.state|endpoint=<name>` gauges report.
     breakers: [(&'static str, CircuitBreaker); 5],
-    /// The one worker pool; the event loop submits every job to it.
-    pool: WorkerPool,
     /// Structured access log; `None` disables logging.
     access_log: Option<AccessLog>,
     /// Delta threshold for background auto-compaction (`None` = off).
@@ -197,17 +197,16 @@ impl ServiceState {
             Some(path) => Some(AccessLog::open(path, config.slow_log.as_deref(), config.slow_ms)?),
             None => None,
         };
-        let inbox = reactor::Inbox::new()?;
+        let loops = reactor::Loops::new(config.workers, config.queue_capacity)?;
         Ok(ServiceState {
             engine,
-            shutdown: ShutdownHandle { stop: Arc::default(), inbox: Arc::clone(&inbox) },
-            inbox,
+            shutdown: ShutdownHandle { stop: Arc::default(), loops: Arc::clone(&loops) },
+            loops,
             workers: config.workers,
             queue_capacity: config.queue_capacity,
             read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
             breakers: ["scan", "clone_check", "analyze", "batch", "index"]
                 .map(|name| (name, CircuitBreaker::new(config.breaker))),
-            pool: WorkerPool::new(config.workers, config.queue_capacity),
             access_log,
             compact_after: config.compact_after,
         })
@@ -224,8 +223,10 @@ impl ServiceState {
 }
 
 static SHED: telemetry::Counter = telemetry::Counter::new("server.shed");
+/// Time from a request's parse to the start of its run.
+static QUEUE_WAIT: telemetry::Stage = telemetry::Stage::new("queue_wait");
 
-/// The analysis daemon: listener + event loop + one worker pool + warm
+/// The analysis daemon: listener + one event loop per worker + warm
 /// engine.
 pub struct Server {
     listener: TcpListener,
@@ -236,8 +237,8 @@ pub struct Server {
 impl Server {
     /// Bind the service. `addr` accepts anything `TcpListener::bind`
     /// does; port 0 picks an ephemeral port (see
-    /// [`Server::local_addr`]). One event loop serves every connection
-    /// over one pool of `config.workers` workers.
+    /// [`Server::local_addr`]). `config.workers` event loops serve the
+    /// connections.
     pub fn bind(
         addr: &str,
         config: ServerConfig,
@@ -263,67 +264,87 @@ impl Server {
     }
 
     /// Serve until shutdown is requested, then drain in-flight requests
-    /// and join the workers. The event loop runs on the calling thread:
-    /// it accepts, reads, parses and writes every connection itself, and
-    /// submits each request to the worker pool. Returns an error only
-    /// when setting up or waiting on the loop's epoll instance fails.
+    /// and return once every event loop has. Loop 0 runs on the calling
+    /// thread, the others on threads of their own; each polls the
+    /// listener through a handle of its own and reads, parses, runs and
+    /// answers its own connections' requests. Returns an error when a
+    /// loop cannot be started or its epoll instance fails; the other
+    /// loops then drain and stop too.
     pub fn run(self) -> io::Result<()> {
-        let config =
-            reactor::Config { read_timeout: self.state.read_timeout, max_pipeline: self.max_pipeline };
-        let inbox = Arc::clone(&self.state.inbox);
-        let served = reactor::Reactor::new(self.listener, inbox, Arc::clone(&self.state), config)
-            .and_then(reactor::Reactor::run);
-        // Every connection is closed, so no response can reach a client
-        // any more; join the workers (queued jobs still run).
-        self.state.pool.shutdown();
-        served
+        let Server { listener, state, max_pipeline } = self;
+        let config = reactor::Config { read_timeout: state.read_timeout, max_pipeline };
+        let run_loop = |index, listener| {
+            let loops = Arc::clone(&state.loops);
+            let served = reactor::Reactor::new(index, listener, loops, Arc::clone(&state), config)
+                .and_then(reactor::Reactor::run);
+            if served.is_err() {
+                state.shutdown.shutdown();
+            }
+            served
+        };
+        std::thread::scope(|scope| {
+            let mut others = Vec::new();
+            let mut served = Ok(());
+            for index in 1..state.loops.count() {
+                let spawned = listener.try_clone().and_then(|listener| {
+                    std::thread::Builder::new()
+                        .name(format!("loop-{index}"))
+                        .spawn_scoped(scope, move || run_loop(index, listener))
+                });
+                match spawned {
+                    Ok(handle) => others.push(handle),
+                    Err(e) => {
+                        served = Err(e);
+                        break;
+                    }
+                }
+            }
+            match served {
+                Ok(()) => served = run_loop(0, listener),
+                Err(_) => state.shutdown.shutdown(),
+            }
+            for handle in others {
+                let joined = handle.join().expect("a loop catches every run's panic");
+                served = served.and(joined);
+            }
+            state.loops.close_unclaimed();
+            served
+        })
     }
 }
 
-/// The service half of the event loop: submits parsed requests to the
-/// worker pool, sheds with 429 when its queue is full, and answers the
+/// A request parsed by an event loop, waiting for its run on that loop.
+struct Job {
+    request: Request,
+    ids: RequestIds,
+    keep_alive: bool,
+    /// When the request finished parsing: where its recorded duration
+    /// and its queue wait start.
+    parsed: Instant,
+}
+
+/// The service half of the event loops: owns each parsed request as a
+/// job, runs it, sheds with 429 past the queue bound, and answers the
 /// protocol-level error classes.
 impl reactor::Handler for Arc<ServiceState> {
-    fn handle(
-        &self,
-        view: &http::ReqView<'_>,
-        token: u64,
-        seq: u64,
-        keep_alive: bool,
-    ) -> reactor::Dispatch {
+    type Job = Job;
+
+    fn prepare(&self, view: &http::ReqView<'_>, keep_alive: bool) -> Job {
+        let parsed = Instant::now();
+        Job { ids: RequestIds::from_view(view), request: view.to_request_lean(), keep_alive, parsed }
+    }
+
+    fn run(&self, job: Job) -> Vec<u8> {
+        QUEUE_WAIT.record_since(job.parsed);
+        run_request(self, &job.request, &job.ids, job.keep_alive, job.parsed)
+    }
+
+    fn overloaded(&self, view: &http::ReqView<'_>, keep_alive: bool) -> Vec<u8> {
         let started = Instant::now();
+        SHED.incr();
+        let reply = (429, JSON, error_json("overloaded", "request queue is full"));
         let ids = RequestIds::from_view(view);
-        let request = view.to_request_lean();
-        let state = Arc::clone(self);
-        let submitted = self.pool.try_submit(move || {
-            // First statement: arm the completion guard so a panic
-            // anywhere below still reports (and fails) the connection.
-            let guard = reactor::CompletionGuard::new(Arc::clone(&state.inbox), token, seq);
-            let bytes = run_request(&state, &request, &ids, keep_alive, started);
-            guard.send(bytes);
-        });
-        match submitted {
-            Ok(()) => reactor::Dispatch::Submitted,
-            Err(PoolFull(job)) => {
-                // The job never ran, so its guard was never armed —
-                // dropping it sends nothing; the shed response below
-                // fills the reserved slot instead. The request is
-                // already fully parsed (drained), so the 429 cannot be
-                // destroyed by an RST.
-                drop(job);
-                SHED.incr();
-                let reply = (429, JSON, error_json("overloaded", "request queue is full"));
-                reactor::Dispatch::Inline(respond(
-                    self,
-                    &RequestIds::from_view(view),
-                    view.method,
-                    view.path,
-                    reply,
-                    keep_alive,
-                    || started.elapsed(),
-                ))
-            }
-        }
+        respond(self, &ids, view.method, view.path, reply, keep_alive, || started.elapsed())
     }
 
     fn protocol_error(&self, err: &HttpError) -> Vec<u8> {
@@ -345,9 +366,9 @@ impl reactor::Handler for Arc<ServiceState> {
     }
 }
 
-/// Run one request end to end on a worker thread: trace, chaos hook,
-/// route, then [`respond`]. Returns the rendered response bytes for the
-/// event loop to write in pipeline order.
+/// Run one request end to end on the event loop that read it: trace,
+/// chaos hook, route, then [`respond`]. Returns the rendered response
+/// bytes for the loop to write in pipeline order.
 fn run_request(
     state: &ServiceState,
     request: &Request,
@@ -365,9 +386,8 @@ fn run_request(
     // Chaos hook at the service edge, after the request is fully parsed
     // (answering earlier would RST the peer's in-flight write). Injected
     // errors answer with a typed 500; injected *panics* unwind out of
-    // the job — the completion guard fails the connection and the worker
-    // catches the panic, exactly the failure the client's retry policy
-    // exists for.
+    // the run — the loop catches the panic and closes the connection,
+    // exactly the failure the client's retry policy exists for.
     let reply = match faultinject::fire("server/request") {
         Some(message) => (500, JSON, error_json("internal", &message)),
         None => route(request, state),
@@ -611,8 +631,9 @@ const MAX_EXACT_ID: f64 = 9_007_199_254_740_991.0;
 /// Prometheus exposition content type (format 0.0.4).
 const PROM: &str = "text/plain; version=0.0.4";
 
-/// `GET /health`: liveness, corpus size, the pool's sizing and state,
-/// and every breaker's state.
+/// `GET /health`: liveness, corpus size, the loops' sizing and state
+/// (`pool.respawns` counts runs that panicked, `pool.queued` requests
+/// parsed but not yet run), and every breaker's state.
 fn health(state: &ServiceState) -> Reply {
     let breakers: Vec<String> = state
         .breakers
@@ -625,8 +646,8 @@ fn health(state: &ServiceState) -> Reply {
         state.engine.corpus_len(),
         state.workers,
         state.queue_capacity,
-        state.pool.panics(),
-        state.pool.queue_len(),
+        state.loops.panics(),
+        state.loops.queued(),
         breakers.join(","),
     );
     (200, JSON, body)
@@ -659,15 +680,16 @@ fn trace_by_id(request: &Request) -> Reply {
     }
 }
 
-/// Refresh the point-in-time gauges (pool depth, breaker states,
-/// interner size) so a snapshot taken right after reflects live state.
+/// Refresh the point-in-time gauges (requests waiting to run, breaker
+/// states, interner size) so a snapshot taken right after reflects live
+/// state.
 fn refresh_gauges(state: &ServiceState) {
     let (symbols, bytes) = intern::interner_stats();
     telemetry::gauge_set("intern.symbols", symbols as u64);
     telemetry::gauge_set("intern.bytes", bytes as u64);
     telemetry::gauge_set("pool.workers", state.workers as u64);
-    telemetry::gauge_set("pool.queue_depth", state.pool.queue_len() as u64);
-    telemetry::gauge_set("pool.respawns", state.pool.panics());
+    telemetry::gauge_set("pool.queue_depth", state.loops.queued() as u64);
+    telemetry::gauge_set("pool.respawns", state.loops.panics());
     let corpus = state.engine.corpus_handle();
     telemetry::gauge_set("index.generation", corpus.generation());
     telemetry::gauge_set("index.deltas", corpus.deltas());

@@ -8,15 +8,16 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 /// One in-flight request's reserved position in the response order.
-/// Slots are appended as requests finish parsing and filled (possibly
-/// out of order) as workers complete; writes drain strictly from the
-/// front, so a response is never sent before all its predecessors.
+/// Slots are appended as requests finish parsing and filled as the loop
+/// runs them, or at once for an inline answer such as a 429 (so possibly
+/// out of order); writes drain strictly from the front, so a response is
+/// never sent before all its predecessors.
 pub struct Slot {
-    /// Dispatch sequence number within this connection: the key a
-    /// completion names to fill this slot.
+    /// Sequence number within this connection: the key a run names to
+    /// fill this slot.
     pub seq: u64,
-    /// The rendered response, once the worker (or an inline error
-    /// path) has produced it.
+    /// The rendered response, once the run (or an inline error path)
+    /// has produced it.
     pub response: Option<Vec<u8>>,
     /// Close the connection after this response flushes (negotiated
     /// `Connection: close`, protocol error, or drain).
@@ -116,7 +117,7 @@ impl Conn {
     }
 
     /// Move every leading completed slot into the write backlog —
-    /// responses leave in request order no matter how workers finished.
+    /// responses leave in request order whatever order the slots filled.
     /// Returns true if the connection should close once the backlog
     /// flushes.
     pub fn collect_ready(&mut self) -> bool {
@@ -178,7 +179,7 @@ mod tests {
         let a = conn.push_slot(false);
         let b = conn.push_slot(false);
         let c = conn.push_slot(false);
-        // Workers finish out of order: c, a, b.
+        // Slots fill out of order: c, a, b.
         assert!(conn.fill_slot(c, b"C".to_vec()));
         assert!(!conn.collect_ready());
         assert!(conn.pending_write().is_empty(), "c must wait for a and b");

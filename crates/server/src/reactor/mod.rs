@@ -1,18 +1,22 @@
 //! The epoll reactor (Linux only): the event-driven transport behind the
-//! daemon. One thread runs the event loop and owns the listener and
-//! every connection outright — it accepts on readiness, reads
+//! daemon. A server runs one event loop per worker, and each loop owns
+//! its connections outright for their whole life: it reads them
 //! non-blockingly into growable buffers, parses with the incremental
-//! zero-copy parser from [`crate::http`], keeps connections alive and
-//! pipelined with a bounded in-flight depth, and writes responses
-//! strictly in request order. Analysis work runs on the server's one
-//! worker pool; finished responses come back through the loop's
-//! [`Inbox`], whose eventfd wakes `epoll_wait`, so the loop never polls
-//! blind.
+//! zero-copy parser from [`crate::http`], runs every request it parsed on
+//! its own thread, and writes the responses strictly in request order,
+//! keeping connections alive and pipelined with a bounded in-flight
+//! depth. Every loop also polls the listening socket through a handle
+//! of its own, so a loop busy with a slow request never holds up
+//! accepting: whichever loop accepts a connection hands it to the loop
+//! with the fewest open connections through that loop's inbox, whose
+//! eventfd wakes `epoll_wait`, so no loop polls blind. The loops share
+//! nothing else but the counts in [`Loops`] and the shutdown wake.
 //!
-//! Ordering guarantee: each parsed request reserves a response slot in
-//! arrival order; workers may finish out of order but
-//! `Conn::collect_ready` only releases the contiguous completed
-//! prefix, so pipelined responses are written back in request order.
+//! A turn parses every ready request first, then runs them in arrival
+//! order and flushes each response as soon as it is rendered. Each
+//! parsed request reserves a response slot in arrival order, and
+//! `Conn::collect_ready` only releases the contiguous filled prefix, so
+//! pipelined responses are written back in request order.
 
 mod conn;
 mod sys;
@@ -21,6 +25,8 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -57,39 +63,29 @@ const POLL_CAP_MS: i32 = 250;
 
 static ACCEPTED: telemetry::Counter = telemetry::Counter::new("server.accepted");
 static ACCEPT_ERRORS: telemetry::Counter = telemetry::Counter::new("server.accept_errors");
+static RESPAWNS: telemetry::Counter = telemetry::Counter::new("pool.respawns");
 static CONNS: telemetry::Gauge = telemetry::Gauge::new("server.conns");
 static INFLIGHT: telemetry::Gauge = telemetry::Gauge::new("server.inflight");
 
-/// How a handler disposed of one parsed request.
-pub enum Dispatch {
-    /// The response was produced synchronously (shed 429s and other
-    /// fast-fail paths); the loop fills the slot immediately.
-    Inline(Vec<u8>),
-    /// The request was submitted to a worker pool; a completion carrying
-    /// the same `(token, seq)` will arrive on the inbox.
-    Submitted,
-}
-
-/// A finished response travelling from a worker back to the loop.
-struct Completion {
-    /// Connection token the response belongs to.
-    token: u64,
-    /// Response-slot sequence number on that connection.
-    seq: u64,
-    /// The rendered response bytes, or `None` if the worker died before
-    /// producing one (a panic that escaped the request job) — the loop
-    /// closes the connection so the client sees a hard error rather
-    /// than a hang.
-    payload: Option<Vec<u8>>,
-}
-
-/// The service half the loop drives: routing, metrics, logging, worker
-/// dispatch. Implemented in `lib.rs`; the reactor stays transport-only.
+/// The service half the loops drive: turning parsed requests into jobs,
+/// running them, and rendering the responses the transport sends on its
+/// own. Implemented in `lib.rs`; the reactor knows no routes.
 pub trait Handler {
-    /// Dispose of one parsed request. `keep_alive` is the negotiated
-    /// persistence after drain gating — inline responses must be
-    /// rendered with a matching `Connection` header.
-    fn handle(&self, view: &ReqView<'_>, token: u64, seq: u64, keep_alive: bool) -> Dispatch;
+    /// A parsed request, owned, waiting for its run.
+    type Job;
+
+    /// Take one parsed request off the read buffer; the loop runs it
+    /// later in the same turn. `keep_alive` is the negotiated persistence
+    /// after drain gating — the response must be rendered with a
+    /// matching `Connection` header.
+    fn prepare(&self, view: &ReqView<'_>, keep_alive: bool) -> Self::Job;
+
+    /// Run one job and render its response. A panic closes the job's
+    /// connection.
+    fn run(&self, job: Self::Job) -> Vec<u8>;
+
+    /// Render the 429 a request parsed past the queue bound gets.
+    fn overloaded(&self, view: &ReqView<'_>, keep_alive: bool) -> Vec<u8>;
 
     /// Render the terminal response for a protocol error (400/413).
     /// The connection closes after it flushes.
@@ -105,77 +101,103 @@ pub trait Handler {
     fn draining(&self) -> bool;
 }
 
-/// The loop's completion queue plus the eventfd that wakes it.
-pub struct Inbox {
-    completions: Mutex<Vec<Completion>>,
+/// What the event loops of one server share: each loop's inbox, the
+/// server-wide request counts behind the queue bound and `/health`, and
+/// the count of runs that panicked.
+pub struct Loops {
+    inboxes: Box<[Inbox]>,
+    /// Most requests parsed but not yet answered, across every loop; a
+    /// request parsed past it is answered 429.
+    capacity: usize,
+    /// Requests parsed but not yet answered.
+    pending: AtomicUsize,
+    /// Requests parsed but not yet run.
+    queued: AtomicUsize,
+    /// Runs that panicked; each closed its connection.
+    panics: AtomicU64,
+}
+
+/// One loop's inbox: the connections the accepting loop hands it, how
+/// many connections it owns, and the eventfd that wakes it.
+struct Inbox {
+    accepted: Mutex<Vec<TcpStream>>,
+    /// Connections handed to this loop and not yet closed; the accepting
+    /// loop reads it to pick the least-loaded loop.
+    conns: AtomicUsize,
     wake: WakeFd,
 }
 
-/// Recover the guarded value even if a holder panicked; the queue stays
+/// Recover the guarded value even if a holder panicked; the list stays
 /// structurally valid across a poison.
 fn relock<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-impl Inbox {
-    /// Create an inbox with a fresh eventfd.
-    pub fn new() -> io::Result<Arc<Self>> {
-        Ok(Arc::new(Inbox { completions: Mutex::new(Vec::new()), wake: WakeFd::new()? }))
+impl Loops {
+    /// The shared state of `count` loops (at least one) under a queue
+    /// bound of `capacity` requests (at least one).
+    pub fn new(count: usize, capacity: usize) -> io::Result<Arc<Loops>> {
+        let inboxes = (0..count.max(1))
+            .map(|_| {
+                Ok(Inbox {
+                    accepted: Mutex::default(),
+                    conns: AtomicUsize::new(0),
+                    wake: WakeFd::new()?,
+                })
+            })
+            .collect::<io::Result<_>>()?;
+        Ok(Arc::new(Loops {
+            inboxes,
+            capacity: capacity.max(1),
+            pending: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+            panics: AtomicU64::new(0),
+        }))
     }
 
-    /// Deliver a finished response (worker side).
-    fn complete(&self, completion: Completion) {
-        relock(&self.completions).push(completion);
-        self.wake.wake();
+    /// How many loops share this state.
+    pub fn count(&self) -> usize {
+        self.inboxes.len()
     }
 
-    fn take_completions(&self) -> Vec<Completion> {
-        std::mem::take(&mut *relock(&self.completions))
-    }
-
-    /// Wake the loop without enqueueing anything, so it re-checks the
-    /// drain flag at once.
-    pub fn notify(&self) {
-        self.wake.wake();
-    }
-}
-
-/// Sends exactly one completion for a dispatched request: the happy
-/// path calls [`CompletionGuard::send`]; if the request job panics and
-/// unwinds instead, `Drop` reports a `None` payload so the loop closes
-/// the connection rather than leaving a slot forever unfilled.
-///
-/// Construct the guard as the *first* statement of the worker job — a
-/// queued job that is rejected or discarded before running then sends
-/// nothing, which is correct because the submitter handled the request
-/// inline (e.g. the 429 shed path).
-pub struct CompletionGuard {
-    inbox: Arc<Inbox>,
-    token: u64,
-    seq: u64,
-    sent: bool,
-}
-
-impl CompletionGuard {
-    /// Arm a guard for `(token, seq)` on `inbox`.
-    pub fn new(inbox: Arc<Inbox>, token: u64, seq: u64) -> Self {
-        CompletionGuard { inbox, token, seq, sent: false }
-    }
-
-    /// Deliver the response and defuse the guard.
-    pub fn send(mut self, response: Vec<u8>) {
-        self.sent = true;
-        self.inbox
-            .complete(Completion { token: self.token, seq: self.seq, payload: Some(response) });
-    }
-}
-
-impl Drop for CompletionGuard {
-    fn drop(&mut self) {
-        if !self.sent {
-            self.inbox
-                .complete(Completion { token: self.token, seq: self.seq, payload: None });
+    /// Wake every loop, so each re-checks the drain flag at once.
+    pub fn wake_all(&self) {
+        for inbox in self.inboxes.iter() {
+            inbox.wake.wake();
         }
+    }
+
+    /// Requests parsed but not yet run, across every loop.
+    pub fn queued(&self) -> usize {
+        self.queued.load(Ordering::Relaxed)
+    }
+
+    /// Runs that panicked, across every loop.
+    pub fn panics(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
+    }
+
+    /// Close every connection still waiting in an inbox. Call once every
+    /// loop has returned: a loop can hand a connection it accepted while
+    /// the drain began to a loop that had already stopped.
+    pub fn close_unclaimed(&self) {
+        for inbox in self.inboxes.iter() {
+            relock(&inbox.accepted).clear();
+        }
+    }
+
+    /// Count one more parsed request, unless `capacity` are already
+    /// waiting for their answer.
+    fn admit(&self) -> bool {
+        let capacity = self.capacity;
+        let admitted = self
+            .pending
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < capacity).then_some(n + 1))
+            .is_ok();
+        if admitted {
+            self.queued.fetch_add(1, Ordering::Relaxed);
+        }
+        admitted
     }
 }
 
@@ -190,48 +212,60 @@ pub struct Config {
     pub max_pipeline: usize,
 }
 
-/// The event loop: one epoll instance over the listener, the inbox's
-/// eventfd and every connection. Run it with [`Reactor::run`].
+/// One event loop: an epoll instance over its inbox's eventfd, its
+/// handle on the listener and its connections. Run it with
+/// [`Reactor::run`].
 pub struct Reactor<H: Handler> {
     epoll: Epoll,
-    /// Closed (`None`) once draining starts.
+    /// This loop's place in `loops`.
+    index: usize,
+    loops: Arc<Loops>,
+    /// This loop's handle on the listening socket, closed (`None`) once
+    /// draining starts.
     listener: Option<TcpListener>,
     /// Set while an accept error keeps the listener out of the interest
     /// set: when to poll it again.
     accept_paused_until: Option<Instant>,
-    inbox: Arc<Inbox>,
     handler: H,
     cfg: Config,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// Requests submitted to the pool whose completion has not been
-    /// drained yet.
-    inflight: usize,
+    /// Requests parsed and not yet run, in arrival order: connection
+    /// token, response slot, job.
+    parsed: Vec<(u64, u64, H::Job)>,
+    /// The buffer every read of this loop lands in first.
+    chunk: Box<[u8]>,
 }
 
 impl<H: Handler> Reactor<H> {
-    /// Build the loop over `listener` and register the listener and the
-    /// inbox's wakeup with epoll.
+    /// Build loop `index` of `loops` and register its inbox's wakeup
+    /// and its handle on the listening socket with epoll. The
+    /// registration is level-triggered and not exclusive: a new
+    /// connection wakes every idle loop, one accepts it and the others
+    /// find nothing to accept.
     pub fn new(
+        index: usize,
         listener: TcpListener,
-        inbox: Arc<Inbox>,
+        loops: Arc<Loops>,
         handler: H,
         cfg: Config,
     ) -> io::Result<Self> {
-        listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
-        epoll.add(inbox.wake.raw(), EPOLLIN, WAKE_TOKEN)?;
+        epoll.add(loops.inboxes[index].wake.raw(), EPOLLIN, WAKE_TOKEN)?;
+        listener.set_nonblocking(true)?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
         Ok(Reactor {
             epoll,
+            index,
+            loops,
             listener: Some(listener),
             accept_paused_until: None,
-            inbox,
             handler,
             cfg,
             conns: HashMap::new(),
             next_token: 0,
-            inflight: 0,
+            parsed: Vec::new(),
+            chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -241,32 +275,35 @@ impl<H: Handler> Reactor<H> {
     pub fn run(mut self) -> io::Result<()> {
         let mut events = vec![EpollEvent { events: 0, token: 0 }; 256];
         loop {
-            let ready = self.epoll.wait(&mut events, self.poll_timeout())?.len();
-            // Drain the wake counter BEFORE taking completions: a worker
-            // that enqueues after the drain leaves a fresh wake behind,
-            // so nothing is ever lost (a stale extra wake merely causes
-            // one empty loop turn).
-            self.inbox.wake.drain();
-            for completion in self.inbox.take_completions() {
-                self.apply_completion(completion);
-            }
+            // Requests a run released from the pipeline window wait for
+            // no socket event: they run in the next turn at once.
+            let timeout = if self.parsed.is_empty() { self.poll_timeout() } else { 0 };
+            let ready = self.epoll.wait(&mut events, timeout)?.len();
             for event in &events[..ready] {
                 // Copy packed fields by value (no references into the
                 // packed struct).
                 let (token, mask) = (event.token, event.events);
                 match token {
-                    WAKE_TOKEN => {}
+                    WAKE_TOKEN => self.take_hand_offs(),
                     LISTENER_TOKEN => self.accept_ready()?,
                     _ => self.handle_event(token, mask),
                 }
             }
+            if telemetry::enabled() {
+                // Set between the reads and the runs, so a scrape run in
+                // this turn counts itself among the requests in flight.
+                let conns = self.loops.inboxes.iter().map(|i| i.conns.load(Ordering::Relaxed));
+                CONNS.set(conns.sum::<usize>() as u64);
+                INFLIGHT.set(self.loops.pending.load(Ordering::Relaxed) as u64);
+            }
+            self.run_parsed();
             self.sweep_deadlines();
             if self.handler.draining() {
                 // Closing the listener takes it out of the interest set.
                 self.listener = None;
                 self.accept_paused_until = None;
                 self.close_idle();
-                if self.conns.is_empty() {
+                if self.conns.is_empty() && self.parsed.is_empty() {
                     break;
                 }
             } else if self.accept_paused_until.is_some_and(|until| until <= Instant::now()) {
@@ -276,10 +313,24 @@ impl<H: Handler> Reactor<H> {
                 }
                 self.accept_paused_until = None;
             }
-            CONNS.set(self.conns.len() as u64);
-            INFLIGHT.set(self.inflight as u64);
         }
         Ok(())
+    }
+
+    fn inbox(&self) -> &Inbox {
+        &self.loops.inboxes[self.index]
+    }
+
+    /// Register the connections handed to this loop. Drains the wake
+    /// counter BEFORE taking them: a hand-off after the drain leaves a
+    /// fresh wake behind, so nothing is ever lost (a stale extra wake
+    /// merely causes one empty turn).
+    fn take_hand_offs(&mut self) {
+        self.inbox().wake.drain();
+        let handed = std::mem::take(&mut *relock(&self.inbox().accepted));
+        for stream in handed {
+            self.register(stream);
+        }
     }
 
     /// Wait bound: the nearest read deadline or accept backoff, capped
@@ -305,7 +356,7 @@ impl<H: Handler> Reactor<H> {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     ACCEPTED.incr();
-                    self.register(stream);
+                    self.hand_off(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e)
@@ -326,8 +377,27 @@ impl<H: Handler> Reactor<H> {
         Ok(())
     }
 
+    /// Give a new connection to the loop with the fewest open
+    /// connections (the lowest index on a tie) for the rest of its life.
+    fn hand_off(&mut self, stream: TcpStream) {
+        let inboxes = &self.loops.inboxes;
+        let target = (0..inboxes.len())
+            .min_by_key(|&i| inboxes[i].conns.load(Ordering::Relaxed))
+            .unwrap_or(self.index);
+        // Counted at once, so the next accept, on any loop, sees it.
+        inboxes[target].conns.fetch_add(1, Ordering::Relaxed);
+        if target == self.index {
+            self.register(stream);
+        } else {
+            relock(&inboxes[target].accepted).push(stream);
+            inboxes[target].wake.wake();
+        }
+    }
+
+    /// Take ownership of a connection handed to this loop.
     fn register(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
+            self.inbox().conns.fetch_sub(1, Ordering::Relaxed);
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -336,40 +406,29 @@ impl<H: Handler> Reactor<H> {
         let mut conn = Conn::new(stream, token);
         conn.interest = EPOLLIN | EPOLLRDHUP;
         if self.epoll.add(conn.stream.as_raw_fd(), conn.interest, token).is_err() {
-            return; // dropping the stream closes it
+            // Dropping the stream closes it.
+            self.inbox().conns.fetch_sub(1, Ordering::Relaxed);
+            return;
         }
         self.conns.insert(token, conn);
     }
 
-    fn apply_completion(&mut self, completion: Completion) {
-        self.inflight = self.inflight.saturating_sub(1);
-        let Some(conn) = self.conns.get_mut(&completion.token) else {
-            return; // connection died while the worker ran
-        };
-        match completion.payload {
-            Some(response) => {
-                conn.fill_slot(completion.seq, response);
-                self.pump(completion.token);
-            }
-            None => {
-                // The worker panicked mid-request: the response order
-                // can never be completed, so fail the whole connection
-                // loudly (dropping the stream closes the socket).
-                self.conns.remove(&completion.token);
-            }
+    /// Close a connection (dropping the stream closes the socket).
+    fn close(&mut self, token: u64) {
+        if self.conns.remove(&token).is_some() {
+            self.inbox().conns.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
     fn handle_event(&mut self, token: u64, mask: u32) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         if mask & (EPOLLERR | EPOLLHUP) != 0 {
-            self.conns.remove(&token);
+            self.close(token);
             return;
         }
         if mask & (EPOLLIN | EPOLLRDHUP) != 0 {
-            let mut chunk = [0u8; READ_CHUNK];
             loop {
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(&mut self.chunk) {
                     Ok(0) => {
                         // Peer finished sending; serve what is buffered
                         // and in flight, then close.
@@ -378,21 +437,58 @@ impl<H: Handler> Reactor<H> {
                         break;
                     }
                     Ok(n) => {
-                        conn.read_buf.extend_from_slice(&chunk[..n]);
-                        if n < chunk.len() {
+                        conn.read_buf.extend_from_slice(&self.chunk[..n]);
+                        if n < self.chunk.len() {
                             break;
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
-                        self.conns.remove(&token);
+                        self.close(token);
                         return;
                     }
                 }
             }
         }
         self.pump(token);
+    }
+
+    /// Run the requests parsed so far in arrival order, filling each
+    /// one's slot and flushing its connection as soon as the response is
+    /// rendered. A run that panics closes its connection (counted in
+    /// `pool.respawns`); a request whose connection has closed is dropped
+    /// unrun. Requests a run releases from the pipeline window run in
+    /// the next turn, so one deep pipeline cannot starve the others.
+    fn run_parsed(&mut self) {
+        let mut batch = std::mem::take(&mut self.parsed);
+        for (token, seq, job) in batch.drain(..) {
+            self.loops.queued.fetch_sub(1, Ordering::Relaxed);
+            let ran = self.conns.contains_key(&token).then(|| {
+                std::panic::catch_unwind(AssertUnwindSafe(|| self.handler.run(job)))
+            });
+            self.loops.pending.fetch_sub(1, Ordering::Relaxed);
+            match ran {
+                Some(Ok(response)) => {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        conn.fill_slot(seq, response);
+                    }
+                    self.pump(token);
+                }
+                Some(Err(_)) => {
+                    // The response order of this connection can never be
+                    // completed: fail it loudly.
+                    self.loops.panics.fetch_add(1, Ordering::Relaxed);
+                    RESPAWNS.incr();
+                    self.close(token);
+                }
+                None => {}
+            }
+        }
+        // Keep the allocation unless the runs parsed more requests.
+        if self.parsed.is_empty() {
+            self.parsed = batch;
+        }
     }
 
     /// Make all possible progress on one connection: parse buffered
@@ -406,7 +502,7 @@ impl<H: Handler> Reactor<H> {
         // cap, which no socket event will report again once its bytes
         // are buffered: parse and release until neither moves.
         loop {
-            self.inflight += progress(&self.handler, &self.cfg, conn, now);
+            progress(&self.handler, &self.cfg, &self.loops, &mut self.parsed, conn, now);
             let held = conn.slots.len();
             conn.collect_ready();
             if conn.slots.len() == held {
@@ -415,7 +511,7 @@ impl<H: Handler> Reactor<H> {
         }
         let alive = flush_conn(conn);
         if !alive || (conn.closing && conn.idle() && conn.unparsed().is_empty()) {
-            self.conns.remove(&token);
+            self.close(token);
             return;
         }
         let _ = sync_interest(&self.epoll, &self.cfg, conn);
@@ -441,14 +537,23 @@ impl<H: Handler> Reactor<H> {
     }
 
     fn close_idle(&mut self) {
+        let before = self.conns.len();
         self.conns.retain(|_, conn| !(conn.idle() && conn.unparsed().is_empty()));
+        self.inbox().conns.fetch_sub(before - self.conns.len(), Ordering::Relaxed);
     }
 }
 
-/// Parse-and-dispatch loop over one connection's buffered bytes.
-/// Returns how many requests it submitted to the pool.
-fn progress<H: Handler>(handler: &H, cfg: &Config, conn: &mut Conn, now: Instant) -> usize {
-    let mut submitted = 0;
+/// Parse loop over one connection's buffered bytes: each request is
+/// queued in `parsed` to run later in the turn, or answered 429 at once
+/// when the server is at its queue bound.
+fn progress<H: Handler>(
+    handler: &H,
+    cfg: &Config,
+    loops: &Loops,
+    parsed: &mut Vec<(u64, u64, H::Job)>,
+    conn: &mut Conn,
+    now: Instant,
+) {
     while !conn.closing && conn.slots.len() < cfg.max_pipeline {
         // Move the buffer out so the borrowed view and mutations of
         // `conn` coexist; moved back before every exit from the loop.
@@ -468,11 +573,12 @@ fn progress<H: Handler>(handler: &H, cfg: &Config, conn: &mut Conn, now: Instant
             Ok(Parsed::Complete { view, consumed }) => {
                 let keep = view.keep_alive && !handler.draining();
                 let seq = conn.push_slot(!keep);
-                match handler.handle(&view, conn.token, seq, keep) {
-                    Dispatch::Inline(bytes) => {
-                        conn.fill_slot(seq, bytes);
-                    }
-                    Dispatch::Submitted => submitted += 1,
+                if loops.admit() {
+                    parsed.push((conn.token, seq, handler.prepare(&view, keep)));
+                } else {
+                    // The request is already fully read, so the 429
+                    // cannot be destroyed by an RST.
+                    conn.fill_slot(seq, handler.overloaded(&view, keep));
                 }
                 conn.read_buf = buf;
                 conn.consume(consumed);
@@ -492,7 +598,6 @@ fn progress<H: Handler>(handler: &H, cfg: &Config, conn: &mut Conn, now: Instant
             }
         }
     }
-    submitted
 }
 
 /// Write as much of the backlog as the socket accepts. Returns false
@@ -534,20 +639,21 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Echo handler: responds inline with the request path; no pool.
+    /// Echo handler: answers with the request path.
     struct Echo {
         draining: Arc<AtomicBool>,
     }
 
     impl Handler for Echo {
-        fn handle(&self, view: &ReqView<'_>, _t: u64, _s: u64, keep_alive: bool) -> Dispatch {
-            Dispatch::Inline(http::render_response(
-                200,
-                "text/plain",
-                view.path,
-                &[],
-                keep_alive,
-            ))
+        type Job = Vec<u8>;
+        fn prepare(&self, view: &ReqView<'_>, keep_alive: bool) -> Vec<u8> {
+            http::render_response(200, "text/plain", view.path, &[], keep_alive)
+        }
+        fn run(&self, job: Vec<u8>) -> Vec<u8> {
+            job
+        }
+        fn overloaded(&self, _view: &ReqView<'_>, keep_alive: bool) -> Vec<u8> {
+            http::render_response(429, "text/plain", "busy", &[], keep_alive)
         }
         fn protocol_error(&self, err: &HttpError) -> Vec<u8> {
             let status = if matches!(err, HttpError::TooLarge) { 413 } else { 400 };
@@ -561,11 +667,11 @@ mod tests {
         }
     }
 
-    /// A running echo loop: the flag and inbox that stop it, its thread
+    /// A running echo loop: the flag and loops that stop it, its thread
     /// and its address.
     struct Running {
         draining: Arc<AtomicBool>,
-        inbox: Arc<Inbox>,
+        loops: Arc<Loops>,
         thread: std::thread::JoinHandle<()>,
         addr: std::net::SocketAddr,
     }
@@ -573,12 +679,12 @@ mod tests {
     fn start_echo(cfg: Config) -> Running {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let inbox = Inbox::new().unwrap();
+        let loops = Loops::new(1, 64).unwrap();
         let draining = Arc::new(AtomicBool::new(false));
         let handler = Echo { draining: Arc::clone(&draining) };
-        let reactor = Reactor::new(listener, Arc::clone(&inbox), handler, cfg).unwrap();
+        let reactor = Reactor::new(0, listener, Arc::clone(&loops), handler, cfg).unwrap();
         let thread = std::thread::spawn(move || reactor.run().unwrap());
-        Running { draining, inbox, thread, addr }
+        Running { draining, loops, thread, addr }
     }
 
     fn default_cfg() -> Config {
@@ -593,7 +699,7 @@ mod tests {
 
     fn stop(running: Running) {
         running.draining.store(true, Ordering::SeqCst);
-        running.inbox.notify();
+        running.loops.wake_all();
         running.thread.join().unwrap();
     }
 
@@ -632,8 +738,8 @@ mod tests {
 
     #[test]
     fn buffered_requests_past_the_pipeline_cap_are_all_answered() {
-        // Every request arrives in one segment and is answered inline,
-        // so no later read or completion would wake the parked ones.
+        // Every request arrives in one segment, so no later read would
+        // wake the parked ones.
         let running = start_echo(Config { max_pipeline: 2, ..default_cfg() });
         let mut stream = TcpStream::connect(running.addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();

@@ -118,8 +118,8 @@ impl Drop for Epoll {
     }
 }
 
-/// An eventfd used to wake the event loop's `epoll_wait` from other
-/// threads (worker completions, shutdown). Closed on drop.
+/// An eventfd used to wake an event loop's `epoll_wait` from other
+/// threads (connection hand-offs, shutdown). Closed on drop.
 pub struct WakeFd {
     fd: RawFd,
 }
@@ -147,7 +147,7 @@ impl WakeFd {
     }
 
     /// Drain pending wakeups (reset the counter). Called by the loop
-    /// *before* it takes completions from its inbox, so a producer that
+    /// *before* it takes hand-offs from its inbox, so a producer that
     /// enqueues after the drain leaves a fresh wake behind; a stale
     /// extra wake is harmless.
     pub fn drain(&self) {

@@ -157,10 +157,11 @@ fn adopted_trace_id_round_trips_through_debug_endpoints() {
         // The same stage guards fed the histograms /metrics exports.
         let (status, metrics) = client::get(&addr, "/metrics").expect("metrics");
         assert_eq!(status, 200);
-        assert!(
-            metrics.contains("stage_duration_ns_count{stage=\"parse\"}"),
-            "metrics miss the parse stage histogram:\n{metrics}"
-        );
+        // So did the wait of each request between its parse and its run.
+        for stage in ["parse", "queue_wait"] {
+            let series = format!("stage_duration_ns_count{{stage=\"{stage}\"}}");
+            assert!(metrics.contains(&series), "metrics miss {series}:\n{metrics}");
+        }
         // The RED series and the transport gauges keep their names and
         // labels.
         for needle in [
@@ -175,6 +176,30 @@ fn adopted_trace_id_round_trips_through_debug_endpoints() {
         stop(handle, join);
         telemetry::disable();
     });
+}
+
+/// `server_conns` counts the connections of every loop: with two loops
+/// and three keep-alive connections open, `/metrics` reads 3, which no
+/// single loop's count could give.
+#[test]
+fn connection_gauge_counts_every_loop() {
+    let _lock = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::enable();
+    let (addr, handle, join) = start(ServerConfig { workers: 2, ..ServerConfig::default() });
+    let mut conns: Vec<client::Connection> =
+        (0..3).map(|_| client::Connection::new(&addr)).collect();
+    for conn in &mut conns {
+        assert_eq!(conn.get("/health").expect("health").0, 200);
+    }
+    let (status, metrics) = conns[0].get("/metrics").expect("metrics");
+    telemetry::disable();
+    stop(handle, join);
+    assert_eq!(status, 200);
+    let open = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("server_conns "))
+        .unwrap_or_else(|| panic!("metrics miss server_conns:\n{metrics}"));
+    assert_eq!(open, "3", "three connections are open");
 }
 
 #[test]

@@ -9,11 +9,27 @@ use server::{client, Server, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const VULNERABLE: &str = "function f(address to) public { to.send(1); }";
 const CORPUS_CONTRACT: &str = "contract Wallet { \
     function takeOut(uint amount) public { msg.sender.transfer(amount); } }";
+
+/// A scan that takes milliseconds to run: `functions` functions, each
+/// with an external call and a state write.
+fn expensive_scan(functions: usize) -> String {
+    let contract = format!(
+        "contract C {{ {} }}",
+        "function f(uint a) public { total += a; msg.sender.call{value: a}(\"\"); } "
+            .repeat(functions)
+    );
+    AnalysisRequest::scan(contract).to_json()
+}
+
+/// One `POST /v1/scan` request as raw bytes, with extra header lines.
+fn scan_request(body: &str, headers: &str) -> String {
+    format!("POST /v1/scan HTTP/1.1\r\nHost: t\r\n{headers}Content-Length: {}\r\n\r\n{body}", body.len())
+}
 
 fn start(config: ServerConfig) -> (String, ShutdownHandle, std::thread::JoinHandle<()>) {
     let engine = AnalysisEngine::with_corpus(AnalysisConfig::default(), [(1u64, CORPUS_CONTRACT)]);
@@ -292,4 +308,82 @@ fn shutdown_wakes_an_idle_event_loop() {
         let took = returned.duration_since(asked);
         assert!(took < Duration::from_millis(100), "round {round}: run returned after {took:?}");
     }
+}
+
+/// Requests the loop has read when shutdown is asked for are still run
+/// and answered, the last with `Connection: close`, before `run` returns.
+/// A health check and two expensive scans are pipelined on one loop,
+/// which parses all three in one turn and runs them in turn; once the
+/// health answer arrives the first scan is running and the second waits
+/// behind it, and shutdown is asked for then.
+#[test]
+fn shutdown_drains_the_requests_in_flight() {
+    let (addr, handle, join) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let burst = "GET /health HTTP/1.1\r\nHost: t\r\n\r\n".to_string()
+        + &scan_request(&expensive_scan(60), "")
+        + &scan_request(&expensive_scan(61), "Connection: close\r\n");
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut first = [0u8; 1];
+    stream.read_exact(&mut first).expect("the health check is answered");
+    handle.shutdown();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !join.is_finished() {
+        assert!(Instant::now() < deadline, "run did not return after the drain");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    join.join().expect("server thread");
+    // `run` has returned, so every answer is already in the socket.
+    let mut raw = first.to_vec();
+    stream.read_to_end(&mut raw).expect("read the rest");
+    let responses = split_responses(&raw);
+    assert_eq!(responses.len(), 3, "{}", String::from_utf8_lossy(&raw));
+    assert!(responses.iter().all(|(status, _)| *status == 200), "{responses:?}");
+    let text = String::from_utf8_lossy(&raw);
+    let last_head = &text[text.rfind("HTTP/1.1 ").expect("last response")..];
+    assert!(last_head.contains("Connection: close"), "{last_head}");
+}
+
+/// Connections spread across the loops, and a busy loop does not hold up
+/// accepting: while one connection's expensive scan runs on its loop, a
+/// second connection's `/health` and a new connection's `/health` are
+/// answered by the other loop within 100 ms, while the scan's answer is
+/// still to come.
+#[test]
+fn a_slow_request_holds_up_only_its_own_loop() {
+    let (addr, handle, join) = start(ServerConfig { workers: 2, ..ServerConfig::default() });
+    // One request each, in turn: each connection goes to the loop with
+    // fewer connections, the lower on a tie — the first and the third to
+    // loop 0, the second to loop 1, and so the next new one to loop 1.
+    let mut slow = TcpStream::connect(&addr).expect("connect");
+    slow.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    slow.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let mut buf = [0u8; 4096];
+    assert!(slow.read(&mut buf).expect("health on the first connection") > 0);
+    let mut fast = client::Connection::new(&addr);
+    assert_eq!(fast.get("/health").expect("health on the second connection").0, 200);
+    let mut third = client::Connection::new(&addr);
+    assert_eq!(third.get("/health").expect("health on the third connection").0, 200);
+
+    let body = expensive_scan(300);
+    slow.write_all(scan_request(&body, "Connection: close\r\n").as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(5));
+    let asked = Instant::now();
+    assert_eq!(fast.get("/health").expect("health beside the scan").0, 200);
+    let answered = asked.elapsed();
+    let asked = Instant::now();
+    assert_eq!(client::get(&addr, "/health").expect("health on a new connection").0, 200);
+    let accepted = asked.elapsed();
+    slow.set_nonblocking(true).unwrap();
+    let waiting = slow.peek(&mut buf).map_err(|e| e.kind());
+    assert_eq!(waiting, Err(std::io::ErrorKind::WouldBlock), "health waited for the scan");
+    assert!(answered < Duration::from_millis(100), "health waited {answered:?}");
+    assert!(accepted < Duration::from_millis(100), "a new connection waited {accepted:?}");
+    slow.set_nonblocking(false).unwrap();
+    let responses = read_responses(&mut slow);
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].0, 200, "{}", responses[0].1);
+    handle.shutdown();
+    join.join().unwrap();
 }

@@ -13,6 +13,10 @@
 //!
 //! With both switches off, entering a stage is two relaxed atomic loads:
 //! no clock read, no allocation, no lock.
+//!
+//! A stage that began before any guard could be entered (a request's
+//! wait between its parse and its run) is recorded with
+//! [`Stage::record_since`] instead: the histogram only, no span.
 
 use crate::metrics::{histogram_cell, BucketLayout, HistogramCore};
 use crate::trace;
@@ -60,12 +64,23 @@ impl Stage {
         // One clock read at each end serves both outputs.
         let start = Instant::now();
         let span = if tracing { trace::open_span(self.name, start) } else { None };
-        let histogram = timing.then(|| {
-            *self
-                .histogram
-                .get_or_init(|| histogram_cell(&stage_metric(self.name), BucketLayout::Pow2))
-        });
+        let histogram = timing.then(|| self.histogram());
         StageGuard { start: Some(start), histogram, span }
+    }
+
+    /// Observe the time from `start` until now in the stage's histogram
+    /// while telemetry is on; with it off, no clock is read. Opens no
+    /// span.
+    #[inline]
+    pub fn record_since(&self, start: Instant) {
+        if crate::enabled() {
+            self.histogram().observe(trace::ns_between(start, Instant::now()));
+        }
+    }
+
+    fn histogram(&self) -> &'static HistogramCore {
+        self.histogram
+            .get_or_init(|| histogram_cell(&stage_metric(self.name), BucketLayout::Pow2))
     }
 }
 
@@ -117,6 +132,23 @@ mod tests {
         let trace = trace::find(TraceId(77)).expect("trace buffered");
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, ["request", "stage_test.both"]);
+    }
+
+    #[test]
+    fn record_since_observes_only_while_telemetry_is_on() {
+        let _guard = crate::test_lock::hold();
+        crate::reset();
+        static WAIT: Stage = Stage::new("stage_test.wait");
+        let start = Instant::now() - std::time::Duration::from_micros(50);
+        WAIT.record_since(start);
+        assert!(crate::snapshot().histograms.is_empty());
+        crate::enable();
+        WAIT.record_since(start);
+        crate::disable();
+        let snap = crate::snapshot();
+        let h = snap.histogram(&stage_metric("stage_test.wait")).expect("histogram");
+        assert_eq!(h.count, 1);
+        assert!(h.sum >= 50_000, "the wait is measured from start: {}", h.sum);
     }
 
     #[test]
