@@ -86,6 +86,27 @@ boot /tmp/serve_ci.log
 stop
 grep -q "drained and stopped" /tmp/serve_ci.log
 
+# Half-closed client: a client that sends part of a request head and then
+# closes must not keep the daemon from draining. Poll for at most 5 s
+# after SIGTERM instead of `stop`, whose `wait` would hang on a daemon
+# that never drains.
+boot /tmp/serve_halfclose.log
+exec 3<>"/dev/tcp/127.0.0.1/${ADDR##*:}"
+printf 'GET /health HTTP/1.1\r\nHost: ci\r\n' >&3
+exec 3>&-
+sleep 0.2                                     # let the daemon read the head and the close
+kill -TERM "$SERVE_PID"
+for _ in $(seq 1 50); do
+  kill -0 "$SERVE_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2>/dev/null; then
+  echo "serve did not drain within 5 s of SIGTERM with a half-closed client"
+  cat /tmp/serve_halfclose.log; exit 1
+fi
+wait "$SERVE_PID"; SERVE_PID=
+grep -q "drained and stopped" /tmp/serve_halfclose.log
+
 # Observability smoke: restart the daemon with tracing on and an access
 # log, validate the full /metrics Prometheus exposition, send a traced
 # request with a caller-chosen X-Trace-Id, and require the echoed id, the

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! `outcome` classifies how the request left the server: `ok`, `error`
-//! (4xx/5xx analysis or protocol errors), `shed` (429 worker-pool
-//! rejection), `breaker_open` (503 circuit breaker), `timeout` (504).
+//! (4xx/5xx analysis or protocol errors), `shed` (429, the server-wide
+//! queue bound), `breaker_open` (503 circuit breaker), `timeout` (504).
 //! Shed and breaker-rejected requests get a line like any other — load
 //! that the server refuses is exactly the load an operator needs to see.
 //!

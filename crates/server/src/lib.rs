@@ -17,7 +17,8 @@
 //!   with a bounded in-flight depth, the analysis itself, and responses
 //!   written in request order — a request is read, run and answered on
 //!   one thread. Every loop polls the listener; the loop that accepts a
-//!   connection hands it to the loop with the fewest,
+//!   connection hands it to the loop with the fewest requests waiting for
+//!   their answer, then the fewest connections,
 //! * one queue bound for the whole server: a request parsed while
 //!   `queue_capacity` others wait for their answer is shed with HTTP 429
 //!   instead of queueing without bound,
@@ -729,12 +730,7 @@ fn analyze(
     expected: Option<RequestKind>,
     breaker: &CircuitBreaker,
 ) -> Reply {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => {
-            return (400, JSON, error_json("bad_request", "request body is not UTF-8"));
-        }
-    };
+    let Ok(body) = std::str::from_utf8(&request.body) else { return not_utf8() };
     let parsed = match AnalysisRequest::from_json(body) {
         Ok(parsed) => parsed,
         Err(error) => return (status_of(&error), JSON, error_to_json(&error)),
@@ -756,11 +752,7 @@ fn analyze(
     // requests are the caller's fault and must neither consume a
     // half-open probe nor be shed by an open breaker.
     if !breaker.try_acquire() {
-        return (
-            503,
-            JSON,
-            error_json("breaker_open", "circuit breaker is open; retry after cooldown"),
-        );
+        return breaker_open();
     }
     match state.engine.analyze(&parsed) {
         Ok(response) => {
@@ -787,23 +779,14 @@ fn analyze(
 /// snippet fails its slot, not the batch. The batch breaker is acquired
 /// once and charged if *any* item fails internally.
 fn batch(request: &Request, state: &ServiceState) -> Reply {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => {
-            return (400, JSON, error_json("bad_request", "request body is not UTF-8"));
-        }
-    };
+    let Ok(body) = std::str::from_utf8(&request.body) else { return not_utf8() };
     let items = match pipeline::api::batch_from_json(body) {
         Ok(items) => items,
         Err(error) => return (status_of(&error), JSON, error_to_json(&error)),
     };
     let breaker = state.breaker("batch");
     if !breaker.try_acquire() {
-        return (
-            503,
-            JSON,
-            error_json("breaker_open", "circuit breaker is open; retry after cooldown"),
-        );
+        return breaker_open();
     }
     let mut any_internal = false;
     // Pre-size generously: findings responses run a few hundred bytes.
@@ -881,12 +864,7 @@ fn index_status(state: &ServiceState) -> Reply {
 /// brings the delta count to N or beyond kicks off a background
 /// compaction.
 fn index_insert(request: &Request, state: &ServiceState) -> Reply {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => {
-            return (400, JSON, error_json("bad_request", "request body is not UTF-8"));
-        }
-    };
+    let Ok(body) = std::str::from_utf8(&request.body) else { return not_utf8() };
     let value = match telemetry::json::parse(body) {
         Ok(value) => value,
         Err(e) => {
@@ -911,11 +889,7 @@ fn index_insert(request: &Request, state: &ServiceState) -> Reply {
     };
     let breaker = state.breaker("index");
     if !breaker.try_acquire() {
-        return (
-            503,
-            JSON,
-            error_json("breaker_open", "circuit breaker is open; retry after cooldown"),
-        );
+        return breaker_open();
     }
     let corpus = state.engine.corpus_handle();
     match corpus.insert_source(id, source) {
@@ -950,11 +924,7 @@ fn index_insert(request: &Request, state: &ServiceState) -> Reply {
 fn index_compact(state: &ServiceState) -> Reply {
     let breaker = state.breaker("index");
     if !breaker.try_acquire() {
-        return (
-            503,
-            JSON,
-            error_json("breaker_open", "circuit breaker is open; retry after cooldown"),
-        );
+        return breaker_open();
     }
     let corpus = state.engine.corpus_handle();
     match corpus.compact() {
@@ -987,6 +957,16 @@ fn record_index_outcome(breaker: &CircuitBreaker, error: &AnalysisError) {
     } else {
         breaker.record_success();
     }
+}
+
+/// The 400 a request body that is not UTF-8 gets.
+fn not_utf8() -> Reply {
+    (400, JSON, error_json("bad_request", "request body is not UTF-8"))
+}
+
+/// The 503 a request gets while its endpoint's circuit breaker is open.
+fn breaker_open() -> Reply {
+    (503, JSON, error_json("breaker_open", "circuit breaker is open; retry after cooldown"))
 }
 
 /// HTTP status of an analysis error: timeouts are the gateway's fault

@@ -1,28 +1,11 @@
-//! Per-connection state owned by the event loop: the
-//! growable read buffer the incremental parser scans, the ordered
-//! response slots that keep pipelined replies in request order, and the
-//! pending write backlog.
+//! Per-connection state owned by the event loop: the growable read
+//! buffer the incremental parser scans, the queue of answers that keeps
+//! pipelined replies in request order, the pending write backlog, and
+//! the two facts the close rule ([`Conn::finished`]) reads.
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::time::Instant;
-
-/// One in-flight request's reserved position in the response order.
-/// Slots are appended as requests finish parsing and filled as the loop
-/// runs them, or at once for an inline answer such as a 429 (so possibly
-/// out of order); writes drain strictly from the front, so a response is
-/// never sent before all its predecessors.
-pub struct Slot {
-    /// Sequence number within this connection: the key a run names to
-    /// fill this slot.
-    pub seq: u64,
-    /// The rendered response, once the run (or an inline error path)
-    /// has produced it.
-    pub response: Option<Vec<u8>>,
-    /// Close the connection after this response flushes (negotiated
-    /// `Connection: close`, protocol error, or drain).
-    pub close_after: bool,
-}
 
 /// A connection owned by the event loop.
 pub struct Conn {
@@ -42,19 +25,25 @@ pub struct Conn {
     pub write_buf: Vec<u8>,
     /// Written prefix of `write_buf`.
     pub write_pos: usize,
-    /// In-flight and completed-but-unflushed responses, request order.
-    pub slots: VecDeque<Slot>,
-    /// Next request sequence number on this connection.
-    pub next_seq: u64,
+    /// One entry per parsed request whose answer is not yet in the write
+    /// backlog, in request order: `None` while the request waits for its
+    /// run, the rendered bytes once it ran or was answered inline (a 429,
+    /// a 400/413, a 408).
+    pub answers: VecDeque<Option<Vec<u8>>>,
     /// Deadline for completing the currently-buffered partial request;
-    /// armed only while an incomplete request sits in `read_buf`
-    /// (slowloris defense), disarmed when the buffer is empty.
+    /// armed only while an incomplete request sits in `read_buf` and the
+    /// peer is still sending (slowloris defense).
     pub read_deadline: Option<Instant>,
-    /// Reads are paused: at the pipeline cap, poisoned by a protocol
-    /// error, or draining. No further requests will be parsed.
-    pub closing: bool,
-    /// Close the socket once every queued response has flushed.
-    pub close_when_flushed: bool,
+    /// No further request will be parsed: the last one negotiated close
+    /// (as every request parsed while draining does), broke the protocol,
+    /// or timed out with a 408.
+    pub last_request: bool,
+    /// The peer has stopped sending (a read returned EOF). What it sent
+    /// before is still parsed and answered.
+    pub peer_closed: bool,
+    /// When the write backlog last became non-empty; set only while
+    /// telemetry is on, and taken by the flush that drains it.
+    pub write_since: Option<Instant>,
     /// Interest mask currently registered with epoll.
     pub interest: u32,
 }
@@ -69,11 +58,11 @@ impl Conn {
             read_pos: 0,
             write_buf: Vec::new(),
             write_pos: 0,
-            slots: VecDeque::new(),
-            next_seq: 0,
+            answers: VecDeque::new(),
             read_deadline: None,
-            closing: false,
-            close_when_flushed: false,
+            last_request: false,
+            peer_closed: false,
+            write_since: None,
             interest: 0,
         }
     }
@@ -96,45 +85,42 @@ impl Conn {
         }
     }
 
-    /// Reserve the next response slot, returning its sequence number.
-    pub fn push_slot(&mut self, close_after: bool) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.slots.push_back(Slot { seq, response: None, close_after });
-        seq
-    }
-
-    /// Fill the slot with sequence `seq`. Returns false if the slot is
-    /// gone (connection already poisoned past it).
-    pub fn fill_slot(&mut self, seq: u64, response: Vec<u8>) -> bool {
-        match self.slots.iter_mut().find(|s| s.seq == seq) {
-            Some(slot) => {
-                slot.response = Some(response);
-                true
-            }
-            None => false,
+    /// Give the oldest request still waiting for its run its answer: a
+    /// connection's requests run in the order they were parsed.
+    pub fn fill(&mut self, response: Vec<u8>) {
+        if let Some(waiting) = self.answers.iter_mut().find(|answer| answer.is_none()) {
+            *waiting = Some(response);
         }
     }
 
-    /// Move every leading completed slot into the write backlog —
-    /// responses leave in request order whatever order the slots filled.
-    /// Returns true if the connection should close once the backlog
-    /// flushes.
-    pub fn collect_ready(&mut self) -> bool {
-        while let Some(front) = self.slots.front() {
-            if front.response.is_none() {
-                break;
-            }
-            let slot = self.slots.pop_front().expect("front exists");
-            self.write_buf
-                .extend_from_slice(slot.response.as_deref().expect("checked Some"));
-            if slot.close_after {
-                self.close_when_flushed = true;
-                self.closing = true;
-                break;
-            }
+    /// Move every leading answer into the write backlog, so responses
+    /// leave in request order whatever order they were rendered in.
+    pub fn collect_ready(&mut self) {
+        let was_flushed = self.flushed();
+        while let Some(Some(answer)) = self.answers.front() {
+            self.write_buf.extend_from_slice(answer);
+            self.answers.pop_front();
         }
-        self.close_when_flushed
+        if was_flushed && !self.flushed() && telemetry::enabled() {
+            self.write_since = Some(Instant::now());
+        }
+    }
+
+    /// Whether another request may be parsed now: none was the last, and
+    /// fewer than `max_pipeline` answers are outstanding.
+    pub fn may_parse(&self, max_pipeline: usize) -> bool {
+        !self.last_request && self.answers.len() < max_pipeline
+    }
+
+    /// The close rule. A connection is finished once no further request
+    /// will come (the last one was parsed, the peer stopped sending, or
+    /// the server is `draining` and no request has begun to arrive) and
+    /// every answer is written. A partial request from a peer that
+    /// stopped sending can never complete, so it is dropped.
+    pub fn finished(&self, draining: bool) -> bool {
+        (self.last_request || self.peer_closed || draining && self.unparsed().is_empty())
+            && self.answers.is_empty()
+            && self.flushed()
     }
 
     /// Unwritten response bytes.
@@ -156,11 +142,6 @@ impl Conn {
     pub fn flushed(&self) -> bool {
         self.write_pos == self.write_buf.len()
     }
-
-    /// Whether the connection has no in-flight requests.
-    pub fn idle(&self) -> bool {
-        self.slots.is_empty() && self.flushed()
-    }
 }
 
 #[cfg(test)]
@@ -174,35 +155,46 @@ mod tests {
     }
 
     #[test]
-    fn responses_flush_in_request_order() {
+    fn answers_leave_in_request_order() {
         let mut conn = test_conn();
-        let a = conn.push_slot(false);
-        let b = conn.push_slot(false);
-        let c = conn.push_slot(false);
-        // Slots fill out of order: c, a, b.
-        assert!(conn.fill_slot(c, b"C".to_vec()));
-        assert!(!conn.collect_ready());
-        assert!(conn.pending_write().is_empty(), "c must wait for a and b");
-        assert!(conn.fill_slot(a, b"A".to_vec()));
+        // Two runs with an inline 429 between them: the 429 is answered
+        // first and must still wait for the run before it.
+        conn.answers.push_back(None);
+        conn.answers.push_back(Some(b"429".to_vec()));
+        conn.answers.push_back(None);
         conn.collect_ready();
-        assert_eq!(conn.pending_write(), b"A");
-        assert!(conn.fill_slot(b, b"B".to_vec()));
+        assert!(conn.pending_write().is_empty(), "the 429 must wait for the first run");
+        conn.fill(b"A".to_vec());
         conn.collect_ready();
-        assert_eq!(conn.pending_write(), b"ABC");
-        assert_eq!(conn.slots.len(), 0);
+        assert_eq!(conn.pending_write(), b"A429");
+        conn.fill(b"C".to_vec());
+        conn.collect_ready();
+        assert_eq!(conn.pending_write(), b"A429C");
+        assert!(conn.answers.is_empty());
     }
 
     #[test]
-    fn close_after_stops_collection() {
+    fn a_connection_finishes_once_no_request_can_come_and_all_is_written() {
         let mut conn = test_conn();
-        let a = conn.push_slot(true);
-        let b = conn.push_slot(false);
-        conn.fill_slot(a, b"A".to_vec());
-        conn.fill_slot(b, b"B".to_vec());
-        assert!(conn.collect_ready());
-        // Only the closing response is queued; the one after never ships.
-        assert_eq!(conn.pending_write(), b"A");
-        assert!(conn.close_when_flushed);
+        assert!(!conn.finished(false), "an idle keep-alive connection stays open");
+        assert!(conn.finished(true), "a drain closes an idle connection");
+        conn.read_buf = b"GET / HTTP/1.1\r\n".to_vec();
+        assert!(!conn.finished(true), "a drain keeps a request that is still arriving");
+
+        conn.peer_closed = true;
+        conn.answers.push_back(None);
+        assert!(!conn.finished(false), "an answer is outstanding");
+        assert!(!conn.may_parse(1), "the pipeline window is full");
+        conn.fill(b"A".to_vec());
+        conn.collect_ready();
+        assert!(!conn.finished(false), "the answer is not written yet");
+        conn.advance_write(1);
+        assert!(conn.finished(false), "the partial request after EOF is dropped");
+
+        let mut conn = test_conn();
+        conn.last_request = true;
+        assert!(!conn.may_parse(32));
+        assert!(conn.finished(false));
     }
 
     #[test]

@@ -7,16 +7,17 @@
 //! keeping connections alive and pipelined with a bounded in-flight
 //! depth. Every loop also polls the listening socket through a handle
 //! of its own, so a loop busy with a slow request never holds up
-//! accepting: whichever loop accepts a connection hands it to the loop
-//! with the fewest open connections through that loop's inbox, whose
-//! eventfd wakes `epoll_wait`, so no loop polls blind. The loops share
-//! nothing else but the counts in [`Loops`] and the shutdown wake.
+//! accepting: whichever loop accepts a connection hands it to the least
+//! busy loop through that loop's inbox, whose eventfd wakes `epoll_wait`,
+//! so no loop polls blind. The loops share nothing else but the counts in
+//! [`Loops`] and the shutdown wake.
 //!
 //! A turn parses every ready request first, then runs them in arrival
 //! order and flushes each response as soon as it is rendered. Each
-//! parsed request reserves a response slot in arrival order, and
-//! `Conn::collect_ready` only releases the contiguous filled prefix, so
-//! pipelined responses are written back in request order.
+//! parsed request queues its answer in arrival order, and
+//! `Conn::collect_ready` only releases the answered prefix, so pipelined
+//! responses are written back in request order. One rule,
+//! `Conn::finished`, closes a connection.
 
 mod conn;
 mod sys;
@@ -66,6 +67,9 @@ static ACCEPT_ERRORS: telemetry::Counter = telemetry::Counter::new("server.accep
 static RESPAWNS: telemetry::Counter = telemetry::Counter::new("pool.respawns");
 static CONNS: telemetry::Gauge = telemetry::Gauge::new("server.conns");
 static INFLIGHT: telemetry::Gauge = telemetry::Gauge::new("server.inflight");
+/// Time from a connection's write backlog becoming non-empty to the
+/// flush that drains it.
+static WRITE: telemetry::Stage = telemetry::Stage::new("write");
 
 /// The service half the loops drive: turning parsed requests into jobs,
 /// running them, and rendering the responses the transport sends on its
@@ -118,14 +122,20 @@ pub struct Loops {
 }
 
 /// One loop's inbox: the connections the accepting loop hands it, how
-/// many connections it owns, and the eventfd that wakes it.
+/// many requests and connections it owns, and the eventfd that wakes it.
 struct Inbox {
+    /// Requests this loop parsed and has not yet answered; every request
+    /// writes it twice, so no other field shares its cache line.
+    unanswered: Padded,
     accepted: Mutex<Vec<TcpStream>>,
-    /// Connections handed to this loop and not yet closed; the accepting
-    /// loop reads it to pick the least-loaded loop.
+    /// Connections handed to this loop and not yet closed.
     conns: AtomicUsize,
     wake: WakeFd,
 }
+
+/// A counter alone on its cache line (two: x86 prefetches them in pairs).
+#[repr(align(128))]
+struct Padded(AtomicUsize);
 
 /// Recover the guarded value even if a holder panicked; the list stays
 /// structurally valid across a poison.
@@ -140,6 +150,7 @@ impl Loops {
         let inboxes = (0..count.max(1))
             .map(|_| {
                 Ok(Inbox {
+                    unanswered: Padded(AtomicUsize::new(0)),
                     accepted: Mutex::default(),
                     conns: AtomicUsize::new(0),
                     wake: WakeFd::new()?,
@@ -186,9 +197,9 @@ impl Loops {
         }
     }
 
-    /// Count one more parsed request, unless `capacity` are already
-    /// waiting for their answer.
-    fn admit(&self) -> bool {
+    /// Count one more request parsed by loop `index`, unless `capacity`
+    /// are already waiting for their answer.
+    fn admit(&self, index: usize) -> bool {
         let capacity = self.capacity;
         let admitted = self
             .pending
@@ -196,6 +207,7 @@ impl Loops {
             .is_ok();
         if admitted {
             self.queued.fetch_add(1, Ordering::Relaxed);
+            self.inboxes[index].unanswered.0.fetch_add(1, Ordering::Relaxed);
         }
         admitted
     }
@@ -230,9 +242,9 @@ pub struct Reactor<H: Handler> {
     cfg: Config,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// Requests parsed and not yet run, in arrival order: connection
-    /// token, response slot, job.
-    parsed: Vec<(u64, u64, H::Job)>,
+    /// Requests parsed and not yet run, in arrival order, each with its
+    /// connection's token.
+    parsed: Vec<(u64, H::Job)>,
     /// The buffer every read of this loop lands in first.
     chunk: Box<[u8]>,
 }
@@ -302,7 +314,10 @@ impl<H: Handler> Reactor<H> {
                 // Closing the listener takes it out of the interest set.
                 self.listener = None;
                 self.accept_paused_until = None;
-                self.close_idle();
+                // The drain path: the close rule, idle connections included.
+                let before = self.conns.len();
+                self.conns.retain(|_, conn| !conn.finished(true));
+                self.inbox().conns.fetch_sub(before - self.conns.len(), Ordering::Relaxed);
                 if self.conns.is_empty() && self.parsed.is_empty() {
                     break;
                 }
@@ -377,12 +392,17 @@ impl<H: Handler> Reactor<H> {
         Ok(())
     }
 
-    /// Give a new connection to the loop with the fewest open
-    /// connections (the lowest index on a tie) for the rest of its life.
+    /// Give a new connection for the rest of its life to the loop with
+    /// the fewest requests waiting for their answer (so not to one busy
+    /// with a slow run while another idles), then the fewest open
+    /// connections, then the lowest index.
     fn hand_off(&mut self, stream: TcpStream) {
         let inboxes = &self.loops.inboxes;
         let target = (0..inboxes.len())
-            .min_by_key(|&i| inboxes[i].conns.load(Ordering::Relaxed))
+            .min_by_key(|&i| {
+                let inbox = &inboxes[i];
+                (inbox.unanswered.0.load(Ordering::Relaxed), inbox.conns.load(Ordering::Relaxed))
+            })
             .unwrap_or(self.index);
         // Counted at once, so the next accept, on any loop, sees it.
         inboxes[target].conns.fetch_add(1, Ordering::Relaxed);
@@ -430,9 +450,9 @@ impl<H: Handler> Reactor<H> {
             loop {
                 match conn.stream.read(&mut self.chunk) {
                     Ok(0) => {
-                        // Peer finished sending; serve what is buffered
-                        // and in flight, then close.
-                        conn.closing = true;
+                        // The peer finished sending: parse and answer what
+                        // it sent, then close.
+                        conn.peer_closed = true;
                         conn.read_deadline = None;
                         break;
                     }
@@ -454,24 +474,25 @@ impl<H: Handler> Reactor<H> {
         self.pump(token);
     }
 
-    /// Run the requests parsed so far in arrival order, filling each
-    /// one's slot and flushing its connection as soon as the response is
-    /// rendered. A run that panics closes its connection (counted in
+    /// Run the requests parsed so far in arrival order, answering each
+    /// and flushing its connection as soon as the response is rendered.
+    /// A run that panics closes its connection (counted in
     /// `pool.respawns`); a request whose connection has closed is dropped
     /// unrun. Requests a run releases from the pipeline window run in
     /// the next turn, so one deep pipeline cannot starve the others.
     fn run_parsed(&mut self) {
         let mut batch = std::mem::take(&mut self.parsed);
-        for (token, seq, job) in batch.drain(..) {
+        for (token, job) in batch.drain(..) {
             self.loops.queued.fetch_sub(1, Ordering::Relaxed);
             let ran = self.conns.contains_key(&token).then(|| {
                 std::panic::catch_unwind(AssertUnwindSafe(|| self.handler.run(job)))
             });
             self.loops.pending.fetch_sub(1, Ordering::Relaxed);
+            self.inbox().unanswered.0.fetch_sub(1, Ordering::Relaxed);
             match ran {
                 Some(Ok(response)) => {
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.fill_slot(seq, response);
+                        conn.fill(response);
                     }
                     self.pump(token);
                 }
@@ -493,24 +514,25 @@ impl<H: Handler> Reactor<H> {
 
     /// Make all possible progress on one connection: parse buffered
     /// requests up to the pipeline cap, release ordered responses,
-    /// flush, and resynchronize epoll interest. Removes the connection
-    /// when it reaches its end state.
+    /// flush, and resynchronize epoll interest. Closes the connection
+    /// once it is finished.
     fn pump(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         let now = Instant::now();
-        // Releasing a slot can unblock a request parked at the pipeline
-        // cap, which no socket event will report again once its bytes
-        // are buffered: parse and release until neither moves.
+        // Releasing an answer can unblock a request parked at the
+        // pipeline cap, which no socket event will report again once its
+        // bytes are buffered: parse and release until neither moves.
+        let (handler, cfg, index) = (&self.handler, &self.cfg, self.index);
         loop {
-            progress(&self.handler, &self.cfg, &self.loops, &mut self.parsed, conn, now);
-            let held = conn.slots.len();
+            progress(handler, cfg, index, &self.loops, &mut self.parsed, conn, now);
+            let held = conn.answers.len();
             conn.collect_ready();
-            if conn.slots.len() == held {
+            if conn.answers.len() == held {
                 break;
             }
         }
         let alive = flush_conn(conn);
-        if !alive || (conn.closing && conn.idle() && conn.unparsed().is_empty()) {
+        if !alive || conn.finished(self.handler.draining()) {
             self.close(token);
             return;
         }
@@ -529,32 +551,27 @@ impl<H: Handler> Reactor<H> {
             let response = self.handler.read_timeout_response();
             let Some(conn) = self.conns.get_mut(&token) else { continue };
             conn.read_deadline = None;
-            conn.closing = true;
-            let seq = conn.push_slot(true);
-            conn.fill_slot(seq, response);
+            conn.last_request = true;
+            conn.answers.push_back(Some(response));
             self.pump(token);
         }
     }
-
-    fn close_idle(&mut self) {
-        let before = self.conns.len();
-        self.conns.retain(|_, conn| !(conn.idle() && conn.unparsed().is_empty()));
-        self.inbox().conns.fetch_sub(before - self.conns.len(), Ordering::Relaxed);
-    }
 }
 
-/// Parse loop over one connection's buffered bytes: each request is
-/// queued in `parsed` to run later in the turn, or answered 429 at once
-/// when the server is at its queue bound.
+/// Parse loop over one connection's buffered bytes, also after its peer
+/// stopped sending: each request is queued in `parsed` to run later in
+/// the turn on loop `index`, or answered 429 at once when the server is
+/// at its queue bound.
 fn progress<H: Handler>(
     handler: &H,
     cfg: &Config,
+    index: usize,
     loops: &Loops,
-    parsed: &mut Vec<(u64, u64, H::Job)>,
+    parsed: &mut Vec<(u64, H::Job)>,
     conn: &mut Conn,
     now: Instant,
 ) {
-    while !conn.closing && conn.slots.len() < cfg.max_pipeline {
+    while conn.may_parse(cfg.max_pipeline) {
         // Move the buffer out so the borrowed view and mutations of
         // `conn` coexist; moved back before every exit from the loop.
         let buf = std::mem::take(&mut conn.read_buf);
@@ -563,7 +580,7 @@ fn progress<H: Handler>(
                 conn.read_buf = buf;
                 if conn.unparsed().is_empty() {
                     conn.read_deadline = None;
-                } else if conn.read_deadline.is_none() {
+                } else if conn.read_deadline.is_none() && !conn.peer_closed {
                     // Arm the slowloris clock: a partial request now
                     // has `read_timeout` to finish arriving.
                     conn.read_deadline = Some(now + cfg.read_timeout);
@@ -572,27 +589,23 @@ fn progress<H: Handler>(
             }
             Ok(Parsed::Complete { view, consumed }) => {
                 let keep = view.keep_alive && !handler.draining();
-                let seq = conn.push_slot(!keep);
-                if loops.admit() {
-                    parsed.push((conn.token, seq, handler.prepare(&view, keep)));
+                if loops.admit(index) {
+                    conn.answers.push_back(None);
+                    parsed.push((conn.token, handler.prepare(&view, keep)));
                 } else {
                     // The request is already fully read, so the 429
                     // cannot be destroyed by an RST.
-                    conn.fill_slot(seq, handler.overloaded(&view, keep));
+                    conn.answers.push_back(Some(handler.overloaded(&view, keep)));
                 }
                 conn.read_buf = buf;
                 conn.consume(consumed);
                 conn.read_deadline = None;
-                if !keep {
-                    conn.closing = true;
-                }
+                conn.last_request = !keep;
             }
             Err(err) => {
-                let bytes = handler.protocol_error(&err);
+                conn.answers.push_back(Some(handler.protocol_error(&err)));
                 conn.read_buf = buf;
-                let seq = conn.push_slot(true);
-                conn.fill_slot(seq, bytes);
-                conn.closing = true;
+                conn.last_request = true;
                 conn.read_deadline = None;
                 break;
             }
@@ -600,28 +613,33 @@ fn progress<H: Handler>(
     }
 }
 
-/// Write as much of the backlog as the socket accepts. Returns false
-/// when the connection should be dropped.
+/// Write as much of the backlog as the socket accepts, recording the
+/// `write` stage when it drains. Returns false when the connection
+/// should be dropped.
 fn flush_conn(conn: &mut Conn) -> bool {
     while !conn.pending_write().is_empty() {
         let window = conn.write_pos..conn.write_buf.len();
         match conn.stream.write(&conn.write_buf[window]) {
             Ok(0) => return false,
             Ok(n) => conn.advance_write(n),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
         }
     }
-    !(conn.flushed() && conn.close_when_flushed)
+    if let Some(since) = conn.write_since.take() {
+        WRITE.record_since(since);
+    }
+    true
 }
 
 /// Re-register the interest mask the connection currently needs: reads
-/// pause at the pipeline cap (or once closing), writes arm only while a
+/// only while a request may be parsed and the peer is still sending (a
+/// level-triggered EOF would be reported for ever), writes only while a
 /// backlog is pending.
 fn sync_interest(epoll: &Epoll, cfg: &Config, conn: &mut Conn) -> io::Result<()> {
     let mut desired = 0u32;
-    if !conn.closing && conn.slots.len() < cfg.max_pipeline {
+    if conn.may_parse(cfg.max_pipeline) && !conn.peer_closed {
         desired |= EPOLLIN | EPOLLRDHUP;
     }
     if !conn.flushed() {

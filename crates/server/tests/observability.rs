@@ -157,8 +157,9 @@ fn adopted_trace_id_round_trips_through_debug_endpoints() {
         // The same stage guards fed the histograms /metrics exports.
         let (status, metrics) = client::get(&addr, "/metrics").expect("metrics");
         assert_eq!(status, 200);
-        // So did the wait of each request between its parse and its run.
-        for stage in ["parse", "queue_wait"] {
+        // So did the wait of each request between its parse and its run,
+        // and the flush of each response.
+        for stage in ["parse", "queue_wait", "write"] {
             let series = format!("stage_duration_ns_count{{stage=\"{stage}\"}}");
             assert!(metrics.contains(&series), "metrics miss {series}:\n{metrics}");
         }

@@ -1,14 +1,14 @@
 //! Transport-level tests of the event-loop reactor: incremental parsing
 //! across arbitrary read boundaries, HTTP/1.1 keep-alive and
-//! pipelining, slow-client (slowloris) eviction, and the bounded
-//! in-flight pipeline depth. Everything here talks raw sockets so the
-//! byte-level framing is what is actually asserted.
+//! pipelining, slow-client (slowloris) eviction, the bounded in-flight
+//! pipeline depth, and clients that stop sending. Everything here talks
+//! raw sockets so the byte-level framing is what is actually asserted.
 
 use pipeline::api::{AnalysisConfig, AnalysisEngine, AnalysisRequest};
 use server::{client, Server, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const VULNERABLE: &str = "function f(address to) public { to.send(1); }";
@@ -353,9 +353,10 @@ fn shutdown_drains_the_requests_in_flight() {
 #[test]
 fn a_slow_request_holds_up_only_its_own_loop() {
     let (addr, handle, join) = start(ServerConfig { workers: 2, ..ServerConfig::default() });
-    // One request each, in turn: each connection goes to the loop with
-    // fewer connections, the lower on a tie — the first and the third to
-    // loop 0, the second to loop 1, and so the next new one to loop 1.
+    // One request each, in turn: with no request waiting, each connection
+    // goes to the loop with fewer connections, the lower on a tie — the
+    // first to loop 0, the second to loop 1. The new one then ties on
+    // connections and goes to loop 1, the loop without the scan.
     let mut slow = TcpStream::connect(&addr).expect("connect");
     slow.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     slow.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
@@ -363,8 +364,6 @@ fn a_slow_request_holds_up_only_its_own_loop() {
     assert!(slow.read(&mut buf).expect("health on the first connection") > 0);
     let mut fast = client::Connection::new(&addr);
     assert_eq!(fast.get("/health").expect("health on the second connection").0, 200);
-    let mut third = client::Connection::new(&addr);
-    assert_eq!(third.get("/health").expect("health on the third connection").0, 200);
 
     let body = expensive_scan(300);
     slow.write_all(scan_request(&body, "Connection: close\r\n").as_bytes()).unwrap();
@@ -385,5 +384,108 @@ fn a_slow_request_holds_up_only_its_own_loop() {
     assert_eq!(responses.len(), 1);
     assert_eq!(responses[0].0, 200, "{}", responses[0].1);
     handle.shutdown();
+    join.join().unwrap();
+}
+
+/// A `POST /v1/scan` of exactly `total` bytes: a small scan whose source
+/// is padded with trailing spaces.
+fn scan_request_of(total: usize) -> Vec<u8> {
+    let padded = |pad: usize| {
+        let source = format!("{VULNERABLE}{}", " ".repeat(pad));
+        scan_request(&AnalysisRequest::scan(source).to_json(), "")
+    };
+    let mut pad = total - padded(0).len();
+    // The padding lengthens `Content-Length` by a digit or more.
+    pad -= padded(pad).len() - total;
+    let request = padded(pad);
+    assert_eq!(request.len(), total);
+    request.into_bytes()
+}
+
+/// A request whose last bytes arrive together with the client's
+/// `shutdown(Write)` is still answered, then the connection ends. The one
+/// loop is kept busy with an expensive scan while the request and the
+/// close arrive, so it reads both in one turn: a request that fills the
+/// loop's 16 KiB reads exactly is the case where the read that meets
+/// the close comes in the same event as the request's last bytes.
+#[test]
+fn a_request_read_together_with_the_close_is_answered() {
+    let (addr, handle, join) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    for total in [16 * 1024, 32 * 1024] {
+        // The loop runs a health check and the scan behind it in one
+        // turn, so once the health answer arrives it reads nothing more
+        // until the scan is done.
+        let mut busy = TcpStream::connect(&addr).expect("connect");
+        busy.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let burst = "GET /health HTTP/1.1\r\nHost: t\r\n\r\n".to_string()
+            + &scan_request(&expensive_scan(300), "Connection: close\r\n");
+        busy.write_all(burst.as_bytes()).unwrap();
+        let mut first = [0u8; 1];
+        busy.read_exact(&mut first).expect("the health check is answered");
+
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.write_all(&scan_request_of(total)).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut raw = first.to_vec();
+        busy.read_to_end(&mut raw).expect("the scan is answered");
+        assert_eq!(split_responses(&raw).len(), 2);
+        // The loop is free again: the answer is due at once.
+        stream.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        let mut raw = Vec::new();
+        stream
+            .read_to_end(&mut raw)
+            .unwrap_or_else(|e| panic!("{total} bytes then close: no answer and EOF: {e}"));
+        let responses = split_responses(&raw);
+        assert_eq!(responses.len(), 1, "{total} bytes: {responses:?}");
+        assert_eq!(responses[0].0, 200, "{total} bytes: {}", responses[0].1);
+    }
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// A client that sends part of a request head and then stops sending
+/// gets no answer: the request can never complete, so the connection
+/// ends at once instead of waiting out the read deadline.
+#[test]
+fn a_partial_head_then_shutdown_write_reads_eof() {
+    let (addr, handle, join) = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    stream.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n").unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("EOF within the 1 s read timeout");
+    assert!(raw.is_empty(), "{}", String::from_utf8_lossy(&raw));
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// A client that sends part of a request head and then closes leaves
+/// nothing behind that holds up the drain: `run` returns within 1 s of
+/// `shutdown`.
+#[test]
+fn a_partial_head_then_close_does_not_block_the_drain() {
+    let engine = AnalysisEngine::new(AnalysisConfig::default());
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let server = Server::bind("127.0.0.1:0", config, Arc::new(engine)).expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.shutdown_handle();
+    let (returned, run_returned) = mpsc::channel();
+    let join = std::thread::spawn(move || {
+        let served = server.run();
+        let _ = returned.send(());
+        served.expect("server run");
+    });
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n").unwrap();
+    drop(stream);
+    // The one loop sees the head and the close no later than a request
+    // on a connection opened after them, so once that is answered the
+    // drain begins after the close was read.
+    assert_eq!(client::get(&addr, "/health").expect("health").0, 200);
+    handle.shutdown();
+    run_returned
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run did not return within 1 s of shutdown");
     join.join().unwrap();
 }

@@ -15,8 +15,8 @@
 //! evicted first under buffer pressure).
 //!
 //! Tracing is **off** by default and independent of the metrics switch:
-//! [`set_enabled`]`(true)` (the daemon's `--trace` flag) or `TRACING=1`
-//! turns it on. While off, [`start`]/[`annotate`] and the trace half of
+//! [`set_enabled`]`(true)` (the daemon's `--trace` flag) turns it on.
+//! While off, [`start`]/[`annotate`] and the trace half of
 //! [`crate::Stage::enter`] are a single relaxed atomic load — no
 //! allocation, no thread-local touch — so the instrumentation stays
 //! compiled into release binaries.
@@ -116,15 +116,9 @@ pub fn set_sampling(slow_us: u64, keep_every: u64) {
     KEEP_EVERY.store(keep_every.max(1), Ordering::SeqCst);
 }
 
-/// Apply `TRACING` (`1`/`on`/`true` enables), `TRACE_SLOW_US`,
-/// `TRACE_KEEP_EVERY` and `TRACE_SEED` from the environment. Binaries
-/// call this once at startup; libraries never do.
+/// Apply `TRACE_SLOW_US`, `TRACE_KEEP_EVERY` and `TRACE_SEED` from the
+/// environment. Binaries call this once at startup; libraries never do.
 pub fn init_from_env() {
-    if let Ok(v) = std::env::var("TRACING") {
-        if matches!(v.to_ascii_lowercase().as_str(), "1" | "on" | "true") {
-            set_enabled(true);
-        }
-    }
     if let Some(us) = env_u64("TRACE_SLOW_US") {
         SLOW_US.store(us, Ordering::SeqCst);
     }
