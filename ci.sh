@@ -66,9 +66,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps \
 
 # Frontend perf smoke: re-measure the parse+CPG pass and fail on a >20%
 # throughput regression against the last `interned` point recorded in
-# BENCH_trajectory.json. Measures only (no append), so CI runs do not
-# rewrite the committed trajectory.
-FRONTEND_GATE=1 FRONTEND_APPEND=0 cargo bench -p bench --bench frontend
+# BENCH_trajectory.json (one re-measure on a miss). `--no-append` measures
+# only, so CI runs do not add to the committed trajectory.
+cargo bench -p bench --bench frontend -- --no-append
 
 # Telemetry smoke: run the 17 detectors (table1) and the CCD sweep
 # (table9) in one process with telemetry on, then validate the emitted

@@ -3,26 +3,19 @@
 //!
 //! Besides the Criterion micro-benches (lex / parse / cpg_build /
 //! graphquery), this bench measures a full **frontend pass** — parse +
-//! CPG build over the curated and honeypot corpora — and appends the
-//! result as a `frontend` point to `BENCH_trajectory.json` (or wherever
-//! `FRONTEND_REPORT` points). The committed trajectory carries a
-//! `pre_intern` point measured on the String-allocating frontend and an
-//! `interned` point measured on the Symbol/arena rebuild; the ≥5x
-//! acceptance bar compares the two.
-//!
-//! Environment:
-//! * `FRONTEND_REPORT` — trajectory file path (default: workspace root).
-//! * `FRONTEND_STAGE`  — stage label for the recorded point
-//!   (default `"interned"`).
-//! * `FRONTEND_APPEND=0` — measure and print, but do not write.
-//! * `FRONTEND_GATE=1` — CI mode: compare the measured throughput against
-//!   the last recorded `interned` point and exit non-zero on a >20%
-//!   regression.
+//! CPG build over the curated and honeypot corpora — and gates it through
+//! the trajectory ledger ([`telemetry::trajectory`]): the pass must keep
+//! at least 80% of the last `interned` point's throughput in
+//! `BENCH_trajectory.json`, and a miss is re-measured once. A passing run
+//! appends an `interned` point; `cargo bench -p bench --bench frontend --
+//! --no-append` gates and measures only, as `ci.sh` does.
 
 use cpg::Cpg;
 use criterion::{criterion_group, Criterion};
+use std::convert::Infallible;
 use std::hint::black_box;
-use std::time::Instant;
+use telemetry::json::Value;
+use telemetry::trajectory;
 
 fn sample_contract() -> String {
     bench::curated().files[0].source()
@@ -93,113 +86,47 @@ fn frontend_pass(sources: &[String]) -> usize {
     nodes
 }
 
-/// Best-of-5 wall-clock nanoseconds of one run of `routine` (after one
-/// untimed warmup run).
-fn time_ns<O, F: FnMut() -> O>(mut routine: F) -> u64 {
-    black_box(routine());
-    (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(routine());
-            start.elapsed().as_nanos() as u64
-        })
-        .min()
-        .expect("five timed runs")
-}
-
-fn trajectory_path() -> String {
-    std::env::var("FRONTEND_REPORT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trajectory.json").into()
-    })
-}
-
-/// Read the existing trajectory points, preserving entries from other
-/// benches verbatim (one point per line, as all writers emit them).
-fn existing_points(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else { return Vec::new() };
-    text.lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with('{') && l.contains("\"bench\""))
-        .map(|l| l.trim_end_matches(',').to_string())
-        .collect()
-}
-
-/// The most recent recorded `frontend` throughput for a stage, in MB/s.
-fn recorded_mbps(path: &str, stage: &str) -> Option<f64> {
-    let needle = format!("\"stage\": \"{stage}\"");
-    existing_points(path)
-        .iter()
-        .rev()
-        .find(|p| p.contains("\"frontend\"") && p.contains(&needle))
-        .and_then(|p| {
-            let idx = p.find("\"mb_per_s\": ")? + "\"mb_per_s\": ".len();
-            let rest = &p[idx..];
-            let end = rest.find(|c: char| c != '.' && !c.is_ascii_digit())?;
-            rest[..end].parse::<f64>().ok()
-        })
-}
-
-fn write_frontend_report() {
-    let path = trajectory_path();
-    let stage = std::env::var("FRONTEND_STAGE").unwrap_or_else(|_| "interned".into());
+/// The frontend pass gate: best-of-5 throughput against the last
+/// `interned` point, at least 80% of it, re-measured once on a miss. A
+/// pass records a point.
+fn gate_frontend_pass() {
+    let path = trajectory::DEFAULT_PATH;
     let sources = pass_corpus();
     let bytes: usize = sources.iter().map(String::len).sum();
-    let pass_ns = time_ns(|| frontend_pass(&sources));
-    let mb_per_s = bytes as f64 / 1e6 / (pass_ns as f64 / 1e9);
-    println!(
-        "frontend/pass[{stage}]: {} sources, {} bytes, {pass_ns} ns, {mb_per_s:.2} MB/s",
-        sources.len(),
-        bytes
-    );
-
-    if std::env::var("FRONTEND_GATE").as_deref() == Ok("1") {
-        match recorded_mbps(&path, "interned") {
-            Some(recorded) if mb_per_s < recorded * 0.8 => {
-                // One retry before failing: shared CI hosts routinely lose
-                // 15-20% of a run to scheduling noise, and a genuine code
-                // regression will fail both measurements.
-                let retry_ns = time_ns(|| frontend_pass(&sources));
-                let retry = bytes as f64 / 1e6 / (retry_ns as f64 / 1e9);
-                println!("frontend gate retry: {retry:.2} MB/s");
-                if retry < recorded * 0.8 {
-                    eprintln!(
-                        "frontend throughput regressed >20%: measured {mb_per_s:.2} and \
-                         {retry:.2} MB/s vs recorded {recorded:.2} MB/s"
-                    );
-                    std::process::exit(1);
-                }
-                println!("frontend gate ok: {retry:.2} MB/s vs recorded {recorded:.2} MB/s")
-            }
-            Some(recorded) => {
-                println!("frontend gate ok: {mb_per_s:.2} MB/s vs recorded {recorded:.2} MB/s")
-            }
-            None => println!("frontend gate skipped: no recorded interned point"),
-        }
-        return;
+    let recorded = trajectory::last_point(path, |p| {
+        trajectory::bench_of(p) == Some("frontend")
+            && p.get("stage").and_then(Value::as_str) == Some("interned")
+    })
+    .and_then(|p| p.get("mb_per_s")?.as_f64());
+    let measure = || {
+        let pass_ns = bench::best_of_ns(5, || frontend_pass(&sources));
+        let mb_per_s = bytes as f64 / 1e6 / (pass_ns as f64 / 1e9);
+        println!(
+            "frontend/pass: {} sources, {bytes} bytes, {pass_ns} ns, {mb_per_s:.2} MB/s",
+            sources.len()
+        );
+        Ok::<_, Infallible>((pass_ns, mb_per_s))
+    };
+    let Ok(((pass_ns, mb_per_s), passed)) =
+        trajectory::gated(measure, |&(_, mb_per_s)| recorded.is_none_or(|r| mb_per_s >= 0.8 * r));
+    let verdict = match recorded {
+        Some(recorded) => format!("{mb_per_s:.2} MB/s vs recorded {recorded:.2} MB/s"),
+        None => format!("{mb_per_s:.2} MB/s, no recorded interned point in {path}"),
+    };
+    if !passed {
+        eprintln!("frontend throughput regressed >20%: {verdict}");
+        std::process::exit(1);
     }
-
-    if std::env::var("FRONTEND_APPEND").as_deref() == Ok("0") {
-        return;
-    }
-    let mut points = existing_points(&path);
-    points.push(format!(
-        "{{\"bench\": \"frontend\", \"stage\": \"{stage}\", \"sources\": {}, \"bytes\": {bytes}, \"pass_ns\": {pass_ns}, \"mb_per_s\": {mb_per_s:.2}}}",
+    println!("frontend gate ok: {verdict}");
+    bench::record(&[format!(
+        "{{\"bench\": \"frontend\", \"stage\": \"interned\", \"sources\": {}, \"bytes\": {bytes}, \"pass_ns\": {pass_ns}, \"mb_per_s\": {mb_per_s:.2}}}",
         sources.len()
-    ));
-    let body: Vec<String> = points.iter().map(|p| format!("    {p}")).collect();
-    let json = format!(
-        "{{\n  \"version\": 1,\n  \"points\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
-    );
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(error) => eprintln!("cannot write {path}: {error}"),
-    }
+    )]);
 }
 
 criterion_group!(benches, bench_lex, bench_parse, bench_cpg_build, bench_query_engine);
 
 fn main() {
     benches();
-    write_frontend_report();
+    gate_frontend_pass();
 }

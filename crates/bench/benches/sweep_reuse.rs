@@ -5,13 +5,14 @@
 //! * `sweep/sweep_once/{size}` — the `SweepEngine` path: fingerprint
 //!   once, one index per N, one score per pair, ε by re-thresholding.
 //!
-//! The acceptance bar for the engine is ≥ 5× over per-cell on the seeded
-//! honeypot corpus.
+//! The run then times both paths once more (best of three after a warm-up)
+//! and appends their speedup at each size as a `sweep_reuse` point to
+//! `BENCH_trajectory.json`; `cargo bench -p bench --bench sweep_reuse --
+//! --no-append` measures only.
 
 use ccd::{evaluate_reference, parameter_grid, sweep, LabelledCorpus};
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn honeypot_corpus(n: usize) -> LabelledCorpus {
     let ds = bench::honeypots();
@@ -55,51 +56,30 @@ fn bench_sweep_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// Best-of-3 wall-clock nanoseconds of one full run of `routine`.
-fn time_ns<O, F: FnMut() -> O>(mut routine: F) -> u64 {
-    (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(routine());
-            start.elapsed().as_nanos() as u64
-        })
-        .min()
-        .expect("three timed runs")
-}
-
-/// Measure the per-cell vs sweep-once speedup directly and write it as a
-/// JSON point on the perf trajectory — `BENCH_trajectory.json` at the
-/// workspace root (cargo runs benches with the package dir as cwd), or
-/// wherever `SWEEP_REUSE_REPORT` points.
-fn write_speedup_report() {
-    let path = std::env::var("SWEEP_REUSE_REPORT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trajectory.json").into()
-    });
-    let mut entries = Vec::new();
+/// Measure the per-cell vs sweep-once speedup directly and record it as
+/// one `sweep_reuse` point per corpus size. There is no gate.
+fn record_speedup() {
+    let mut points = Vec::new();
     for size in [20usize, 40] {
         let corpus = honeypot_corpus(size);
-        let per_cell_ns = time_ns(|| {
+        let per_cell_ns = bench::best_of_ns(3, || {
             parameter_grid()
                 .into_iter()
                 .map(|p| evaluate_reference(black_box(&corpus), p))
                 .collect::<Vec<_>>()
         });
-        let sweep_once_ns = time_ns(|| sweep(black_box(&corpus)));
+        let sweep_once_ns = bench::best_of_ns(3, || sweep(black_box(&corpus)));
         let speedup = per_cell_ns as f64 / sweep_once_ns.max(1) as f64;
         println!("sweep/speedup/{size}: {speedup:.2}x (per_cell {per_cell_ns} ns, sweep_once {sweep_once_ns} ns)");
-        entries.push(format!(
-            "    {{\"bench\": \"sweep_reuse\", \"size\": {size}, \"per_cell_ns\": {per_cell_ns}, \"sweep_once_ns\": {sweep_once_ns}, \"speedup\": {speedup:.3}}}"
+        points.push(format!(
+            "{{\"bench\": \"sweep_reuse\", \"size\": {size}, \"per_cell_ns\": {per_cell_ns}, \"sweep_once_ns\": {sweep_once_ns}, \"speedup\": {speedup:.3}}}"
         ));
     }
-    let json = format!("{{\n  \"version\": 1,\n  \"points\": [\n{}\n  ]\n}}\n", entries.join(",\n"));
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(error) => eprintln!("cannot write {path}: {error}"),
-    }
+    bench::record(&points);
 }
 
 fn main() {
     let mut criterion = Criterion::new();
     bench_sweep_reuse(&mut criterion);
-    write_speedup_report();
+    record_speedup();
 }

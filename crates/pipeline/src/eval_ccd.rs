@@ -173,12 +173,10 @@ pub fn sweep_ccd(dataset: &HoneypotDataset) -> Vec<SweepRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corpus::honeypots::honeypot_dataset;
+    use corpus::honeypots::{honeypot_dataset, HONEYPOT_SEED};
 
     fn dataset() -> HoneypotDataset {
-        // Keep in sync with `bench::HONEYPOT_SEED` (seed of the recorded
-        // run; lands the synthetic corpus in the Table 3 regime).
-        honeypot_dataset(1)
+        honeypot_dataset(HONEYPOT_SEED)
     }
 
     #[test]

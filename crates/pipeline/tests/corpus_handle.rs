@@ -4,7 +4,7 @@
 
 use ccd::{CcdParams, CloneDetector};
 use corpus::contracts::{generate_contracts, SanctuaryConfig};
-use corpus::honeypots::honeypot_dataset;
+use corpus::honeypots::{honeypot_dataset, HONEYPOT_SEED};
 use corpus::mutate::type_iii;
 use corpus::qa::{generate_qa, QaConfig, SnippetTruth};
 use index_store::SnapshotStore;
@@ -15,8 +15,6 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Barrier;
 
-/// Seed of the recorded honeypot run (`bench::HONEYPOT_SEED`).
-const HONEYPOT_SEED: u64 = 1;
 /// Subset size: enough lineages for real clone structure, small enough
 /// for debug-profile CI.
 const TAKE: usize = 48;

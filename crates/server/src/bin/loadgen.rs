@@ -11,12 +11,11 @@
 //! response that counts as a success, the connection shape, the default
 //! `--requests`/`--concurrency`, whether it turns telemetry on, its gate,
 //! whether it records a trajectory point, and any checks only it makes.
-//! Every profile fires requests through one burst function ([`burst`]),
-//! re-measures through one rule ([`gated`]), reads its baseline through one
-//! trajectory reader ([`last_point`]) and records through one writer
-//! ([`append_point`], into `--out`, default `BENCH_trajectory.json`). A
-//! point is recorded only when the gate passes; `--no-append` measures
-//! only.
+//! Every profile fires requests through one burst function ([`burst`]).
+//! Its gate reads a baseline, re-measures a miss and records its points
+//! through the trajectory ledger, [`telemetry::trajectory`], into `--out`
+//! (default: the workspace's `BENCH_trajectory.json`). A point is
+//! recorded only when the gate passes; `--no-append` measures only.
 //!
 //! | profile | daemon | gate | point |
 //! |---|---|---|---|
@@ -38,7 +37,7 @@
 //! running under an armed `FAULT_SPEC`: it goes through the retrying
 //! client, and a typed error document counts as a correct outcome.
 
-use corpus::honeypots::{honeypot_dataset, HoneypotDataset};
+use corpus::honeypots::{honeypot_dataset, HoneypotDataset, HONEYPOT_SEED};
 use index_store::FsyncPolicy;
 use pipeline::api::{AnalysisConfig, AnalysisEngine, AnalysisRequest, AnalysisResponse};
 use pipeline::corpus_index::{CorpusBuilder, CorpusHandle};
@@ -50,8 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use telemetry::json::Value;
-
-const HONEYPOT_SEED: u64 = 1;
+use telemetry::trajectory::{self, append_point, bench_of, gated, last_point};
 
 const SCAN_SNIPPETS: &[&str] = &[
     "function f(address to) public { to.send(1); }",
@@ -235,7 +233,7 @@ fn parse_args(argv: &[String]) -> Result<Opts, String> {
         addr: None,
         requests: profile.requests,
         concurrency: profile.concurrency,
-        out: "BENCH_trajectory.json".to_string(),
+        out: trajectory::DEFAULT_PATH.to_string(),
         append: profile.records,
     };
     let mut flags = flags.iter();
@@ -605,34 +603,6 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// The one re-measure rule: measure, and on a miss measure once more
-/// (single bursts are noisy). The gate passes if either attempt passes;
-/// returns the passing attempt, or else the second.
-fn gated<M>(
-    mut measure: impl FnMut() -> Run<M>,
-    pass: impl Fn(&M) -> bool,
-) -> Run<(M, bool)> {
-    let first = measure()?;
-    if pass(&first) {
-        return Ok((first, true));
-    }
-    println!("[loadgen] gate missed; re-measuring once");
-    let second = measure()?;
-    let passed = pass(&second);
-    Ok((second, passed))
-}
-
-/// The one trajectory reader: the last point in the file at `path` that
-/// `matches`, if the file parses.
-fn last_point(path: &str, matches: impl Fn(&Value) -> bool) -> Option<Value> {
-    let doc = telemetry::json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
-    doc.get("points")?.as_array()?.iter().rev().find(|point| matches(point)).cloned()
-}
-
-fn bench_of(point: &Value) -> Option<&str> {
-    point.get("bench").and_then(Value::as_str)
-}
-
 /// Whether `point` is an untraced `serve_loadgen` point measured in
 /// `shape`: the serve gate compares like with like.
 fn same_shape(point: &Value, shape: Shape) -> bool {
@@ -712,7 +682,7 @@ fn trace_overhead(opts: &Opts, dataset: &HoneypotDataset) -> Run<Vec<String>> {
     // Warm the response and front caches before measuring.
     traced(false)?;
     let ((off, on), passed) = gated(
-        || {
+        || -> Run<(Burst, Burst)> {
             let (off, on) = (traced(false)?, traced(true)?);
             println!(
                 "[loadgen] trace overhead: off {:.1} req/s, on {:.1} req/s ({:+.1}%)",
@@ -746,7 +716,7 @@ fn serve_floor(opts: &Opts, dataset: &HoneypotDataset) -> Run<Vec<String>> {
     }
     let items = opts.profile.workload.items(dataset, opts.requests);
     let (measured, passed) = gated(
-        || {
+        || -> Run<Burst> {
             // Warm the daemon so the measured burst sees the steady state
             // the baseline did.
             let daemon = Daemon::standard(dataset);
@@ -1085,33 +1055,6 @@ fn collect_spans(span: &Value, out: &mut Vec<(String, f64)>) {
     }
 }
 
-/// The one point writer: append `point` to the trajectory file at
-/// `path`, preserving existing bytes. The entry is spliced in front of
-/// the points array's closing bracket, then the whole document is
-/// re-parsed as a validity check before writing.
-fn append_point(path: &str, point: &str) -> Result<(), String> {
-    let content = match std::fs::read_to_string(path) {
-        Ok(content) => content,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            "{\n  \"version\": 1,\n  \"points\": [\n  ]\n}\n".to_string()
-        }
-        Err(e) => return Err(e.to_string()),
-    };
-    let parsed = telemetry::json::parse(&content)
-        .map_err(|e| format!("existing file is not valid JSON: {e}"))?;
-    let empty = parsed
-        .get("points")
-        .and_then(Value::as_array)
-        .ok_or("existing file has no points array")?
-        .is_empty();
-    let close = content.rfind(']').ok_or("no closing bracket in file")?;
-    let (before, after) = content.split_at(close);
-    let separator = if empty { "\n    " } else { ",\n    " };
-    let updated = format!("{}{separator}{point}\n  {}", before.trim_end(), after);
-    telemetry::json::parse(&updated).map_err(|e| format!("splice produced invalid JSON: {e}"))?;
-    std::fs::write(path, updated).map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1172,28 +1115,26 @@ mod tests {
     /// The `serve_loadgen` and `wal_durability` points of the committed
     /// trajectory, plus a tracing-tagged keep-alive point in the shape
     /// the trace-overhead profile writes.
-    const TRAJECTORY: &str = r#"{
-  "version": 1,
-  "points": [
-    {"bench": "serve_loadgen", "requests": 512, "concurrency": 32, "rps": 1731.6, "p50_us": 17012, "p95_us": 22630, "p99_us": 26967},
-    {"bench": "serve_loadgen", "requests": 192, "concurrency": 8, "rps": 1562.0, "p50_us": 5142, "p95_us": 5746, "p99_us": 7575, "tracing": "off"},
-    {"bench": "serve_loadgen", "requests": 192, "concurrency": 8, "rps": 1566.3, "p50_us": 5135, "p95_us": 5590, "p99_us": 5685, "tracing": "on"},
-    {"bench": "serve_loadgen", "requests": 4096, "concurrency": 8, "keepalive": true, "pipeline_depth": 1, "batch": 0, "rps": 33058.7, "p50_us": 199, "p95_us": 374, "p99_us": 1524},
-    {"bench": "serve_loadgen", "requests": 4096, "concurrency": 8, "keepalive": true, "pipeline_depth": 16, "batch": 0, "rps": 38335.2, "p50_us": 2458, "p95_us": 6586, "p99_us": 16169},
-    {"bench": "serve_loadgen", "requests": 4096, "concurrency": 8, "keepalive": true, "pipeline_depth": 1, "batch": 32, "rps": 55663.5, "p50_us": 3763, "p95_us": 11308, "p99_us": 14473},
-    {"bench": "index_warmstart", "docs": 379, "cold_ms": 41.5, "warm_ms": 0.54, "speedup": 76.4, "requests": 256, "front_cache_hit_rate": 0.5430},
-    {"bench": "wal_durability", "inserts": 256, "concurrency": 16, "never_rps": 34469.4, "batch_rps": 32968.1, "always_rps": 6907.1, "floor": 8242.0},
-    {"bench": "index_warmstart", "docs": 403, "cold_ms": 31.5, "warm_ms": 0.54, "speedup": 58.4, "wal_replayed": 24, "requests": 256, "front_cache_hit_rate": 0.5430},
-    {"bench": "serve_loadgen", "requests": 192, "concurrency": 8, "keepalive": true, "pipeline_depth": 1, "batch": 0, "rps": 9999.9, "p50_us": 1, "p95_us": 2, "p99_us": 3, "tracing": "on"}
-  ]
-}
-"#;
+    const POINTS: &[&str] = &[
+        r#"{"bench": "serve_loadgen", "requests": 512, "concurrency": 32, "rps": 1731.6, "p50_us": 17012, "p95_us": 22630, "p99_us": 26967}"#,
+        r#"{"bench": "serve_loadgen", "requests": 192, "concurrency": 8, "rps": 1562.0, "p50_us": 5142, "p95_us": 5746, "p99_us": 7575, "tracing": "off"}"#,
+        r#"{"bench": "serve_loadgen", "requests": 192, "concurrency": 8, "rps": 1566.3, "p50_us": 5135, "p95_us": 5590, "p99_us": 5685, "tracing": "on"}"#,
+        r#"{"bench": "serve_loadgen", "requests": 4096, "concurrency": 8, "keepalive": true, "pipeline_depth": 1, "batch": 0, "rps": 33058.7, "p50_us": 199, "p95_us": 374, "p99_us": 1524}"#,
+        r#"{"bench": "serve_loadgen", "requests": 4096, "concurrency": 8, "keepalive": true, "pipeline_depth": 16, "batch": 0, "rps": 38335.2, "p50_us": 2458, "p95_us": 6586, "p99_us": 16169}"#,
+        r#"{"bench": "serve_loadgen", "requests": 4096, "concurrency": 8, "keepalive": true, "pipeline_depth": 1, "batch": 32, "rps": 55663.5, "p50_us": 3763, "p95_us": 11308, "p99_us": 14473}"#,
+        r#"{"bench": "index_warmstart", "docs": 379, "cold_ms": 41.5, "warm_ms": 0.54, "speedup": 76.4, "requests": 256, "front_cache_hit_rate": 0.5430}"#,
+        r#"{"bench": "wal_durability", "inserts": 256, "concurrency": 16, "never_rps": 34469.4, "batch_rps": 32968.1, "always_rps": 6907.1, "floor": 8242.0}"#,
+        r#"{"bench": "index_warmstart", "docs": 403, "cold_ms": 31.5, "warm_ms": 0.54, "speedup": 58.4, "wal_replayed": 24, "requests": 256, "front_cache_hit_rate": 0.5430}"#,
+        r#"{"bench": "serve_loadgen", "requests": 192, "concurrency": 8, "keepalive": true, "pipeline_depth": 1, "batch": 0, "rps": 9999.9, "p50_us": 1, "p95_us": 2, "p99_us": 3, "tracing": "on"}"#,
+    ];
 
     #[test]
     fn reader_selects_the_gate_baselines() {
         let file = temp_file("reader");
-        std::fs::write(&file, TRAJECTORY).unwrap();
         let path = file.to_str().unwrap();
+        for point in POINTS {
+            append_point(path, point).unwrap();
+        }
         let rps = |shape| {
             last_point(path, |p| same_shape(p, shape)).and_then(|p| p.get("rps")?.as_f64())
         };
@@ -1209,29 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn appending_keeps_existing_bytes_and_reparses() {
-        const POINT: &str = r#"{"bench": "test", "n": 1}"#;
-        let empty = "{\n  \"version\": 1,\n  \"points\": [\n  ]\n}\n";
-        let cases = [("missing", None), ("empty", Some(empty)), ("full", Some(TRAJECTORY))];
-        for (tag, existing) in cases {
-            let path = temp_file(tag);
-            if let Some(existing) = existing {
-                std::fs::write(&path, existing).unwrap();
-            }
-            append_point(path.to_str().unwrap(), POINT).unwrap();
-            let updated = std::fs::read_to_string(&path).unwrap();
-            let original = existing.unwrap_or(empty);
-            let close = original.rfind(']').unwrap();
-            assert!(updated.starts_with(original[..close].trim_end()), "{tag}: prefix rewritten");
-            assert!(updated.ends_with(&original[close..]), "{tag}: suffix rewritten");
-            let doc = telemetry::json::parse(&updated).unwrap();
-            let points = doc.get("points").and_then(Value::as_array).unwrap();
-            assert_eq!(points.last(), Some(&telemetry::json::parse(POINT).unwrap()), "{tag}");
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    #[test]
     fn serve_points_keep_the_committed_key_order() {
         fn keys(point: &str) -> Vec<&str> {
             let key = |(at, _): (usize, &str)| point[..at].rsplit('"').next().unwrap();
@@ -1240,9 +1158,9 @@ mod tests {
         let burst =
             Burst { lat: vec![100, 200, 300], elapsed: Duration::from_secs(1), ..Burst::default() };
         let opts = args("serve").unwrap();
-        let committed = TRAJECTORY.lines().find(|l| l.contains("33058.7")).unwrap();
+        let committed = POINTS.iter().find(|p| p.contains("33058.7")).unwrap();
         assert_eq!(keys(&serve_point(&burst, &opts, None)), keys(committed));
-        let traced = TRAJECTORY.lines().find(|l| l.contains("9999.9")).unwrap();
+        let traced = POINTS.iter().find(|p| p.contains("9999.9")).unwrap();
         assert_eq!(keys(&serve_point(&burst, &opts, Some("on"))), keys(traced));
     }
 }

@@ -14,9 +14,10 @@
 //! printed and, with `--port-file`, written to a file for scripts to
 //! pick up). The clone corpus is the honeypot dataset of the recorded
 //! run, truncated to `--corpus` contracts (0 → all 379). SIGTERM and
-//! SIGINT trigger a graceful drain, which starts within each event
-//! loop's 250 ms poll cap. Running out of file descriptors pauses
-//! accepting for a short backoff and never stops the daemon.
+//! SIGINT, blocked on every thread, start a graceful drain at once: after
+//! `bind` one thread takes them and wakes every event loop. Running out of
+//! file descriptors pauses accepting for a short backoff and never stops
+//! the daemon.
 //!
 //! Transport: `--workers N` runs N event loops (default: the available
 //! parallelism), each accepting connections and reading, running and
@@ -57,19 +58,19 @@
 //! deterministic fault plan (see the `faultinject` crate); when armed,
 //! the active plan is logged at startup.
 
-use corpus::honeypots::honeypot_dataset;
+use corpus::honeypots::{honeypot_dataset, HONEYPOT_SEED};
 use index_store::FsyncPolicy;
 use pipeline::api::{AnalysisConfig, AnalysisEngine};
 use pipeline::corpus_index::CorpusBuilder;
-use server::{install_signal_handlers, Server, ServerConfig};
+use server::{block_stop_signals, stop_on_signal, Server, ServerConfig};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Seed of the recorded honeypot corpus (see `bench::HONEYPOT_SEED`).
-const HONEYPOT_SEED: u64 = 1;
-
 fn main() {
+    // Before any thread starts (the WAL flusher starts during the corpus
+    // build): every thread inherits the block.
+    block_stop_signals().expect("block SIGTERM and SIGINT");
     let args: Vec<String> = std::env::args().collect();
     let mut port: u16 = 0;
     let mut port_file: Option<String> = None;
@@ -255,9 +256,9 @@ fn main() {
     eprintln!("[serve] corpus ready: {} fingerprinted contracts", corpus.len());
     let engine = Arc::new(AnalysisEngine::with_corpus_handle(analysis, corpus));
 
-    install_signal_handlers();
     let server = Server::bind(&format!("127.0.0.1:{port}"), config, engine)
         .expect("failed to bind service port");
+    stop_on_signal(server.shutdown_handle()).expect("start the signal thread");
     let addr = server.local_addr().expect("bound listener has an address");
     if let Some(path) = port_file {
         let mut f = std::fs::File::create(&path).expect("failed to create port file");

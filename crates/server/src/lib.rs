@@ -23,8 +23,10 @@
 //!   `queue_capacity` others wait for their answer is shed with HTTP 429
 //!   instead of queueing without bound,
 //! * cooperative per-request timeouts inside the engine (HTTP 504),
-//! * graceful shutdown: SIGTERM/`POST /shutdown` close the listener,
-//!   in-flight requests drain, and every loop returns.
+//! * graceful shutdown: SIGTERM, SIGINT ([`block_stop_signals`],
+//!   [`stop_on_signal`]) and `POST /shutdown` set the drain flag and wake
+//!   every loop, which stops accepting, answers what it has read, and
+//!   returns.
 //!
 //! Endpoints (JSON bodies use the wire format of [`pipeline::api`]):
 //!
@@ -69,7 +71,6 @@ use solidity::AnalysisError;
 use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::trace::{self, TraceId};
@@ -127,59 +128,36 @@ impl Default for ServerConfig {
 /// listener at once.
 #[derive(Clone)]
 pub struct ShutdownHandle {
-    stop: Arc<AtomicBool>,
     loops: Arc<reactor::Loops>,
 }
 
 impl ShutdownHandle {
     /// Request a graceful shutdown.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.loops.wake_all();
-    }
-
-    /// Whether shutdown has been requested (by this handle or a signal).
-    pub fn is_shutdown(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || signal_stop_requested()
+        self.loops.stop();
     }
 }
 
-static SIGNAL_STOP: AtomicBool = AtomicBool::new(false);
+pub use reactor::sys::block_stop_signals;
 
-/// Whether a termination signal has been delivered.
-pub fn signal_stop_requested() -> bool {
-    SIGNAL_STOP.load(Ordering::SeqCst)
-}
-
-/// Install SIGTERM/SIGINT handlers that flip the shutdown flag, turning
-/// `kill -TERM` into a graceful drain. Uses the C `signal` entry point
-/// directly (std already links libc), so no extra dependency is needed.
-/// The handler wakes no event loop: the loop whose `epoll_wait` a signal
-/// interrupts sees it at once, every other loop within its 250 ms poll
-/// cap.
-pub fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: i32) {
-        SIGNAL_STOP.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_signal as *const () as usize);
-        signal(SIGINT, on_signal as *const () as usize);
-    }
+/// Start a thread that waits for SIGTERM or SIGINT, blocked by
+/// [`block_stop_signals`], and stops the server through `handle`. The
+/// thread is not joined: the signal may never come, and the process ends
+/// when `main` returns.
+pub fn stop_on_signal(handle: ShutdownHandle) -> io::Result<()> {
+    std::thread::Builder::new().name("signals".to_string()).spawn(move || {
+        reactor::sys::wait_for_stop_signal().expect("sigwait on a set of valid signals");
+        handle.shutdown();
+    })?;
+    Ok(())
 }
 
 /// Shared state of every event loop; the loops' request handler.
 struct ServiceState {
     engine: Arc<AnalysisEngine>,
-    shutdown: ShutdownHandle,
-    /// What the event loops share: hand-offs and the request counts.
+    /// What the event loops share: hand-offs, the drain flag, the request
+    /// counts and the sizing in force.
     loops: Arc<reactor::Loops>,
-    workers: usize,
-    queue_capacity: usize,
     /// The read deadline, which a 408 reports as its duration.
     read_timeout: Duration,
     /// The circuit breakers of the four analysis endpoints and the
@@ -201,10 +179,7 @@ impl ServiceState {
         let loops = reactor::Loops::new(config.workers, config.queue_capacity)?;
         Ok(ServiceState {
             engine,
-            shutdown: ShutdownHandle { stop: Arc::default(), loops: Arc::clone(&loops) },
             loops,
-            workers: config.workers,
-            queue_capacity: config.queue_capacity,
             read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
             breakers: ["scan", "clone_check", "analyze", "batch", "index"]
                 .map(|name| (name, CircuitBreaker::new(config.breaker))),
@@ -261,7 +236,7 @@ impl Server {
     /// A handle that stops the server from another thread (or from the
     /// `POST /shutdown` endpoint).
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        self.state.shutdown.clone()
+        ShutdownHandle { loops: Arc::clone(&self.state.loops) }
     }
 
     /// Serve until shutdown is requested, then drain in-flight requests
@@ -279,7 +254,7 @@ impl Server {
             let served = reactor::Reactor::new(index, listener, loops, Arc::clone(&state), config)
                 .and_then(reactor::Reactor::run);
             if served.is_err() {
-                state.shutdown.shutdown();
+                state.loops.stop();
             }
             served
         };
@@ -302,7 +277,7 @@ impl Server {
             }
             match served {
                 Ok(()) => served = run_loop(0, listener),
-                Err(_) => state.shutdown.shutdown(),
+                Err(_) => state.loops.stop(),
             }
             for handle in others {
                 let joined = handle.join().expect("a loop catches every run's panic");
@@ -360,10 +335,6 @@ impl reactor::Handler for Arc<ServiceState> {
         let body = error_json("timeout", "request did not arrive within the read deadline");
         let reply = (408, JSON, body);
         respond(self, &RequestIds::fresh(), "?", "?", reply, false, || self.read_timeout)
-    }
-
-    fn draining(&self) -> bool {
-        self.shutdown.is_shutdown()
     }
 }
 
@@ -590,7 +561,7 @@ static ENDPOINTS: [Endpoint; 13] = [
         (200, PROM, telemetry::prom::render(&telemetry::snapshot()))
     }),
     endpoint!("POST", "/shutdown", false, |_, state| {
-        state.shutdown.shutdown();
+        state.loops.stop();
         (200, JSON, "{\"status\":\"shutting_down\"}".to_string())
     }),
     endpoint!("GET", "/debug/traces/recent", false, |request, _| {
@@ -632,9 +603,10 @@ const MAX_EXACT_ID: f64 = 9_007_199_254_740_991.0;
 /// Prometheus exposition content type (format 0.0.4).
 const PROM: &str = "text/plain; version=0.0.4";
 
-/// `GET /health`: liveness, corpus size, the loops' sizing and state
-/// (`pool.respawns` counts runs that panicked, `pool.queued` requests
-/// parsed but not yet run), and every breaker's state.
+/// `GET /health`: liveness, corpus size, the loop count and queue bound
+/// in force (each at least 1, whatever the config asked for), the loops'
+/// state (`pool.respawns` counts runs that panicked, `pool.queued`
+/// requests parsed but not yet run), and every breaker's state.
 fn health(state: &ServiceState) -> Reply {
     let breakers: Vec<String> = state
         .breakers
@@ -645,8 +617,8 @@ fn health(state: &ServiceState) -> Reply {
         "{{\"status\":\"ok\",\"v\":1,\"corpus\":{},\"workers\":{},\"queue_capacity\":{},\
          \"pool\":{{\"respawns\":{},\"queued\":{}}},\"breakers\":{{{}}}}}",
         state.engine.corpus_len(),
-        state.workers,
-        state.queue_capacity,
+        state.loops.count(),
+        state.loops.capacity(),
         state.loops.panics(),
         state.loops.queued(),
         breakers.join(","),
@@ -688,7 +660,7 @@ fn refresh_gauges(state: &ServiceState) {
     let (symbols, bytes) = intern::interner_stats();
     telemetry::gauge_set("intern.symbols", symbols as u64);
     telemetry::gauge_set("intern.bytes", bytes as u64);
-    telemetry::gauge_set("pool.workers", state.workers as u64);
+    telemetry::gauge_set("pool.workers", state.loops.count() as u64);
     telemetry::gauge_set("pool.queue_depth", state.loops.queued() as u64);
     telemetry::gauge_set("pool.respawns", state.loops.panics());
     let corpus = state.engine.corpus_handle();
@@ -1005,6 +977,17 @@ mod tests {
             body: body.as_bytes().to_vec(),
             ..Request::default()
         }
+    }
+
+    #[test]
+    fn health_reports_the_sizing_in_force() {
+        // One loop and a queue bound of one request, whatever the config says.
+        let config = ServerConfig { workers: 0, queue_capacity: 0, ..ServerConfig::default() };
+        let engine = Arc::new(AnalysisEngine::new(AnalysisConfig::default()));
+        let state = Arc::new(ServiceState::new(&config, engine).expect("no access log to open"));
+        let (status, _, body) = route(&get("/health"), &state);
+        assert_eq!(status, 200);
+        assert!(body.contains("\"workers\":1,\"queue_capacity\":1,"), "{body}");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! of its own, so a loop busy with a slow request never holds up
 //! accepting: whichever loop accepts a connection hands it to the least
 //! busy loop through that loop's inbox, whose eventfd wakes `epoll_wait`,
-//! so no loop polls blind. The loops share nothing else but the counts in
-//! [`Loops`] and the shutdown wake.
+//! so no loop polls blind. The loops share nothing else but the counts and
+//! the drain flag in [`Loops`]. An idle loop waits for an event, a wake or
+//! its nearest deadline, and for nothing else.
 //!
 //! A turn parses every ready request first, then runs them in arrival
 //! order and flushes each response as soon as it is rendered. Each
@@ -20,14 +21,14 @@
 //! `Conn::finished`, closes a connection.
 
 mod conn;
-mod sys;
+pub(crate) mod sys;
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,11 +57,6 @@ const ACCEPT_BATCH: usize = 64;
 /// or memory): the backlog stays readable, so polling it sooner would
 /// spin the loop.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Longest `epoll_wait` in milliseconds, so read deadlines, the accept
-/// backoff and a drain flag set without a wake (a signal delivered to
-/// another thread) are all seen within it.
-const POLL_CAP_MS: i32 = 250;
 
 static ACCEPTED: telemetry::Counter = telemetry::Counter::new("server.accepted");
 static ACCEPT_ERRORS: telemetry::Counter = telemetry::Counter::new("server.accept_errors");
@@ -98,18 +94,16 @@ pub trait Handler {
     /// Render the 408 sent when a partial request outlives the read
     /// deadline (slowloris). The connection closes after it flushes.
     fn read_timeout_response(&self) -> Vec<u8>;
-
-    /// Whether the server is draining: the listener closes, new requests
-    /// are answered with `Connection: close` and idle connections are
-    /// shut.
-    fn draining(&self) -> bool;
 }
 
 /// What the event loops of one server share: each loop's inbox, the
-/// server-wide request counts behind the queue bound and `/health`, and
-/// the count of runs that panicked.
+/// drain flag, the server-wide request counts behind the queue bound and
+/// `/health`, and the count of runs that panicked.
 pub struct Loops {
     inboxes: Box<[Inbox]>,
+    /// Set once by [`Loops::stop`]: the listener closes, new requests are
+    /// answered with `Connection: close` and idle connections are shut.
+    draining: AtomicBool,
     /// Most requests parsed but not yet answered, across every loop; a
     /// request parsed past it is answered 429.
     capacity: usize,
@@ -159,6 +153,7 @@ impl Loops {
             .collect::<io::Result<_>>()?;
         Ok(Arc::new(Loops {
             inboxes,
+            draining: AtomicBool::new(false),
             capacity: capacity.max(1),
             pending: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
@@ -171,11 +166,23 @@ impl Loops {
         self.inboxes.len()
     }
 
-    /// Wake every loop, so each re-checks the drain flag at once.
-    pub fn wake_all(&self) {
+    /// The queue bound in force (at least one).
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Start the drain: set the flag and wake every loop, so each closes
+    /// its handle on the listener at once.
+    pub fn stop(&self) {
+        self.draining.store(true, Ordering::SeqCst);
         for inbox in self.inboxes.iter() {
             inbox.wake.wake();
         }
+    }
+
+    /// Whether [`Loops::stop`] has been called.
+    pub(crate) fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
     }
 
     /// Requests parsed but not yet run, across every loop.
@@ -281,9 +288,9 @@ impl<H: Handler> Reactor<H> {
         })
     }
 
-    /// The event loop. Returns when the handler reports draining and
-    /// every owned connection has finished and closed; returns an error
-    /// only when epoll itself fails.
+    /// The event loop. Returns once the loops are draining and every
+    /// owned connection has finished and closed; returns an error only
+    /// when epoll itself fails.
     pub fn run(mut self) -> io::Result<()> {
         let mut events = vec![EpollEvent { events: 0, token: 0 }; 256];
         loop {
@@ -310,7 +317,7 @@ impl<H: Handler> Reactor<H> {
             }
             self.run_parsed();
             self.sweep_deadlines();
-            if self.handler.draining() {
+            if self.loops.draining() {
                 // Closing the listener takes it out of the interest set.
                 self.listener = None;
                 self.accept_paused_until = None;
@@ -348,17 +355,17 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Wait bound: the nearest read deadline or accept backoff, capped
-    /// at [`POLL_CAP_MS`].
+    /// Wait bound in milliseconds: the nearest read deadline or accept
+    /// backoff, or -1 (no bound) when there is neither.
     fn poll_timeout(&self) -> i32 {
         let now = Instant::now();
         self.conns
             .values()
             .filter_map(|c| c.read_deadline)
             .chain(self.accept_paused_until)
-            .map(|d| d.saturating_duration_since(now).as_millis().min(POLL_CAP_MS as u128) as i32)
+            .map(|d| d.saturating_duration_since(now).as_millis().min(i32::MAX as u128) as i32)
             .min()
-            .unwrap_or(POLL_CAP_MS)
+            .unwrap_or(-1)
     }
 
     /// Accept up to [`ACCEPT_BATCH`] pending connections. An error that
@@ -532,7 +539,7 @@ impl<H: Handler> Reactor<H> {
             }
         }
         let alive = flush_conn(conn);
-        if !alive || conn.finished(self.handler.draining()) {
+        if !alive || conn.finished(self.loops.draining()) {
             self.close(token);
             return;
         }
@@ -588,7 +595,7 @@ fn progress<H: Handler>(
                 break;
             }
             Ok(Parsed::Complete { view, consumed }) => {
-                let keep = view.keep_alive && !handler.draining();
+                let keep = view.keep_alive && !loops.draining();
                 if loops.admit(index) {
                     conn.answers.push_back(None);
                     parsed.push((conn.token, handler.prepare(&view, keep)));
@@ -655,12 +662,9 @@ fn sync_interest(epoll: &Epoll, cfg: &Config, conn: &mut Conn) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Echo handler: answers with the request path.
-    struct Echo {
-        draining: Arc<AtomicBool>,
-    }
+    struct Echo;
 
     impl Handler for Echo {
         type Job = Vec<u8>;
@@ -680,15 +684,11 @@ mod tests {
         fn read_timeout_response(&self) -> Vec<u8> {
             http::render_response(408, "text/plain", "slow", &[], false)
         }
-        fn draining(&self) -> bool {
-            self.draining.load(Ordering::SeqCst)
-        }
     }
 
-    /// A running echo loop: the flag and loops that stop it, its thread
-    /// and its address.
+    /// A running echo loop: the loops that stop it, its thread and its
+    /// address.
     struct Running {
-        draining: Arc<AtomicBool>,
         loops: Arc<Loops>,
         thread: std::thread::JoinHandle<()>,
         addr: std::net::SocketAddr,
@@ -698,11 +698,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let loops = Loops::new(1, 64).unwrap();
-        let draining = Arc::new(AtomicBool::new(false));
-        let handler = Echo { draining: Arc::clone(&draining) };
-        let reactor = Reactor::new(0, listener, Arc::clone(&loops), handler, cfg).unwrap();
+        let reactor = Reactor::new(0, listener, Arc::clone(&loops), Echo, cfg).unwrap();
         let thread = std::thread::spawn(move || reactor.run().unwrap());
-        Running { draining, loops, thread, addr }
+        Running { loops, thread, addr }
     }
 
     fn default_cfg() -> Config {
@@ -716,8 +714,7 @@ mod tests {
     }
 
     fn stop(running: Running) {
-        running.draining.store(true, Ordering::SeqCst);
-        running.loops.wake_all();
+        running.loops.stop();
         running.thread.join().unwrap();
     }
 

@@ -1,7 +1,7 @@
-//! Minimal epoll/eventfd bindings via `extern "C"` libc symbol
-//! declarations — the same zero-dependency idiom the signal handler in
-//! `lib.rs` uses. Only the handful of calls the reactor needs are
-//! declared; everything is wrapped in RAII types so fds cannot leak.
+//! Minimal epoll, eventfd and signal-mask bindings via `extern "C"` libc
+//! symbol declarations (std already links libc, so no dependency is
+//! needed). Only the handful of calls the daemon needs are declared;
+//! descriptors are wrapped in RAII types so they cannot leak.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -23,6 +23,10 @@ const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 const EINTR: i32 = 4;
+/// `pthread_sigmask`'s "add to the mask" (generic Linux: x86, Arm).
+const SIG_BLOCK: i32 = 0;
+const SIGINT: i32 = 2;
+const SIGTERM: i32 = 15;
 
 /// The kernel's `struct epoll_event`. Packed on x86-64 (the kernel ABI
 /// quirk); naturally aligned elsewhere.
@@ -44,6 +48,10 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
+    fn sigemptyset(set: *mut SignalSet) -> i32;
+    fn sigaddset(set: *mut SignalSet, signum: i32) -> i32;
+    fn pthread_sigmask(how: i32, set: *const SignalSet, old: *mut SignalSet) -> i32;
+    fn sigwait(set: *const SignalSet, signum: *mut i32) -> i32;
 }
 
 fn last_errno() -> io::Error {
@@ -89,8 +97,9 @@ impl Epoll {
 
     /// Wait for events. `timeout_ms < 0` blocks indefinitely. Returns the
     /// filled prefix of `events`; a wait interrupted by a signal (`EINTR`)
-    /// returns an empty batch rather than retrying, so the caller looks at
-    /// the shutdown flag the installed signal handlers set sooner.
+    /// returns an empty batch, and the caller's next turn waits again. The
+    /// daemon's stop signals never interrupt it: they are blocked on every
+    /// thread and taken by `sigwait` ([`wait_for_stop_signal`]).
     pub fn wait<'e>(
         &self,
         events: &'e mut [EpollEvent],
@@ -159,6 +168,51 @@ impl WakeFd {
 impl Drop for WakeFd {
     fn drop(&mut self) {
         unsafe { close(self.fd) };
+    }
+}
+
+/// SIGTERM and SIGINT, the signals that stop the daemon, as a C
+/// `sigset_t` (1,024 bits on Linux).
+#[repr(C)]
+struct SignalSet([u64; 16]);
+
+fn stop_signals() -> SignalSet {
+    let mut set = SignalSet([0; 16]);
+    // SAFETY: `set` is a writable buffer of `sigset_t`'s size and
+    // alignment, and both signal numbers are valid.
+    unsafe {
+        sigemptyset(&mut set);
+        sigaddset(&mut set, SIGTERM);
+        sigaddset(&mut set, SIGINT);
+    }
+    set
+}
+
+/// Block SIGTERM and SIGINT on the calling thread. A thread starts with
+/// the signal mask of the thread that starts it, so call this first thing
+/// in `main`, before any thread starts: a thread that left them unblocked
+/// could take one and end the daemon undrained.
+/// [`stop_on_signal`](crate::stop_on_signal) then takes them.
+pub fn block_stop_signals() -> io::Result<()> {
+    // SAFETY: the set is initialized and a null `old` asks for no copy of
+    // the previous mask. Both calls return the error number instead of
+    // setting `errno`.
+    match unsafe { pthread_sigmask(SIG_BLOCK, &stop_signals(), std::ptr::null_mut()) } {
+        0 => Ok(()),
+        errno => Err(io::Error::from_raw_os_error(errno)),
+    }
+}
+
+/// Wait until SIGTERM or SIGINT is pending and take it. Every thread must
+/// block both ([`block_stop_signals`]), or one that does not may take the
+/// signal first.
+pub fn wait_for_stop_signal() -> io::Result<()> {
+    let mut signum = 0;
+    // SAFETY: the set is initialized and `signum` a writable `int`, both
+    // alive for the whole call.
+    match unsafe { sigwait(&stop_signals(), &mut signum) } {
+        0 => Ok(()),
+        errno => Err(io::Error::from_raw_os_error(errno)),
     }
 }
 

@@ -284,9 +284,9 @@ fn drain_ends_keep_alive_connections() {
     join.join().unwrap();
 }
 
-/// `ShutdownHandle::shutdown` wakes an idle event loop instead of leaving
-/// it to its 250 ms poll cap: on each of five servers in turn, `run`
-/// returns within 100 ms of the call.
+/// `ShutdownHandle::shutdown` wakes an idle event loop, which waits for
+/// no timer: on each of five servers in turn, `run` returns within 100 ms
+/// of the call.
 #[test]
 fn shutdown_wakes_an_idle_event_loop() {
     for round in 0..5 {

@@ -17,6 +17,9 @@
 //!   ([`Snapshot::to_json`], parsed back by [`json::parse`]) or through
 //!   `pipeline::report::Table` (see `pipeline::telemetry_report`).
 //!
+//! Beside them, [`trajectory`] reads, gates and appends the committed
+//! performance trajectory, `BENCH_trajectory.json`.
+//!
 //! # Enablement
 //!
 //! Telemetry is **off** by default: nothing is recorded and nothing is
@@ -49,6 +52,7 @@ pub mod prom;
 pub mod report;
 pub mod stage;
 pub mod trace;
+pub mod trajectory;
 
 pub use metrics::{gauge_set, BucketLayout, Counter, Gauge, Histogram};
 pub use report::{reset, snapshot, HistogramStat, Snapshot};
