@@ -257,6 +257,12 @@ curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o /tmp/wal_r
 if cmp -s /tmp/wal_ref1.json /tmp/wal_ref2.json; then
   echo "torture probe does not distinguish the inserts"; exit 1
 fi
+# REF2 was a front-cache hit on the answer cached for REF1, completed
+# over the slot X2 added; scenario 1's cmp pins it against a cold match.
+curl -sf "http://$ADDR/v1/index/status" -o "$CI_TMP/wal_ref_status.json"
+grep -q '"exact_hits":1,' "$CI_TMP/wal_ref_status.json" \
+  && grep -q '"refreshes":1,' "$CI_TMP/wal_ref_status.json" \
+  || { echo "REF2 was not a refreshed front-cache hit"; cat "$CI_TMP/wal_ref_status.json"; exit 1; }
 stop
 
 # Scenario 1: kill -9 with both acknowledged deltas only in the WAL

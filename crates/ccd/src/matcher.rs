@@ -348,7 +348,18 @@ impl CloneDetector {
 
     /// All clones of `query` in the corpus: N-gram candidates (η filter)
     /// scored with Algorithm 1 and thresholded at ε. Sorted by descending
-    /// score, ties in corpus order.
+    /// score, ties in corpus order. This is [`CloneDetector::matches_from`]
+    /// from slot 0.
+    pub fn matches(&self, query: &Fingerprint) -> Vec<CloneMatch> {
+        self.matches_from(query, 0)
+    }
+
+    /// The clones of `query` among the corpus slots from `first` on,
+    /// sorted as [`CloneDetector::matches`] sorts them. A slot's score
+    /// depends only on the query and that slot, so the clones over slots
+    /// `[0, first)` plus these are exactly the clones over the corpus:
+    /// an answer computed when the corpus held `first` documents is
+    /// completed by matching only the documents inserted since.
     ///
     /// Candidates are scored in three steps. First, the distinct
     /// sub-fingerprint ids the candidates hold are collected. Then δ is
@@ -359,7 +370,7 @@ impl CloneDetector {
     /// exact δ, that loop's pruning only skips values at or below a row's
     /// running maximum, so each row maximum is the same, and the rows are
     /// summed in query-piece order and divided as there.
-    pub fn matches(&self, query: &Fingerprint) -> Vec<CloneMatch> {
+    pub fn matches_from(&self, query: &Fingerprint, first: usize) -> Vec<CloneMatch> {
         static QUERIES: telemetry::Counter = telemetry::Counter::new("ccd.matcher.queries");
         static MATCHES: telemetry::Counter = telemetry::Counter::new("ccd.matcher.matches");
         QUERIES.incr();
@@ -370,7 +381,10 @@ impl CloneDetector {
         if let Some(message) = faultinject::fire("ccd/match") {
             panic!("faultinject: {message}");
         }
-        let slots = self.index.candidate_slots(&query.indexed_text(), self.params.eta);
+        // The index holds at most `u32::MAX` documents, so a clamped
+        // `first` fits a slot.
+        let first = first.min(self.len()) as u32;
+        let slots = self.index.candidate_slots(&query.indexed_text(), self.params.eta, first);
         telemetry::trace::annotate("candidates", slots.len());
         let matches = self.score_slots(query, slots.iter().copied());
         MATCHES.add(matches.len() as u64);
@@ -705,6 +719,31 @@ mod tests {
             let expected = naive_matches(&detector, &query, true);
             let got = bits(&detector.matches(&query));
             prop_assert_eq!(got, expected);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn matches_from_a_slot_are_the_matches_in_slots_from_it(
+            corpus in proptest::collection::vec(fingerprint_strategy(), 0..12),
+            query in fingerprint_strategy(),
+            n in 1usize..4,
+            quarter in 1usize..4,
+            epsilon in prop_oneof![Just(0.0), Just(50.0), Just(70.0), Just(90.0)],
+        ) {
+            let params = CcdParams { ngram_size: n, eta: quarter as f64 / 4.0, epsilon };
+            let mut detector = CloneDetector::new(params);
+            // Ids fall as slots rise, so slot order is not id order.
+            let slot_of = |doc: DocId| ((1000 - doc) / 7) as usize;
+            for (i, fp) in corpus.iter().enumerate() {
+                detector.insert_fingerprint(1000 - 7 * i as DocId, fp.clone());
+            }
+            let all = detector.matches(&query);
+            for first in 0..=corpus.len() {
+                let expected: Vec<CloneMatch> =
+                    all.iter().copied().filter(|m| slot_of(m.doc) >= first).collect();
+                prop_assert_eq!(bits(&detector.matches_from(&query, first)), bits(&expected));
+            }
         }
     }
 

@@ -279,7 +279,7 @@ impl SweepEngine {
                 // flags per unordered pair.
                 let mut pairs: HashMap<(usize, usize), (bool, bool)> = HashMap::new();
                 for (i, text) in self.indexed.iter().enumerate() {
-                    for slot in index.candidate_slots(text, eta) {
+                    for slot in index.candidate_slots(text, eta, 0) {
                         let j = slot as usize;
                         if j == i {
                             continue;

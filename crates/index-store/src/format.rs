@@ -29,9 +29,10 @@
 //! position *i* is slot *i* of the in-memory [`NgramIndex`], so postings
 //! are written and read back as slots with no translation. The decoder
 //! trusts nothing: lengths, offsets, UTF-8 boundaries, positions and the
-//! checksum are all validated and every failure is a typed
-//! [`AnalysisError`] (`index_corrupt` / `index_version`) — hostile bytes
-//! can never panic the loader.
+//! checksum are all validated, as is the order retrieval relies on (the
+//! gram table and every postings list strictly ascending), and every
+//! failure is a typed [`AnalysisError`] (`index_corrupt` /
+//! `index_version`) — hostile bytes can never panic the loader.
 
 use ccd::Fingerprint;
 use intern::StrTable;
@@ -268,12 +269,18 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, AnalysisError> {
         doc_grams.push((doc, grams));
     }
 
+    // The writer lists grams in ascending order, and each postings list
+    // in ascending slot order; retrieval binary-searches the lists, so a
+    // list out of order (or a repeated gram or slot) is corruption.
     let gram_count = gram_count as usize;
-    let mut postings = Vec::with_capacity(gram_count);
+    let mut postings: Vec<(Box<str>, Vec<u32>)> = Vec::with_capacity(gram_count);
     for entry in 0..gram_count {
         let at = entry * GRAM_ENTRY;
         let gram = span(gram_blob, read_u32(gram_table, at), read_u32(gram_table, at + 4),
             "gram")?;
+        if postings.last().is_some_and(|(previous, _)| **previous >= *gram) {
+            return Err(corrupt(format!("gram table entry {entry} is out of order or repeated")));
+        }
         let post_off = read_u32(gram_table, at + 8) as usize;
         let post_len = read_u32(gram_table, at + 12) as usize;
         let end = post_off
@@ -285,6 +292,11 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, AnalysisError> {
             let slot = read_u32(postings_bytes, pos * POST_ENTRY);
             if slot as usize >= doc_count {
                 return Err(corrupt(format!("posting references doc position {slot}")));
+            }
+            if slots.last().is_some_and(|&previous| previous >= slot) {
+                return Err(corrupt(format!(
+                    "postings of gram entry {entry} are out of order or repeat slot {slot}"
+                )));
             }
             slots.push(slot);
         }
@@ -433,6 +445,69 @@ mod tests {
                 assert!(decode(&disguised).is_err());
             }
         }
+    }
+
+    /// Snapshot bytes of one contract indexed under two ids, so the gram
+    /// table has several entries and every postings list is `[0, 1]`.
+    fn twin_snapshot() -> Vec<u8> {
+        let mut d = CloneDetector::new(CcdParams::best());
+        let source = "contract A { function w(uint v) public { msg.sender.transfer(v); } }";
+        assert!(d.insert_source(3, source) && d.insert_source(8, source));
+        let bytes = encoded(1, &d);
+        assert!(read_u64(&bytes, 32) >= 2, "the tests below edit two gram entries");
+        assert_eq!(read_u64(&bytes, 40), 2 * read_u64(&bytes, 32));
+        bytes
+    }
+
+    /// Where the gram table and the postings section of `bytes` start.
+    fn sections(bytes: &[u8]) -> (usize, usize) {
+        let grams = HEADER_LEN + read_u64(bytes, 24) as usize * DOC_ENTRY;
+        (grams, grams + read_u64(bytes, 32) as usize * GRAM_ENTRY)
+    }
+
+    /// Recompute the header checksum over the edited payload, so only the
+    /// edit itself can fail the decode.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let checksum = telemetry::fnv1a(&bytes[HEADER_LEN..]);
+        bytes[64..72].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    fn assert_corrupt(bytes: Vec<u8>, what: &str) {
+        let err = decode(&reseal(bytes)).unwrap_err();
+        assert_eq!(err.code(), "index_corrupt", "{err}");
+        assert!(err.to_string().contains(what), "{err}");
+    }
+
+    #[test]
+    fn a_resealed_twin_snapshot_decodes() {
+        let decoded = decode(&reseal(twin_snapshot())).unwrap();
+        assert!(decoded.postings.iter().all(|(_, slots)| slots == &[0, 1]));
+    }
+
+    #[test]
+    fn a_postings_list_out_of_order_is_corruption() {
+        let mut bytes = twin_snapshot();
+        let (_, postings) = sections(&bytes);
+        bytes[postings..postings + 8].rotate_left(4); // [0, 1] → [1, 0]
+        assert_corrupt(bytes, "out of order");
+    }
+
+    #[test]
+    fn a_repeated_slot_is_corruption() {
+        let mut bytes = twin_snapshot();
+        let (_, postings) = sections(&bytes);
+        bytes.copy_within(postings..postings + 4, postings + 4); // [0, 1] → [0, 0]
+        assert_corrupt(bytes, "repeat slot 0");
+    }
+
+    #[test]
+    fn a_repeated_gram_is_corruption() {
+        let mut bytes = twin_snapshot();
+        let (grams, _) = sections(&bytes);
+        // Entry 1 names entry 0's gram string.
+        bytes.copy_within(grams..grams + 8, grams + GRAM_ENTRY);
+        assert_corrupt(bytes, "gram table entry 1");
     }
 
     #[test]

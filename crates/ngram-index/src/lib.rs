@@ -145,15 +145,19 @@ impl NgramIndex {
         }
     }
 
-    /// Slots of the documents sharing at least `eta` (0..=1) of the
-    /// query's distinct N-grams — the paper's η-threshold candidate
-    /// filter — ascending.
+    /// Slots from `first` on of the documents sharing at least `eta`
+    /// (0..=1) of the query's distinct N-grams — the paper's η-threshold
+    /// candidate filter — ascending. `first = 0` searches the whole
+    /// index; a later `first` searches only the documents inserted since
+    /// the index held `first` of them.
     ///
-    /// Shared grams are counted in a dense per-slot array instead of a
-    /// hash map, and a slot is taken the moment its count reaches the
-    /// threshold, so the counts are never scanned afterwards. An empty
-    /// query matches nothing.
-    pub fn candidate_slots(&self, text: &str, eta: f64) -> Vec<u32> {
+    /// Shared grams are counted in a dense array over the slots
+    /// `[first, len)` instead of a hash map, and a slot is taken the
+    /// moment its count reaches the threshold, so the counts are never
+    /// scanned afterwards. Each postings list is ascending, so its slots
+    /// below `first` are skipped with one binary search. An empty query
+    /// matches nothing.
+    pub fn candidate_slots(&self, text: &str, eta: f64, first: u32) -> Vec<u32> {
         static QUERIES: telemetry::Counter = telemetry::Counter::new("ngram.queries");
         static CANDIDATES: telemetry::Counter = telemetry::Counter::new("ngram.candidates");
         QUERIES.incr();
@@ -161,14 +165,16 @@ impl NgramIndex {
         if grams.is_empty() {
             return Vec::new();
         }
+        let first = (first as usize).min(self.ids.len());
         // Saturating float-to-int cast: an η above 1 is never reached.
         let needed = (eta * grams.len() as f64).ceil().max(1.0) as u32;
-        let mut shared = vec![0u32; self.ids.len()];
+        let mut shared = vec![0u32; self.ids.len() - first];
         let mut slots = Vec::new();
         for gram in &grams {
             if let Some(list) = self.postings.get(*gram) {
-                for &slot in list {
-                    let count = &mut shared[slot as usize];
+                let from = list.partition_point(|&slot| (slot as usize) < first);
+                for &slot in &list[from..] {
+                    let count = &mut shared[slot as usize - first];
                     *count += 1;
                     if *count == needed {
                         slots.push(slot);
@@ -182,11 +188,11 @@ impl NgramIndex {
     }
 
     /// Ids of the documents sharing at least `eta` (0..=1) of the query's
-    /// distinct N-grams, ascending — [`NgramIndex::candidate_slots`]
-    /// mapped through the slot table.
+    /// distinct N-grams, ascending — [`NgramIndex::candidate_slots`] over
+    /// the whole index, mapped through the slot table.
     pub fn candidates(&self, text: &str, eta: f64) -> Vec<DocId> {
         let mut ids: Vec<DocId> = self
-            .candidate_slots(text, eta)
+            .candidate_slots(text, eta, 0)
             .into_iter()
             .map(|slot| self.ids[slot as usize])
             .collect();
@@ -217,8 +223,11 @@ impl NgramIndex {
     /// order and `postings` holds slots into it. The caller (a validated
     /// snapshot loader) guarantees the parts came from
     /// [`NgramIndex::documents`] / [`NgramIndex::postings_sorted`] of an
-    /// index with the same `n` and that every slot is below the document
-    /// count; nothing is re-derived here.
+    /// index with the same `n`: every slot is below the document count,
+    /// no gram is listed twice (a repeat would silently replace the
+    /// earlier list), and every postings list is strictly ascending, which
+    /// [`NgramIndex::candidate_slots`] relies on to skip the slots below
+    /// its first one. Nothing is re-derived or checked here.
     pub fn from_parts<D, P>(n: usize, docs: D, postings: P) -> Self
     where
         D: IntoIterator<Item = (DocId, usize)>,
@@ -355,7 +364,10 @@ mod tests {
         for query in ["ABCDEFGG", "ZZZZZZZZ", "ABCDXXXX"] {
             for eta in [0.3, 0.5, 1.0] {
                 assert_eq!(rebuilt.candidates(query, eta), index.candidates(query, eta));
-                assert_eq!(rebuilt.candidate_slots(query, eta), index.candidate_slots(query, eta));
+                assert_eq!(
+                    rebuilt.candidate_slots(query, eta, 0),
+                    index.candidate_slots(query, eta, 0)
+                );
             }
         }
     }
@@ -382,7 +394,9 @@ mod tests {
         index.insert(9, "ABCDEFGH");
         index.insert(3, "ZZZZZZZZ");
         index.insert(7, "ABCDEFXX");
-        assert_eq!(index.candidate_slots("ABCDEFGH", 0.5), vec![0, 2]);
+        assert_eq!(index.candidate_slots("ABCDEFGH", 0.5, 0), vec![0, 2]);
+        assert_eq!(index.candidate_slots("ABCDEFGH", 0.5, 1), vec![2]);
+        assert!(index.candidate_slots("ABCDEFGH", 0.5, 3).is_empty());
         assert_eq!(index.candidates("ABCDEFGH", 0.5), vec![7, 9]);
         let postings = index.postings_sorted();
         let abc = postings.iter().find(|(g, _)| *g == "ABC").unwrap();
@@ -431,11 +445,31 @@ mod tests {
             let expected_slots: Vec<u32> = (0..docs.len() as u32)
                 .filter(|&slot| index.share(&query, &docs[slot as usize]) >= eta)
                 .collect();
-            prop_assert_eq!(index.candidate_slots(&query, eta), expected_slots.clone());
+            prop_assert_eq!(index.candidate_slots(&query, eta, 0), expected_slots.clone());
             let mut expected_ids: Vec<DocId> =
                 expected_slots.iter().map(|&slot| index.ids()[slot as usize]).collect();
             expected_ids.sort_unstable();
             prop_assert_eq!(index.candidates(&query, eta), expected_ids);
+        }
+
+        #[test]
+        fn candidates_from_a_slot_are_the_full_list_from_that_slot(
+            docs in proptest::collection::vec("[A-D]{0,16}", 0..12),
+            query in "[A-D]{0,16}",
+            n in 1usize..5,
+            quarter in 1usize..5,
+        ) {
+            let eta = quarter as f64 / 4.0;
+            let index = NgramIndex::from_documents(
+                n,
+                docs.iter().enumerate().map(|(i, d)| ((100 - i) as DocId, d.as_str())),
+            );
+            let full = index.candidate_slots(&query, eta, 0);
+            for first in 0..=docs.len() as u32 {
+                let expected: Vec<u32> =
+                    full.iter().copied().filter(|&slot| slot >= first).collect();
+                prop_assert_eq!(index.candidate_slots(&query, eta, first), expected);
+            }
         }
 
         #[test]

@@ -623,7 +623,6 @@ impl AnalysisEngine {
             telemetry::trace::annotate("response_cache", "hit");
             return Ok(hit);
         }
-        let epoch = self.responses.epoch();
         let cpg = Cpg::from_snippet(source)?;
         self.check_deadline(deadline, "check")?;
         let outcome = match detectors {
@@ -650,7 +649,7 @@ impl AnalysisEngine {
         // Only successes are memoized (and counted as misses): errors
         // must re-run and re-fail so retries observe live state.
         MISSES.incr();
-        self.responses.insert(epoch, key.into(), response.clone());
+        self.responses.insert(key.into(), response.clone());
         Ok(response)
     }
 
@@ -666,9 +665,10 @@ impl AnalysisEngine {
         }
         self.check_deadline(deadline, "fingerprint")?;
         // Clone checks memoize through the corpus handle's front cache
-        // (not the response LRU): the handle invalidates it on every
-        // insert, so a grown corpus is never shadowed by a stale cached
-        // answer — and its fingerprint tier also catches near-duplicate
+        // (not the response LRU): a cached answer records how many corpus
+        // slots it covers, and a hit after an insert matches the new
+        // slots before it answers, so a grown corpus is never shadowed by
+        // a stale answer. Its fingerprint tier also catches near-duplicate
         // sources the byte-keyed response cache cannot.
         if let Some(hit) = self.corpus.cached_by_source(source) {
             return Ok(Self::clones_response(&hit));
@@ -678,7 +678,7 @@ impl AnalysisEngine {
             return Ok(Self::clones_response(&hit));
         }
         self.check_deadline(deadline, "match")?;
-        let matches = self.corpus.matches_and_cache(source, &fingerprint);
+        let matches = self.corpus.matches_and_cache(source, fingerprint);
         Ok(Self::clones_response(&matches))
     }
 

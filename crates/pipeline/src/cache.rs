@@ -1,15 +1,14 @@
-//! The service's one cache type: a full-key LRU with an insert epoch,
-//! behind the engine's response cache and both front-cache tiers.
+//! The service's one cache type: a full-key LRU behind the engine's
+//! response cache and both front-cache tiers.
 //!
 //! * **Full keys.** Entries live in a std `HashMap` under its randomly
 //!   seeded SipHash, so a hit compares the whole key: two inputs can share
 //!   a bucket but never an answer, and a caller who cannot see the seed
 //!   cannot craft collisions that cost time.
-//! * **Insert epoch.** [`Lru::clear`] bumps the epoch and empties the
-//!   cache under one lock; [`Lru::insert`] drops a value whose epoch was
-//!   read before the last clear. Read [`Lru::epoch`] before computing a
-//!   value, and an answer computed over state that a writer has since
-//!   changed (and cleared the cache for) is never stored.
+//! * **No invalidation.** Nothing empties the cache. A scan's answer is
+//!   a pure function of its key, and a cached clone-check answer records
+//!   how many corpus slots it covers and is completed on its next hit
+//!   ([`crate::corpus_index`]), so no value goes stale.
 //! * **Exact LRU order in O(1).** Entries sit in a slab `Vec` threaded by
 //!   an index-linked recency list.
 //!
@@ -34,7 +33,6 @@ pub struct Lru<K, V> {
 }
 
 struct State<K, V> {
-    epoch: u64,
     slots: HashMap<K, usize>,
     entries: Vec<Entry<K, V>>,
     /// Most recently used entry, `NIL` when empty.
@@ -56,18 +54,12 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         Lru {
             capacity,
             state: Mutex::new(State {
-                epoch: 0,
                 slots: HashMap::new(),
                 entries: Vec::new(),
                 head: NIL,
                 tail: NIL,
             }),
         }
-    }
-
-    /// The insert epoch: read it before computing a value to insert.
-    pub fn epoch(&self) -> u64 {
-        self.state().epoch
     }
 
     /// The value cached under `key`, which becomes the most recently used.
@@ -86,16 +78,12 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     }
 
     /// Cache `value` under `key` as the most recently used entry,
-    /// evicting the least recently used one when full. Dropped when
-    /// [`Lru::clear`] ran after `epoch` was read.
-    pub fn insert(&self, epoch: u64, key: K, value: V) {
+    /// evicting the least recently used one when full.
+    pub fn insert(&self, key: K, value: V) {
         if !self.enabled() {
             return;
         }
         let mut state = self.state();
-        if state.epoch != epoch {
-            return;
-        }
         if let Some(&slot) = state.slots.get(&key) {
             state.entries[slot].value = value;
             state.touch(slot);
@@ -114,12 +102,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         };
         state.push_front(slot);
         state.slots.insert(key, slot);
-    }
-
-    /// Empty the cache and bump the epoch, so inserts of values computed
-    /// before this call are dropped.
-    pub fn clear(&self) {
-        self.state().reset();
     }
 
     /// Number of cached entries.
@@ -150,7 +132,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
 impl<K, V> State<K, V> {
     fn reset(&mut self) {
-        self.epoch += 1;
         self.slots.clear();
         self.entries.clear();
         self.head = NIL;
@@ -194,10 +175,10 @@ mod tests {
     #[test]
     fn cache_evicts_least_recently_used() {
         let cache: Lru<u32, &str> = Lru::new(2);
-        cache.insert(0, 1, "one");
-        cache.insert(0, 2, "two");
+        cache.insert(1, "one");
+        cache.insert(2, "two");
         assert_eq!(cache.get(&1), Some("one")); // refresh 1 → 2 becomes LRU
-        cache.insert(0, 3, "three");
+        cache.insert(3, "three");
         assert_eq!(cache.get(&2), None);
         assert_eq!(cache.get(&1), Some("one"));
         assert_eq!(cache.get(&3), Some("three"));
@@ -219,7 +200,7 @@ mod tests {
     fn colliding_keys_keep_their_own_values() {
         let cache: Lru<Colliding, u32> = Lru::new(8);
         for k in 0..8 {
-            cache.insert(0, Colliding(k), k * 10);
+            cache.insert(Colliding(k), k * 10);
         }
         for k in 0..8 {
             assert_eq!(cache.get(&Colliding(k)), Some(k * 10));
@@ -229,38 +210,21 @@ mod tests {
     }
 
     #[test]
-    fn an_insert_from_before_a_clear_is_dropped() {
-        let cache: Lru<&str, u32> = Lru::new(4);
-        let stale = cache.epoch();
-        cache.insert(stale, "kept", 1);
-        cache.clear();
-        assert_eq!(cache.get("kept"), None, "clear empties the cache");
-        cache.insert(stale, "stale", 2);
-        assert_eq!((cache.get("stale"), cache.len()), (None, 0));
-        let fresh = cache.epoch();
-        assert_ne!(fresh, stale);
-        cache.insert(fresh, "fresh", 3);
-        assert_eq!(cache.get("fresh"), Some(3));
-    }
-
-    #[test]
     fn a_poisoned_cache_starts_over_empty() {
         let cache: Lru<u32, u32> = Lru::new(2);
-        cache.insert(0, 1, 1);
+        cache.insert(1, 1);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = cache.state.lock().unwrap();
             panic!("poison the lock");
         }));
         assert_eq!((cache.get(&1), cache.len()), (None, 0));
-        let epoch = cache.epoch();
-        cache.insert(epoch, 2, 2);
+        cache.insert(2, 2);
         assert_eq!(cache.get(&2), Some(2));
     }
 
     /// The obvious LRU: a vector ordered from least to most recently used.
     struct Model {
         capacity: usize,
-        epoch: u64,
         entries: Vec<(u8, u32)>,
     }
 
@@ -272,8 +236,8 @@ mod tests {
             Some(entry.1)
         }
 
-        fn insert(&mut self, epoch: u64, key: u8, value: u32) {
-            if self.capacity == 0 || epoch != self.epoch {
+        fn insert(&mut self, key: u8, value: u32) {
+            if self.capacity == 0 {
                 return;
             }
             if let Some(at) = self.entries.iter().position(|(k, _)| *k == key) {
@@ -283,43 +247,25 @@ mod tests {
             }
             self.entries.push((key, value));
         }
-
-        fn clear(&mut self) {
-            self.epoch += 1;
-            self.entries.clear();
-        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Ops: 0 = get, 1 = insert at the current epoch, 2 = insert at
-        /// the previous epoch, 3 = clear.
+        /// Ops: 0 = get, 1 = insert.
         #[test]
         fn agrees_with_a_model_lru(
             capacity in 0usize..=4,
-            ops in proptest::collection::vec((0u8..4, 0u8..6, 0u32..1000), 0..80),
+            ops in proptest::collection::vec((0u8..2, 0u8..6, 0u32..1000), 0..80),
         ) {
             let cache: Lru<u8, u32> = Lru::new(capacity);
-            let mut model = Model { capacity, epoch: 0, entries: Vec::new() };
+            let mut model = Model { capacity, entries: Vec::new() };
             for (op, key, value) in ops {
-                match op {
-                    0 => prop_assert_eq!(cache.get(&key), model.get(key)),
-                    1 => {
-                        let epoch = cache.epoch();
-                        prop_assert_eq!(epoch, model.epoch);
-                        cache.insert(epoch, key, value);
-                        model.insert(epoch, key, value);
-                    }
-                    2 => {
-                        let epoch = cache.epoch().wrapping_sub(1);
-                        cache.insert(epoch, key, value);
-                        model.insert(epoch, key, value);
-                    }
-                    _ => {
-                        cache.clear();
-                        model.clear();
-                    }
+                if op == 0 {
+                    prop_assert_eq!(cache.get(&key), model.get(key));
+                } else {
+                    cache.insert(key, value);
+                    model.insert(key, value);
                 }
                 prop_assert_eq!(cache.len(), model.entries.len());
             }

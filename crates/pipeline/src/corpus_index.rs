@@ -23,7 +23,9 @@
 //! snapshot generation vs. uncommitted delta count, and fronts the match
 //! path with a two-tier near-duplicate cache (exact source, then fuzzy
 //! fingerprint) — most real traffic is the same snippet pasted again with
-//! cosmetic edits.
+//! cosmetic edits. Inserts leave that cache alone: a cached answer
+//! records how many corpus slots it covers, and a hit matches only the
+//! slots added since.
 
 use crate::cache::Lru;
 use ccd::{CcdParams, CloneDetector, CloneMatch, Fingerprint};
@@ -297,6 +299,7 @@ impl CorpusHandle {
             exact_hits: front.exact_hits.load(Ordering::Relaxed),
             near_hits: front.near_hits.load(Ordering::Relaxed),
             misses: front.misses.load(Ordering::Relaxed),
+            refreshes: front.refreshes.load(Ordering::Relaxed),
         }
     }
 
@@ -329,12 +332,7 @@ impl CorpusHandle {
     pub fn matches(&self, query: &Fingerprint) -> Vec<CloneMatch> {
         // The guard is a temporary: it is released before the sort.
         let mut all = self.read().matches(query);
-        all.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
+        sort_canonical(&mut all);
         all
     }
 
@@ -392,9 +390,6 @@ impl CorpusHandle {
             doc
         };
         INSERTS.incr();
-        // The corpus changed: cached match results are stale.
-        self.inner.front.exact.clear();
-        self.inner.front.near.clear();
         Ok(doc)
     }
 
@@ -490,52 +485,95 @@ impl CorpusHandle {
             .is_ok()
     }
 
-    /// Front-cache lookup by exact source bytes (tier 1). `None` when
+    /// Front-cache lookup by exact source bytes (tier 1): the clones of
+    /// the source over the whole corpus, an answer cached before inserts
+    /// being completed over the documents added since. `None` when
     /// caching is off, faults are armed, or the source was never seen.
     pub fn cached_by_source(&self, source: &str) -> Option<Arc<Vec<CloneMatch>>> {
         static HITS: telemetry::Counter = telemetry::Counter::new("corpus.front_cache.exact_hits");
         let front = &self.inner.front;
-        let hit = front.exact.get(source);
-        if hit.is_some() {
-            front.exact_hits.fetch_add(1, Ordering::Relaxed);
-            HITS.incr();
-            telemetry::trace::annotate("front_cache", "exact_hit");
-        }
-        hit
+        let answer = front.exact.get(source)?;
+        front.exact_hits.fetch_add(1, Ordering::Relaxed);
+        HITS.incr();
+        telemetry::trace::annotate("front_cache", "exact_hit");
+        Some(self.complete(&answer))
     }
 
     /// Front-cache lookup by fuzzy fingerprint (tier 2): near-duplicate
     /// submissions — whitespace, comments, renamed identifiers — converge
     /// to the same normalized fingerprint and hit here after parsing,
-    /// skipping candidate retrieval and scoring.
+    /// skipping candidate retrieval and scoring over every slot the
+    /// cached answer covers.
     pub fn cached_by_fingerprint(&self, fp: &Fingerprint) -> Option<Arc<Vec<CloneMatch>>> {
         static HITS: telemetry::Counter = telemetry::Counter::new("corpus.front_cache.near_hits");
         static MISSES: telemetry::Counter = telemetry::Counter::new("corpus.front_cache.misses");
         let front = &self.inner.front;
-        let hit = front.near.get(fp.as_str());
-        if hit.is_some() {
-            front.near_hits.fetch_add(1, Ordering::Relaxed);
-            HITS.incr();
-            telemetry::trace::annotate("front_cache", "near_hit");
-        } else {
+        let Some(answer) = front.near.get(fp.as_str()) else {
             front.misses.fetch_add(1, Ordering::Relaxed);
             MISSES.incr();
-        }
-        hit
+            return None;
+        };
+        front.near_hits.fetch_add(1, Ordering::Relaxed);
+        HITS.incr();
+        telemetry::trace::annotate("front_cache", "near_hit");
+        Some(self.complete(&answer))
     }
 
     /// All clones of `query` ([`CorpusHandle::matches`]), memoized under
-    /// both front-cache tiers for `source` and `query`. The tiers' insert
-    /// epochs are read before matching, so an answer computed over a
-    /// corpus that an insert has since grown is returned but not stored.
-    pub fn matches_and_cache(&self, source: &str, query: &Fingerprint) -> Arc<Vec<CloneMatch>> {
-        let front = &self.inner.front;
-        let (exact_epoch, near_epoch) = (front.exact.epoch(), front.near.epoch());
-        let matches = Arc::new(self.matches(query));
-        front.exact.insert(exact_epoch, source.into(), Arc::clone(&matches));
-        front.near.insert(near_epoch, query.as_str().into(), Arc::clone(&matches));
+    /// both front-cache tiers for `source` and `query` together with the
+    /// number of corpus slots the match covered, read under the same read
+    /// guard.
+    pub fn matches_and_cache(&self, source: &str, query: Fingerprint) -> Arc<Vec<CloneMatch>> {
+        let (slots, mut matches) = {
+            let detector = self.read();
+            (detector.len(), detector.matches(&query))
+        };
+        sort_canonical(&mut matches);
+        let matches = Arc::new(matches);
+        self.inner.front.store(source, query, slots, Arc::clone(&matches));
         matches
     }
+
+    /// A cached answer's clones over the whole corpus. When inserts have
+    /// grown the corpus past the slots the answer covers, only the new
+    /// slots are matched, under the same read guard that reads the
+    /// corpus length, and their clones are merged into the answer in
+    /// canonical order. Slots are append-only and doc ids unique, so the
+    /// grown answer is the one a fresh match gives, to the bit; it
+    /// replaces the old one in both tiers at once, which share it.
+    fn complete(&self, answer: &Answer) -> Arc<Vec<CloneMatch>> {
+        static REFRESHES: telemetry::Counter =
+            telemetry::Counter::new("corpus.front_cache.refreshes");
+        let detector = self.read();
+        // Taken only under the read guard, so an insert waiting for the
+        // write guard never holds it. Each update below assigns a fully
+        // computed answer, so a poisoned lock is read through.
+        let mut covered = answer.covered.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        if covered.slots < detector.len() {
+            telemetry::trace::annotate("front_cache_new_slots", detector.len() - covered.slots);
+            let new = detector.matches_from(&answer.query, covered.slots);
+            let mut grown = Vec::with_capacity(covered.matches.len() + new.len());
+            grown.extend_from_slice(&covered.matches);
+            grown.extend(new);
+            sort_canonical(&mut grown);
+            covered.matches = Arc::new(grown);
+            covered.slots = detector.len();
+            self.inner.front.refreshes.fetch_add(1, Ordering::Relaxed);
+            REFRESHES.incr();
+        }
+        Arc::clone(&covered.matches)
+    }
+}
+
+/// Sort clones into the canonical order: descending score, ascending doc
+/// id on ties. Doc ids are unique, so the order is total.
+fn sort_canonical(matches: &mut [CloneMatch]) {
+    matches.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.doc.cmp(&b.doc))
+    });
 }
 
 /// Counters of the near-duplicate front cache.
@@ -547,6 +585,9 @@ pub struct FrontCacheStats {
     pub near_hits: u64,
     /// Lookups that reached the matcher.
     pub misses: u64,
+    /// Hits (of either tier) whose answer covered fewer slots than the
+    /// corpus held, so the slots inserted since were matched.
+    pub refreshes: u64,
 }
 
 impl FrontCacheStats {
@@ -567,16 +608,31 @@ impl FrontCacheStats {
 /// keys on the normalized fuzzy fingerprint — the digest `ccd` builds from
 /// `fuzzyhash` — so Type-1/Type-2 near-duplicates (cosmetic edits, renamed
 /// identifiers) share an entry the moment they fingerprint. Matching is a
-/// pure function of the fingerprint, so tier-2 hits are exact, not
-/// approximate. An insert clears both tiers, and the insert epoch each
-/// [`Lru`] keeps turns away a store of an answer computed before that
-/// clear ([`CorpusHandle::matches_and_cache`]).
+/// pure function of the fingerprint and the corpus, so tier-2 hits are
+/// exact, not approximate. Both tiers hold the same [`Answer`], which an
+/// insert leaves in place: a hit completes it over the slots added since
+/// ([`CorpusHandle::complete`]).
 struct FrontCache {
-    exact: Lru<Arc<str>, Arc<Vec<CloneMatch>>>,
-    near: Lru<Arc<str>, Arc<Vec<CloneMatch>>>,
+    exact: Lru<Arc<str>, Arc<Answer>>,
+    near: Lru<Arc<str>, Arc<Answer>>,
     exact_hits: AtomicU64,
     near_hits: AtomicU64,
     misses: AtomicU64,
+    refreshes: AtomicU64,
+}
+
+/// One cached clone-check answer, shared by both front-cache tiers.
+struct Answer {
+    /// The query, kept to match the slots inserted after `covered`.
+    query: Fingerprint,
+    covered: Mutex<Covered>,
+}
+
+/// The clones of an [`Answer`]'s query over the corpus slots
+/// `[0, slots)`, in canonical order.
+struct Covered {
+    slots: usize,
+    matches: Arc<Vec<CloneMatch>>,
 }
 
 impl FrontCache {
@@ -587,7 +643,17 @@ impl FrontCache {
             exact_hits: AtomicU64::new(0),
             near_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            refreshes: AtomicU64::new(0),
         }
+    }
+
+    /// Cache `matches`, the clones of `query` over the corpus slots
+    /// `[0, slots)`, under `source` in tier 1 and `query` in tier 2.
+    fn store(&self, source: &str, query: Fingerprint, slots: usize, matches: Arc<Vec<CloneMatch>>) {
+        let near_key: Arc<str> = query.as_str().into();
+        let answer = Arc::new(Answer { query, covered: Mutex::new(Covered { slots, matches }) });
+        self.exact.insert(source.into(), Arc::clone(&answer));
+        self.near.insert(near_key, answer);
     }
 }
 
@@ -664,11 +730,11 @@ mod tests {
     }
 
     #[test]
-    fn front_cache_tiers_hit_and_invalidate() {
+    fn front_cache_tiers_hit() {
         let handle = handle();
         assert!(handle.cached_by_source(DOC_A).is_none());
         let fp = query(DOC_A);
-        let matches = handle.matches_and_cache(DOC_A, &fp);
+        let matches = handle.matches_and_cache(DOC_A, fp.clone());
         // Tier 1: same bytes.
         assert_eq!(handle.cached_by_source(DOC_A).unwrap(), matches);
         // Tier 2: a near-duplicate has the same normalized fingerprint.
@@ -676,41 +742,49 @@ mod tests {
         assert_eq!(near_fp.as_str(), fp.as_str(), "near-duplicate must share the fingerprint");
         assert_eq!(handle.cached_by_fingerprint(&near_fp).unwrap(), matches);
         let stats = handle.front_cache_stats();
-        assert_eq!((stats.exact_hits, stats.near_hits), (1, 1));
+        assert_eq!((stats.exact_hits, stats.near_hits, stats.refreshes), (1, 1, 0));
         assert!(stats.hit_rate() > 0.5);
     }
 
     #[test]
-    fn insert_invalidates_front_cache() {
+    fn an_answer_cached_before_an_insert_is_completed_on_its_next_hit() {
         let handle = handle();
         let fp = query(DOC_A);
-        handle.matches_and_cache(DOC_A, &fp);
+        let before = handle.matches_and_cache(DOC_A, fp.clone());
+        assert!(before.iter().all(|m| m.doc != 2));
         handle.insert_source(None, DOC_A_NEAR).unwrap();
-        assert!(handle.cached_by_source(DOC_A).is_none(), "stale entry survived an insert");
-        // A fresh match now sees the inserted near-duplicate.
-        assert!(handle.matches(&fp).iter().any(|m| m.doc == 2));
+        // The hit matches the inserted near-duplicate and answers what a
+        // fresh match answers.
+        let after = handle.cached_by_source(DOC_A).expect("an insert keeps cached answers");
+        assert!(after.iter().any(|m| m.doc == 2));
+        assert_eq!(*after, handle.matches(&fp));
+        // Both tiers share the grown answer: the tier-2 hit matches nothing.
+        assert_eq!(handle.cached_by_fingerprint(&fp), Some(after));
+        let stats = handle.front_cache_stats();
+        assert_eq!((stats.exact_hits, stats.near_hits, stats.refreshes), (1, 1, 1));
     }
 
     #[test]
-    fn a_match_that_raced_an_insert_is_not_cached() {
+    fn a_match_that_raced_an_insert_is_completed_on_its_next_hit() {
         // The interleaving of a clone check against an insert, run in
-        // sequence: read the epoch, match over the old corpus, insert,
-        // then try to store the pre-insert answer.
+        // sequence: match over the old corpus, insert, then store the
+        // pre-insert answer with the slots it covered.
         let handle = handle();
         let fp = query(DOC_A);
-        let front = &handle.inner.front;
-        let (exact_epoch, near_epoch) = (front.exact.epoch(), front.near.epoch());
-        let before = Arc::new(handle.matches(&fp));
+        let (slots, before) = {
+            let detector = handle.read();
+            (detector.len(), Arc::new(detector.matches(&fp)))
+        };
         assert!(before.iter().all(|m| m.doc != 2));
         let inserted = handle.insert_source(None, DOC_A_NEAR).unwrap();
-        front.exact.insert(exact_epoch, DOC_A.into(), Arc::clone(&before));
-        front.near.insert(near_epoch, fp.as_str().into(), before);
-        assert!(handle.cached_by_source(DOC_A).is_none(), "stale answer cached by source");
-        assert!(handle.cached_by_fingerprint(&fp).is_none(), "stale answer cached by fingerprint");
-        // The next clone check misses the cache and sees the new doc.
-        let after = handle.matches_and_cache(DOC_A, &fp);
-        assert!(after.iter().any(|m| m.doc == inserted));
-        assert_eq!(handle.cached_by_source(DOC_A), Some(after));
+        handle.inner.front.store(DOC_A, fp.clone(), slots, before);
+        // Neither tier serves the pre-insert answer: the next hit of each
+        // sees the new doc.
+        let by_source = handle.cached_by_source(DOC_A).unwrap();
+        assert!(by_source.iter().any(|m| m.doc == inserted));
+        assert_eq!(*by_source, handle.matches(&fp));
+        assert_eq!(handle.cached_by_fingerprint(&fp), Some(by_source));
+        assert_eq!(handle.front_cache_stats().refreshes, 1);
     }
 
     #[test]
@@ -760,5 +834,67 @@ mod tests {
         // Canonical order: all scores equal → ascending doc ids.
         let docs: Vec<u64> = handle.matches(&seed_fp).iter().map(|m| m.doc).collect();
         assert_eq!(docs, (0..=20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cached_reads_beside_inserts_stay_consistent() {
+        let handle = CorpusBuilder::new(CcdParams::best()).empty();
+        let seed_fp = query(DOC_A);
+        handle.insert_fingerprint(Some(0), seed_fp.clone()).unwrap();
+        // The clone-check path of the engine: tier 1, tier 2, then match
+        // and store. DOC_A_NEAR shares DOC_A's fingerprint, so readers of
+        // the two sources share one tier-2 answer.
+        let cached_read = |source: &str| -> Vec<u64> {
+            let fp = query(source);
+            let answer = handle
+                .cached_by_source(source)
+                .or_else(|| handle.cached_by_fingerprint(&fp))
+                .unwrap_or_else(|| handle.matches_and_cache(source, fp));
+            answer.iter().map(|m| m.doc).collect()
+        };
+        // Every reader caches its answer over doc 0 before the writer
+        // starts, so the reads below are hits that must match the slots
+        // inserted since.
+        for source in [DOC_A, DOC_A_NEAR] {
+            assert_eq!(cached_read(source), vec![0]);
+        }
+        let written = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = [DOC_A, DOC_A_NEAR, DOC_A, DOC_A_NEAR]
+                .into_iter()
+                .map(|source| {
+                    let (cached_read, written) = (&cached_read, &written);
+                    scope.spawn(move || {
+                        let mut last = 0;
+                        loop {
+                            let done = written.load(Ordering::SeqCst);
+                            // The writer inserts ids 1..=20 in order, so a
+                            // whole read is exactly docs 0..=k, and k never
+                            // moves backward: no torn or stale read.
+                            let docs = cached_read(source);
+                            let k = (docs.len() as u64).checked_sub(1).expect("doc 0 is present");
+                            assert_eq!(docs, (0..=k).collect::<Vec<_>>());
+                            assert!(k >= last, "read went back from {last} to {k}");
+                            last = k;
+                            if done {
+                                // Read after the last insert returned.
+                                assert_eq!(k, 20);
+                                break;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for i in 1..=20u64 {
+                handle.insert_fingerprint(Some(i), seed_fp.clone()).unwrap();
+            }
+            written.store(true, Ordering::SeqCst);
+            for reader in readers {
+                reader.join().unwrap();
+            }
+        });
+        let stats = handle.front_cache_stats();
+        assert_eq!(stats.misses, 1, "only the first read matched the whole corpus");
+        assert!(stats.refreshes >= 1, "{stats:?}");
     }
 }

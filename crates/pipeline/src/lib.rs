@@ -20,8 +20,8 @@
 //!   [`corpus_index::CorpusBuilder`] builds in-memory or snapshot-backed
 //!   corpora, [`corpus_index::CorpusHandle`] serves matching,
 //!   incremental insert, compaction, and the near-duplicate front cache,
-//! * [`cache`] — [`cache::Lru`], the full-key LRU with an insert epoch
-//!   behind the response cache and both front-cache tiers.
+//! * [`cache`] — [`cache::Lru`], the full-key LRU behind the response
+//!   cache and both front-cache tiers.
 
 
 #![warn(missing_docs)]

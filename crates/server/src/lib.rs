@@ -808,7 +808,7 @@ fn index_status(state: &ServiceState) -> Reply {
              \"deltas\":{},\"wal_records\":{},\"wal_bytes\":{},\
              \"replayed_on_boot\":{},\"fsync_policy\":\"{}\",\
              \"auto_compactions\":{},\"front_cache\":{{\"exact_hits\":{},\
-             \"near_hits\":{},\"misses\":{},\"hit_rate\":{:.4}}}}}",
+             \"near_hits\":{},\"misses\":{},\"refreshes\":{},\"hit_rate\":{:.4}}}}}",
             corpus.generation(),
             corpus.len(),
             corpus.deltas(),
@@ -820,6 +820,7 @@ fn index_status(state: &ServiceState) -> Reply {
             stats.exact_hits,
             stats.near_hits,
             stats.misses,
+            stats.refreshes,
             stats.hit_rate(),
         ),
     )
@@ -1135,6 +1136,7 @@ mod tests {
         assert!(body.contains("\"generation\":0"), "{body}");
         assert!(body.contains("\"docs\":0"), "{body}");
         assert!(body.contains("\"front_cache\""), "{body}");
+        assert!(body.contains("\"refreshes\":0"), "{body}");
         // Durability fields are present even without a snapshot dir: the
         // WAL is off, stats read zero.
         assert!(body.contains("\"wal_records\":0"), "{body}");
