@@ -7,8 +7,11 @@ cd "$(dirname "$0")"
 
 # Every daemon a step boots goes through `boot` and every scratch path
 # lives under $CI_TMP, so the EXIT trap can kill a daemon a failed check
-# left running and remove what the steps made.
+# left running and remove what the steps made. TMPDIR points there too,
+# so the directories test binaries make under `std::env::temp_dir()` go
+# with it.
 CI_TMP=$(mktemp -d)
+export TMPDIR=$CI_TMP
 PORT_FILE=$CI_TMP/port
 SERVE_PID=
 cleanup() {
@@ -44,8 +47,8 @@ cargo test -q --workspace
 # its lib and integration suites repeat too. Run the three suites 20
 # times at the default thread count; any failure stops CI.
 for run in $(seq 1 20); do
-  cargo test --release -q -p pipeline -p index-store -p server --lib --tests >/tmp/pipeline_repeat.log 2>&1 \
-    || { echo "pipeline/index-store/server suites failed on run $run of 20"; cat /tmp/pipeline_repeat.log; exit 1; }
+  cargo test --release -q -p pipeline -p index-store -p server --lib --tests >"$CI_TMP/pipeline_repeat.log" 2>&1 \
+    || { echo "pipeline/index-store/server suites failed on run $run of 20"; cat "$CI_TMP/pipeline_repeat.log"; exit 1; }
 done
 
 cargo clippy --workspace --all-targets -- -D warnings
@@ -74,23 +77,23 @@ cargo bench -p bench --bench frontend -- --no-append
 # (table9) in one process with telemetry on, then validate the emitted
 # JSON report — it must parse and contain a stage histogram for every CCC
 # detector plus the CCD score-cache and edit-distance pruning counters.
-./target/release/tables table1 table9 --telemetry --out /tmp/t.txt \
-  --telemetry-out /tmp/BENCH_ci_run.json >/dev/null
-./target/release/validate_telemetry /tmp/BENCH_ci_run.json
+./target/release/tables table1 table9 --telemetry --out "$CI_TMP/t.txt" \
+  --telemetry-out "$CI_TMP/BENCH_ci_run.json" >/dev/null
+./target/release/validate_telemetry "$CI_TMP/BENCH_ci_run.json"
 
 # Service smoke: start the analysis daemon on an ephemeral port, run the
 # loadgen smoke burst against it over real sockets (health + typed scan /
 # clone-check checks), then SIGTERM it and require a graceful drain.
-boot /tmp/serve_ci.log
+boot "$CI_TMP/serve_ci.log"
 ./target/release/loadgen smoke --addr "$ADDR"
 stop
-grep -q "drained and stopped" /tmp/serve_ci.log
+grep -q "drained and stopped" "$CI_TMP/serve_ci.log"
 
 # Half-closed client: a client that sends part of a request head and then
 # closes must not keep the daemon from draining. Poll for at most 5 s
 # after SIGTERM instead of `stop`, whose `wait` would hang on a daemon
 # that never drains.
-boot /tmp/serve_halfclose.log
+boot "$CI_TMP/serve_halfclose.log"
 exec 3<>"/dev/tcp/127.0.0.1/${ADDR##*:}"
 printf 'GET /health HTTP/1.1\r\nHost: ci\r\n' >&3
 exec 3>&-
@@ -102,10 +105,10 @@ for _ in $(seq 1 50); do
 done
 if kill -0 "$SERVE_PID" 2>/dev/null; then
   echo "serve did not drain within 5 s of SIGTERM with a half-closed client"
-  cat /tmp/serve_halfclose.log; exit 1
+  cat "$CI_TMP/serve_halfclose.log"; exit 1
 fi
 wait "$SERVE_PID"; SERVE_PID=
-grep -q "drained and stopped" /tmp/serve_halfclose.log
+grep -q "drained and stopped" "$CI_TMP/serve_halfclose.log"
 
 # Observability smoke: restart the daemon with tracing on and an access
 # log, validate the full /metrics Prometheus exposition, send a traced
@@ -113,33 +116,33 @@ grep -q "drained and stopped" /tmp/serve_halfclose.log
 # buffered span tree (parse/cpg-build/query spans, plain and Chrome
 # formats) and the access-log line for the request.
 ACCESS_LOG=$CI_TMP/access.log
-boot /tmp/serve_obs.log --access-log "$ACCESS_LOG"
+boot "$CI_TMP/serve_obs.log" --access-log "$ACCESS_LOG"
 ./target/release/loadgen observability --addr "$ADDR"
 # Independent curl-level check of the same contract: exposition content
 # type, a counter for the traced scan, and the trace id echo. (Bodies are
 # saved to files before grepping: `grep -q` closing the pipe early would
 # otherwise make curl fail with a write error under pipefail.)
-curl -sf "http://$ADDR/metrics" -o /tmp/obs_metrics.txt
-grep -q '^http_requests_total{' /tmp/obs_metrics.txt \
+curl -sf "http://$ADDR/metrics" -o "$CI_TMP/obs_metrics.txt"
+grep -q '^http_requests_total{' "$CI_TMP/obs_metrics.txt" \
   || { echo "metrics missing http_requests_total"; exit 1; }
-curl -sfD /tmp/obs_headers.txt -o /dev/null -X POST \
+curl -sfD "$CI_TMP/obs_headers.txt" -o /dev/null -X POST \
   -H "X-Trace-Id: 00000000c1c1c1c1" \
   --data '{"v":1,"kind":"scan","source":"function g(address a) public { a.send(3); }"}' \
   "http://$ADDR/v1/scan" 2>/dev/null || true
-grep -qi "x-trace-id: 00000000c1c1c1c1" /tmp/obs_headers.txt \
-  || { echo "daemon did not echo X-Trace-Id"; cat /tmp/obs_headers.txt; exit 1; }
-curl -sf "http://$ADDR/debug/trace/00000000c1c1c1c1" -o /tmp/obs_trace.txt
-grep -q '"trace_id":"00000000c1c1c1c1"' /tmp/obs_trace.txt \
+grep -qi "x-trace-id: 00000000c1c1c1c1" "$CI_TMP/obs_headers.txt" \
+  || { echo "daemon did not echo X-Trace-Id"; cat "$CI_TMP/obs_headers.txt"; exit 1; }
+curl -sf "http://$ADDR/debug/trace/00000000c1c1c1c1" -o "$CI_TMP/obs_trace.txt"
+grep -q '"trace_id":"00000000c1c1c1c1"' "$CI_TMP/obs_trace.txt" \
   || { echo "trace not fetchable by id"; exit 1; }
 # Keep-alive over the new transport: two requests in one curl invocation
 # must reuse the connection (the daemon no longer closes after each
 # response) and both succeed.
 curl -sfv "http://$ADDR/health" "http://$ADDR/health" \
-  -o /dev/null -o /dev/null 2>/tmp/obs_keepalive.txt
-grep -qi "re-using existing connection" /tmp/obs_keepalive.txt \
-  || { echo "daemon did not keep the connection alive"; cat /tmp/obs_keepalive.txt; exit 1; }
+  -o /dev/null -o /dev/null 2>"$CI_TMP/obs_keepalive.txt"
+grep -qi "re-using existing connection" "$CI_TMP/obs_keepalive.txt" \
+  || { echo "daemon did not keep the connection alive"; cat "$CI_TMP/obs_keepalive.txt"; exit 1; }
 stop
-grep -q "drained and stopped" /tmp/serve_obs.log
+grep -q "drained and stopped" "$CI_TMP/serve_obs.log"
 grep -q '"outcome":"ok"' "$ACCESS_LOG" || { echo "access log empty"; cat "$ACCESS_LOG"; exit 1; }
 
 # Tracing-overhead gate: measure the serve/loadgen burst with tracing off
@@ -162,25 +165,25 @@ grep -q '"outcome":"ok"' "$ACCESS_LOG" || { echo "access log empty"; cat "$ACCES
 # faults never kill the process.
 FAULT_SPEC="parse:err:0.02,cpg:panic:0.01,query:delay:5ms,ccc:panic:0.01,ccd:err:0.01,server:err:0.05" \
 FAULT_SEED=42 \
-boot /tmp/serve_chaos.log --breaker-threshold 5 --breaker-open-ms 200
-grep -q "fault injection armed" /tmp/serve_chaos.log
+boot "$CI_TMP/serve_chaos.log" --breaker-threshold 5 --breaker-open-ms 200
+grep -q "fault injection armed" "$CI_TMP/serve_chaos.log"
 ./target/release/loadgen chaos --addr "$ADDR"
-kill -0 "$SERVE_PID" || { echo "daemon died under chaos"; cat /tmp/serve_chaos.log; exit 1; }
+kill -0 "$SERVE_PID" || { echo "daemon died under chaos"; cat "$CI_TMP/serve_chaos.log"; exit 1; }
 # (Breaker open/half-open/recovery is asserted deterministically by the
 # chaos integration suite run under `cargo test` above.)
 stop
-grep -q "drained and stopped" /tmp/serve_chaos.log
+grep -q "drained and stopped" "$CI_TMP/serve_chaos.log"
 
 # Warm-start smoke: a cold boot with --snapshot-dir must commit
 # generation 1; a restart must warm-load it (no rebuild) and serve the
 # same corpus through /v1/index/status.
 SNAP_DIR=$CI_TMP/snap
-boot /tmp/serve_snap_cold.log --snapshot-dir "$SNAP_DIR"
-grep -q "committed as snapshot generation 1" /tmp/serve_snap_cold.log \
-  || { echo "cold boot did not commit a snapshot"; cat /tmp/serve_snap_cold.log; exit 1; }
-curl -sf "http://$ADDR/v1/index/status" -o /tmp/snap_status.txt
-grep -q '"generation":1' /tmp/snap_status.txt \
-  || { echo "unexpected index status after cold boot"; cat /tmp/snap_status.txt; exit 1; }
+boot "$CI_TMP/serve_snap_cold.log" --snapshot-dir "$SNAP_DIR"
+grep -q "committed as snapshot generation 1" "$CI_TMP/serve_snap_cold.log" \
+  || { echo "cold boot did not commit a snapshot"; cat "$CI_TMP/serve_snap_cold.log"; exit 1; }
+curl -sf "http://$ADDR/v1/index/status" -o "$CI_TMP/snap_status.txt"
+grep -q '"generation":1' "$CI_TMP/snap_status.txt" \
+  || { echo "unexpected index status after cold boot"; cat "$CI_TMP/snap_status.txt"; exit 1; }
 stop
 
 # Crash-during-compaction: restart warm under a fault plan that holds
@@ -191,9 +194,9 @@ stop
 # before the compaction (in wal-1.log) and one inside its commit window
 # (in wal-2.log, the segment the compaction rotated to).
 FAULT_SPEC="index:delay:1500ms" FAULT_SEED=1 \
-boot /tmp/serve_snap_kill.log --snapshot-dir "$SNAP_DIR"
-grep -q "warm start: generation 1" /tmp/serve_snap_kill.log \
-  || { echo "second boot was not a warm start"; cat /tmp/serve_snap_kill.log; exit 1; }
+boot "$CI_TMP/serve_snap_kill.log" --snapshot-dir "$SNAP_DIR"
+grep -q "warm start: generation 1" "$CI_TMP/serve_snap_kill.log" \
+  || { echo "second boot was not a warm start"; cat "$CI_TMP/serve_snap_kill.log"; exit 1; }
 curl -sf -X POST "http://$ADDR/v1/index/insert" \
   --data '{"v":1,"source":"contract CiDelta { function f() public { msg.sender.transfer(1); } }"}' \
   -o /dev/null
@@ -204,9 +207,9 @@ curl -sf -X POST "http://$ADDR/v1/index/insert" \
   -o /dev/null
 sleep 0.3
 crash
-boot /tmp/serve_snap_recover.log --snapshot-dir "$SNAP_DIR"
-grep -q "warm start: generation 1 (18 docs, 2 replayed from WAL)" /tmp/serve_snap_recover.log \
-  || { echo "torn commit lost an insert or the warm start"; cat /tmp/serve_snap_recover.log; exit 1; }
+boot "$CI_TMP/serve_snap_recover.log" --snapshot-dir "$SNAP_DIR"
+grep -q "warm start: generation 1 (18 docs, 2 replayed from WAL)" "$CI_TMP/serve_snap_recover.log" \
+  || { echo "torn commit lost an insert or the warm start"; cat "$CI_TMP/serve_snap_recover.log"; exit 1; }
 stop
 
 # Rebuild over an unloadable snapshot: the directory now holds CURRENT
@@ -216,17 +219,17 @@ stop
 # and require the next boot to warm-load generation 3 with that insert
 # replayed, and nothing of the old lineage's WAL.
 truncate -s 10 "$SNAP_DIR/gen-1.idx"
-boot /tmp/serve_snap_rebuild.log --snapshot-dir "$SNAP_DIR"
-grep -q "rebuilding from source" /tmp/serve_snap_rebuild.log \
-  && grep -q "committed as snapshot generation 3" /tmp/serve_snap_rebuild.log \
-  || { echo "unloadable snapshot not rebuilt above the old lineage"; cat /tmp/serve_snap_rebuild.log; exit 1; }
+boot "$CI_TMP/serve_snap_rebuild.log" --snapshot-dir "$SNAP_DIR"
+grep -q "rebuilding from source" "$CI_TMP/serve_snap_rebuild.log" \
+  && grep -q "committed as snapshot generation 3" "$CI_TMP/serve_snap_rebuild.log" \
+  || { echo "unloadable snapshot not rebuilt above the old lineage"; cat "$CI_TMP/serve_snap_rebuild.log"; exit 1; }
 curl -sf -X POST "http://$ADDR/v1/index/insert" \
   --data '{"v":1,"source":"contract CiRebuilt { function h() public { msg.sender.transfer(2); } }"}' \
   -o /dev/null
 crash
-boot /tmp/serve_snap_rebuilt.log --snapshot-dir "$SNAP_DIR"
-grep -q "warm start: generation 3 (17 docs, 1 replayed from WAL)" /tmp/serve_snap_rebuilt.log \
-  || { echo "insert after a rebuild lost or old lineage replayed"; cat /tmp/serve_snap_rebuilt.log; exit 1; }
+boot "$CI_TMP/serve_snap_rebuilt.log" --snapshot-dir "$SNAP_DIR"
+grep -q "warm start: generation 3 (17 docs, 1 replayed from WAL)" "$CI_TMP/serve_snap_rebuilt.log" \
+  || { echo "insert after a rebuild lost or old lineage replayed"; cat "$CI_TMP/serve_snap_rebuilt.log"; exit 1; }
 stop
 
 # Warm-start ratio gate: snapshot load must be at least 10x faster than
@@ -249,12 +252,12 @@ wal_insert() { # wal_insert <body>
 }
 
 # Reference: uninterrupted daemon, both inserts acknowledged.
-boot /tmp/serve_wal_ref.log --snapshot-dir "$CI_TMP/wal-ref"
+boot "$CI_TMP/serve_wal_ref.log" --snapshot-dir "$CI_TMP/wal-ref"
 wal_insert "$WAL_X1"
-curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o /tmp/wal_ref1.json
+curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o "$CI_TMP/wal_ref1.json"
 wal_insert "$WAL_X2"
-curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o /tmp/wal_ref2.json
-if cmp -s /tmp/wal_ref1.json /tmp/wal_ref2.json; then
+curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o "$CI_TMP/wal_ref2.json"
+if cmp -s "$CI_TMP/wal_ref1.json" "$CI_TMP/wal_ref2.json"; then
   echo "torture probe does not distinguish the inserts"; exit 1
 fi
 # REF2 was a front-cache hit on the answer cached for REF1, completed
@@ -268,15 +271,15 @@ stop
 # Scenario 1: kill -9 with both acknowledged deltas only in the WAL
 # (default batch fsync). The restart must replay both.
 WAL_DIR=$CI_TMP/wal-kill
-boot /tmp/serve_wal_kill.log --snapshot-dir "$WAL_DIR"
+boot "$CI_TMP/serve_wal_kill.log" --snapshot-dir "$WAL_DIR"
 wal_insert "$WAL_X1"
 wal_insert "$WAL_X2"
 crash
-boot /tmp/serve_wal_recover.log --snapshot-dir "$WAL_DIR"
-grep -q "warm start: generation 1 (18 docs, 2 replayed from WAL)" /tmp/serve_wal_recover.log \
-  || { echo "kill -9 lost acknowledged WAL deltas"; cat /tmp/serve_wal_recover.log; exit 1; }
-curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o /tmp/wal_got.json
-cmp /tmp/wal_ref2.json /tmp/wal_got.json \
+boot "$CI_TMP/serve_wal_recover.log" --snapshot-dir "$WAL_DIR"
+grep -q "warm start: generation 1 (18 docs, 2 replayed from WAL)" "$CI_TMP/serve_wal_recover.log" \
+  || { echo "kill -9 lost acknowledged WAL deltas"; cat "$CI_TMP/serve_wal_recover.log"; exit 1; }
+curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o "$CI_TMP/wal_got.json"
+cmp "$CI_TMP/wal_ref2.json" "$CI_TMP/wal_got.json" \
   || { echo "recovered responses diverged from the uninterrupted run"; exit 1; }
 stop
 
@@ -284,19 +287,19 @@ stop
 # insert is neither acknowledged nor on disk (the delay fires before the
 # write), so recovery must serve exactly the REF1 state.
 WAL_DIR=$CI_TMP/wal-append
-boot /tmp/serve_wal_append.log --snapshot-dir "$WAL_DIR"
+boot "$CI_TMP/serve_wal_append.log" --snapshot-dir "$WAL_DIR"
 stop                                          # commit generation 1 cleanly
 FAULT_SPEC="wal/append:delay:1500ms" FAULT_SEED=1 \
-boot /tmp/serve_wal_append2.log --snapshot-dir "$WAL_DIR"
+boot "$CI_TMP/serve_wal_append2.log" --snapshot-dir "$WAL_DIR"
 wal_insert "$WAL_X1"                          # delayed, but acknowledged
 curl -s -X POST "http://$ADDR/v1/index/insert" --data "$WAL_X2" -o /dev/null &
 sleep 0.5                                     # inside X2's append delay
 crash
-boot /tmp/serve_wal_append3.log --snapshot-dir "$WAL_DIR"
-grep -q "warm start: generation 1 (17 docs, 1 replayed from WAL)" /tmp/serve_wal_append3.log \
-  || { echo "append-window crash recovered the wrong state"; cat /tmp/serve_wal_append3.log; exit 1; }
-curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o /tmp/wal_got.json
-cmp /tmp/wal_ref1.json /tmp/wal_got.json \
+boot "$CI_TMP/serve_wal_append3.log" --snapshot-dir "$WAL_DIR"
+grep -q "warm start: generation 1 (17 docs, 1 replayed from WAL)" "$CI_TMP/serve_wal_append3.log" \
+  || { echo "append-window crash recovered the wrong state"; cat "$CI_TMP/serve_wal_append3.log"; exit 1; }
+curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o "$CI_TMP/wal_got.json"
+cmp "$CI_TMP/wal_ref1.json" "$CI_TMP/wal_got.json" \
   || { echo "append-window recovery diverged from REF1"; exit 1; }
 stop
 
@@ -305,19 +308,19 @@ stop
 # starts, and kill -9 (unlike power loss) does not drop the page cache:
 # both inserts must replay.
 WAL_DIR=$CI_TMP/wal-fsync
-boot /tmp/serve_wal_fsync.log --snapshot-dir "$WAL_DIR"
+boot "$CI_TMP/serve_wal_fsync.log" --snapshot-dir "$WAL_DIR"
 stop
 FAULT_SPEC="wal/fsync:delay:1500ms" FAULT_SEED=1 \
-boot /tmp/serve_wal_fsync2.log --snapshot-dir "$WAL_DIR" --wal-fsync always
+boot "$CI_TMP/serve_wal_fsync2.log" --snapshot-dir "$WAL_DIR" --wal-fsync always
 wal_insert "$WAL_X1"
 curl -s -X POST "http://$ADDR/v1/index/insert" --data "$WAL_X2" -o /dev/null &
 sleep 0.5                                     # written, fsync still held
 crash
-boot /tmp/serve_wal_fsync3.log --snapshot-dir "$WAL_DIR"
-grep -q "warm start: generation 1 (18 docs, 2 replayed from WAL)" /tmp/serve_wal_fsync3.log \
-  || { echo "fsync-window crash lost a written record"; cat /tmp/serve_wal_fsync3.log; exit 1; }
-curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o /tmp/wal_got.json
-cmp /tmp/wal_ref2.json /tmp/wal_got.json \
+boot "$CI_TMP/serve_wal_fsync3.log" --snapshot-dir "$WAL_DIR"
+grep -q "warm start: generation 1 (18 docs, 2 replayed from WAL)" "$CI_TMP/serve_wal_fsync3.log" \
+  || { echo "fsync-window crash lost a written record"; cat "$CI_TMP/serve_wal_fsync3.log"; exit 1; }
+curl -sf -X POST "http://$ADDR/v1/clone-check" --data "$WAL_PROBE" -o "$CI_TMP/wal_got.json"
+cmp "$CI_TMP/wal_ref2.json" "$CI_TMP/wal_got.json" \
   || { echo "fsync-window recovery diverged from REF2"; exit 1; }
 stop
 

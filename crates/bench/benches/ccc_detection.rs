@@ -84,7 +84,7 @@ fn bench_path_reduction(c: &mut Criterion) {
         b.iter(|| black_box(checker.check(black_box(&cpg))))
     });
     group.bench_function("bounded_12", |b| {
-        let checker = Checker::with_max_path(12);
+        let checker = Checker::new().bounded(12);
         b.iter(|| black_box(checker.check(black_box(&cpg))))
     });
     group.finish();

@@ -75,27 +75,22 @@ pub struct CheckOutcome {
     pub detector_errors: Vec<(QueryId, AnalysisError)>,
 }
 
-/// Checker configuration.
+/// The vulnerability checker: which queries run, and how far their
+/// traversals reach.
 #[derive(Debug, Clone)]
-pub struct CheckerConfig {
+pub struct Checker {
     /// Maximum transitive path length for `DFG`/`EOG` traversals. Reducing
     /// it implements the paper's second validation phase (§6.3): escaping
     /// path explosion at the cost of long-range flows.
-    pub max_path: usize,
+    max_path: usize,
     /// Queries to run; `None` runs all 17.
-    pub queries: Option<Vec<QueryId>>,
+    queries: Option<Vec<QueryId>>,
 }
 
-impl Default for CheckerConfig {
+impl Default for Checker {
     fn default() -> Self {
-        CheckerConfig { max_path: usize::MAX, queries: None }
+        Checker { max_path: usize::MAX, queries: None }
     }
-}
-
-/// The vulnerability checker.
-#[derive(Debug, Clone, Default)]
-pub struct Checker {
-    config: CheckerConfig,
 }
 
 impl Checker {
@@ -105,40 +100,17 @@ impl Checker {
         Checker::default()
     }
 
-    /// A checker with a reduced maximal data-flow path length.
-    pub fn with_max_path(max_path: usize) -> Checker {
-        Checker {
-            config: CheckerConfig { max_path, ..CheckerConfig::default() },
-        }
-    }
-
     /// A checker restricted to a set of queries — used by the validation
     /// pipeline to re-check only the vulnerability found in a snippet
     /// (§6.3). Borrows the slice; the checker keeps its own copy of the
     /// (at most 17 `Copy`) ids.
     pub fn with_queries(queries: &[QueryId]) -> Checker {
-        Checker {
-            config: CheckerConfig {
-                queries: Some(queries.to_vec()),
-                ..CheckerConfig::default()
-            },
-        }
-    }
-
-    /// Access the configuration.
-    pub fn config(&self) -> &CheckerConfig {
-        &self.config
-    }
-
-    /// Restrict the queries of this checker.
-    pub fn restrict(mut self, queries: &[QueryId]) -> Checker {
-        self.config.queries = Some(queries.to_vec());
-        self
+        Checker { queries: Some(queries.to_vec()), ..Checker::default() }
     }
 
     /// Set the path bound of this checker.
     pub fn bounded(mut self, max_path: usize) -> Checker {
-        self.config.max_path = max_path;
+        self.max_path = max_path;
         self
     }
 
@@ -166,8 +138,8 @@ impl Checker {
         static STAGE: telemetry::Stage = telemetry::Stage::new("ccc-check");
         let _stage = STAGE.enter();
         CHECKS.incr();
-        let ctx = Ctx::new(cpg, self.config.max_path);
-        let queries: &[QueryId] = match &self.config.queries {
+        let ctx = Ctx::new(cpg, self.max_path);
+        let queries: &[QueryId] = match &self.queries {
             Some(qs) => qs,
             None => QueryId::ALL,
         };
@@ -242,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn restricted_checker_only_runs_selected_queries() {
+    fn with_queries_runs_only_the_selected_queries() {
         let src = "contract C { function f(address to) public { to.send(1); } \
                    function kill() public { selfdestruct(msg.sender); } }";
         let all = Checker::new().check_snippet(src).unwrap();

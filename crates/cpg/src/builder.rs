@@ -4,18 +4,22 @@
 //!
 //! 1. **Declaration pass** — records, fields, function headers, parameters,
 //!    events, structs and enums are declared so that forward references and
-//!    inter-procedural edges can resolve.
+//!    inter-procedural edges can resolve. Each record keeps its function
+//!    nodes in declaration order.
 //! 2. **Inference** — free-standing functions and statements of a snippet
 //!    are wrapped into inferred (`isInferred = true`) record / function
 //!    declarations, and unresolved identifiers become inferred fields.
 //! 3. **Modifier expansion** — applied modifiers are inlined into function
 //!    bodies (§4.2.2, implemented in [`crate::expand`]).
-//! 4. **Body pass** — statements and expressions are translated to nodes
-//!    with syntax (`AST` role) edges while **EOG** (evaluation order) and
-//!    **DFG** (data flow) edges are wired inline, including the Solidity
-//!    specific `Rollback` semantics of `require`/`revert`/`throw` (§4.2.1).
+//! 4. **Body pass** — each record's parts are walked again in declaration
+//!    order, taking its function nodes back in the order phase 1 kept
+//!    them. Statements and expressions are translated to nodes with syntax
+//!    (`AST` role) edges while **EOG** (evaluation order) and **DFG** (data
+//!    flow) edges are wired inline, including the Solidity specific
+//!    `Rollback` semantics of `require`/`revert`/`throw` (§4.2.1).
 //! 5. **Call resolution** — `INVOKES`, argument→parameter `DFG` and
-//!    `RETURNS` edges are added for calls resolvable within the unit.
+//!    `RETURNS` edges are added for calls resolvable within the record's
+//!    own inheritance chain.
 
 use crate::expand::{collect_modifiers, expand_modifiers};
 use crate::graph::{Graph, NodeId, Props};
@@ -269,6 +273,9 @@ struct RecordCtx {
     bases: Vec<Symbol>,
     fields: FxHashMap<Symbol, NodeId>,
     methods: FxHashMap<Symbol, NodeId>,
+    /// Function and constructor nodes in declaration order; the body pass
+    /// takes them back in the same order.
+    functions: Vec<NodeId>,
 }
 
 struct PendingCall {
@@ -284,7 +291,6 @@ struct Builder<'u> {
     modifiers: FxHashMap<Symbol, &'u ModifierDef>,
     records: Vec<RecordCtx>,
     record_index: FxHashMap<Symbol, usize>,
-    free_functions: FxHashMap<Symbol, NodeId>,
     fn_params: FxHashMap<NodeId, Vec<NodeId>>,
     fn_returns: FxHashMap<NodeId, Vec<NodeId>>,
     pending_calls: Vec<PendingCall>,
@@ -378,7 +384,6 @@ impl<'u> Builder<'u> {
             modifiers: collect_modifiers(unit),
             records: Vec::new(),
             record_index: FxHashMap::default(),
-            free_functions: FxHashMap::default(),
             fn_params: FxHashMap::default(),
             fn_returns: FxHashMap::default(),
             pending_calls: Vec::new(),
@@ -487,6 +492,7 @@ impl<'u> Builder<'u> {
             bases: c.bases.iter().map(|b| b.name).collect(),
             fields: FxHashMap::default(),
             methods: FxHashMap::default(),
+            functions: Vec::new(),
         };
 
         for part in &c.parts {
@@ -551,6 +557,7 @@ impl<'u> Builder<'u> {
             bases: vec![],
             fields: FxHashMap::default(),
             methods: FxHashMap::default(),
+            functions: Vec::new(),
         });
         idx
     }
@@ -621,6 +628,7 @@ impl<'u> Builder<'u> {
         let role = if is_ctor { AstRole::Constructors } else { AstRole::Methods };
         let record_node = self.records[record].node;
         self.g.add_edge(record_node, EdgeKind::Ast(role), node);
+        self.records[record].functions.push(node);
 
         let mut params = Vec::new();
         for (i, p) in f.params.iter().enumerate() {
@@ -719,22 +727,16 @@ impl<'u> Builder<'u> {
 
     fn translate_record_bodies(&mut self, c: &ContractDef, idx: usize) {
         self.current_record = Some(idx);
+        let mut functions = std::mem::take(&mut self.records[idx].functions).into_iter();
         for part in &c.parts {
-            if let ContractPart::Function(f) = part {
-                let legacy_ctor = f.name.as_deref() == Some(&c.name);
-                let fnode = self.lookup_declared_function(idx, f, legacy_ctor);
-                self.translate_function_body(f, fnode, idx);
-            }
-            if let ContractPart::Variable(v) = part {
-                // Field initializers produce data flow into the field.
-                if let Some(init) = &v.initializer {
-                    let field = self.records[idx].fields[&v.name];
-                    self.enter_scope();
-                    let value = self.expr(init, false);
-                    self.leave_scope();
-                    self.g.add_edge(value.node, EdgeKind::Dfg, field);
-                    self.g.add_edge(field, EdgeKind::Ast(AstRole::Initializer), value.node);
+            match part {
+                ContractPart::Function(f) => {
+                    if let Some(fnode) = functions.next() {
+                        self.translate_function_body(f, fnode);
+                    }
                 }
+                ContractPart::Variable(v) => self.translate_initializer(v, idx),
+                _ => {}
             }
         }
         self.current_record = None;
@@ -742,25 +744,18 @@ impl<'u> Builder<'u> {
 
     fn translate_inferred_bodies(&mut self, free_items: &[&SourceItem], idx: usize) {
         self.current_record = Some(idx);
+        let mut functions = std::mem::take(&mut self.records[idx].functions).into_iter();
         // Bare statements are collected into one inferred function.
         let mut bare: Vec<Statement> = Vec::new();
         for item in free_items {
             match item {
                 SourceItem::Function(f) => {
-                    let fnode = self.lookup_declared_function(idx, f, false);
-                    self.translate_function_body(f, fnode, idx);
-                }
-                SourceItem::Statement(s) => bare.push((*s).clone()),
-                SourceItem::Variable(v) => {
-                    if let Some(init) = &v.initializer {
-                        let field = self.records[idx].fields[&v.name];
-                        self.enter_scope();
-                        let value = self.expr(init, false);
-                        self.leave_scope();
-                        self.g.add_edge(value.node, EdgeKind::Dfg, field);
-                        self.g.add_edge(field, EdgeKind::Ast(AstRole::Initializer), value.node);
+                    if let Some(fnode) = functions.next() {
+                        self.translate_function_body(f, fnode);
                     }
                 }
+                SourceItem::Statement(s) => bare.push((*s).clone()),
+                SourceItem::Variable(v) => self.translate_initializer(v, idx),
                 _ => {}
             }
         }
@@ -784,34 +779,24 @@ impl<'u> Builder<'u> {
             let fnode = self.declare_function(&f, idx, false);
             self.g.node_mut(fnode).props.is_inferred = true;
             self.records[idx].methods.insert("<snippet>".into(), fnode);
-            self.translate_function_body(&f, fnode, idx);
+            self.translate_function_body(&f, fnode);
         }
         self.current_record = None;
     }
 
-    fn lookup_declared_function(&mut self, idx: usize, f: &FunctionDef, legacy_ctor: bool) -> NodeId {
-        // Headers were declared in source order; find by name + kind.
-        let record_node = self.records[idx].node;
-        let is_ctor = legacy_ctor || f.kind == FunctionKind::Constructor;
-        let role = if is_ctor { AstRole::Constructors } else { AstRole::Methods };
-        let declared = self
-            .g
-            .ast_children_role(record_node, role)
-            .find(|n| self.g.node(*n).span == f.span);
-        match declared {
-            Some(node) => node,
-            // A body whose phase-1 header is missing (span drift on
-            // malformed input) gets a fresh inferred header so the body
-            // is still translated instead of aborting the whole build.
-            None => {
-                let node = self.declare_function(f, idx, legacy_ctor);
-                self.g.node_mut(node).props.is_inferred = true;
-                node
-            }
+    /// A field initializer flows into its field.
+    fn translate_initializer(&mut self, v: &StateVarDecl, idx: usize) {
+        if let Some(init) = &v.initializer {
+            let field = self.records[idx].fields[&v.name];
+            self.enter_scope();
+            let value = self.expr(init, false);
+            self.leave_scope();
+            self.g.add_edge(value.node, EdgeKind::Dfg, field);
+            self.g.add_edge(field, EdgeKind::Ast(AstRole::Initializer), value.node);
         }
     }
 
-    fn translate_function_body(&mut self, f: &FunctionDef, fnode: NodeId, record: usize) {
+    fn translate_function_body(&mut self, f: &FunctionDef, fnode: NodeId) {
         // `expand_modifiers` borrows the body when no modifier applies, so
         // the common case clones nothing. Temporarily moving the modifier
         // map out of `self` sidesteps the simultaneous `&mut self` borrow
@@ -853,7 +838,6 @@ impl<'u> Builder<'u> {
             }
         }
         self.scopes.push(param_scope);
-        let _ = record;
 
         let body_node = self.g.add_node(
             NodeKind::Block,
@@ -938,30 +922,14 @@ impl<'u> Builder<'u> {
                 // EOG: condition evaluates, then branches at the IF node.
                 let cond_frag = self.seq(cond_v.frag, Frag::single(node));
 
-                let then_frag = self.stmt(then, node);
-                if let Some(then_entry_node) = then_frag.entry {
-                    self.g.add_edge(node, EdgeKind::Ast(AstRole::Then), then_entry_node);
-                }
                 let mut exits = Exits::default();
-                if let Some(entry) = then_frag.entry {
-                    self.g.add_edge(node, EdgeKind::Eog, entry);
-                    exits.append(then_frag.exits);
-                } else {
-                    exits.push(node);
-                }
-                match alt {
-                    Some(alt_stmt) => {
-                        let alt_frag = self.stmt(alt_stmt, node);
-                        if let Some(entry) = alt_frag.entry {
-                            self.g.add_edge(node, EdgeKind::Ast(AstRole::Else), entry);
-                            self.g.add_edge(node, EdgeKind::Eog, entry);
-                            exits.append(alt_frag.exits);
-                        } else {
-                            exits.push(node);
-                        }
-                    }
-                    None => exits.push(node),
-                }
+                let then_frag = self.stmt(then, node);
+                self.join_arm(node, then_frag, Some(AstRole::Then), &mut exits);
+                let alt_frag = match alt {
+                    Some(alt) => self.stmt(alt, node),
+                    None => Frag::empty(),
+                };
+                self.join_arm(node, alt_frag, Some(AstRole::Else), &mut exits);
                 Frag { entry: cond_frag.entry, exits }
             }
             StatementKind::While { cond, body } => {
@@ -978,7 +946,7 @@ impl<'u> Builder<'u> {
                 let frag = self.seq(body_frag, cond_v.frag);
                 let frag = self.seq(frag, Frag::single(node));
                 // Back edge to the body.
-                if let (Some(entry), true) = (frag.entry, frag.entry.is_some()) {
+                if let Some(entry) = frag.entry {
                     self.g.add_edge(node, EdgeKind::Eog, entry);
                 }
                 frag
@@ -1067,15 +1035,12 @@ impl<'u> Builder<'u> {
                     s.span,
                     parent,
                 );
-                let mut frag = Frag::empty();
-                if let ExprKind::Call { args, .. } = &call.kind {
-                    for arg in args {
-                        let v = self.expr(arg, false);
-                        self.g.add_edge(node, EdgeKind::Ast(AstRole::Arguments), v.node);
-                        self.g.add_edge(v.node, EdgeKind::Dfg, node);
-                        frag = self.seq(frag, v.frag);
+                let frag = match &call.kind {
+                    ExprKind::Call { args, .. } => {
+                        self.arguments(node, args, false, Frag::empty(), |_| {})
                     }
-                }
+                    _ => Frag::empty(),
+                };
                 self.seq(frag, Frag::single(node))
             }
             StatementKind::Revert(arg) => {
@@ -1137,24 +1102,28 @@ impl<'u> Builder<'u> {
                 self.g.add_edge(node, EdgeKind::Ast(AstRole::Condition), guarded.node);
                 let frag = self.seq(guarded.frag, Frag::single(node));
                 let mut exits = Exits::default();
-                let success_frag = self.block_stmts_under(success, node);
-                if let Some(entry) = success_frag.entry {
-                    self.g.add_edge(node, EdgeKind::Eog, entry);
-                    exits.append(success_frag.exits);
-                } else {
-                    exits.push(node);
-                }
-                for c in catches {
-                    let cfrag = self.block_stmts_under(c, node);
-                    if let Some(entry) = cfrag.entry {
-                        self.g.add_edge(node, EdgeKind::Eog, entry);
-                        exits.append(cfrag.exits);
-                    } else {
-                        exits.push(node);
-                    }
+                for arm in std::iter::once(success).chain(catches) {
+                    let arm_frag = self.block_stmts_under(arm, node);
+                    self.join_arm(node, arm_frag, None, &mut exits);
                 }
                 Frag { entry: frag.entry, exits }
             }
+        }
+    }
+
+    /// Join one arm of a branch at `branch`: an `AST` edge in `role` (if
+    /// any) and an `EOG` edge to the arm's entry, whose exits become exits
+    /// of the whole statement; an empty arm falls through from `branch`.
+    fn join_arm(&mut self, branch: NodeId, arm: Frag, role: Option<AstRole>, exits: &mut Exits) {
+        match arm.entry {
+            Some(entry) => {
+                if let Some(role) = role {
+                    self.g.add_edge(branch, EdgeKind::Ast(role), entry);
+                }
+                self.g.add_edge(branch, EdgeKind::Eog, entry);
+                exits.append(arm.exits);
+            }
+            None => exits.push(branch),
         }
     }
 
@@ -1235,6 +1204,27 @@ impl<'u> Builder<'u> {
         v
     }
 
+    /// Translate `args` in order as `ARGUMENTS` of `node`, each flowing
+    /// into it and evaluated after `frag`, and return `frag` extended by
+    /// them. `each` sees every translated argument.
+    fn arguments<'e>(
+        &mut self,
+        node: NodeId,
+        args: impl IntoIterator<Item = &'e Expr>,
+        write: bool,
+        mut frag: Frag,
+        mut each: impl FnMut(&EValue),
+    ) -> Frag {
+        for arg in args {
+            let v = self.expr(arg, write);
+            self.g.add_edge(node, EdgeKind::Ast(AstRole::Arguments), v.node);
+            self.g.add_edge(v.node, EdgeKind::Dfg, node);
+            each(&v);
+            frag = self.seq(frag, v.frag);
+        }
+        frag
+    }
+
     fn expr(&mut self, e: &Expr, write: bool) -> EValue {
         match &e.kind {
             ExprKind::Literal(lit) => {
@@ -1272,7 +1262,7 @@ impl<'u> Builder<'u> {
                 EValue { node, frag: Frag::single(node), decl: None }
             }
             ExprKind::Ident(name) => self.ident_ref(*name, e.span, write),
-            ExprKind::Member { .. } => self.member(e, write),
+            ExprKind::Member { base, member } => self.member(e, base, *member, write),
             ExprKind::Index { base, index } => {
                 let base_v = self.expr(base, write);
                 let node = self.g.add_node(
@@ -1425,20 +1415,15 @@ impl<'u> Builder<'u> {
                 let frag = self.seq(frag, Frag::single(node));
                 EValue { node, frag, decl: None }
             }
-            ExprKind::Call { .. } => self.call(e),
+            ExprKind::Call { callee, options, args, .. } => self.call(e, callee, options, args),
             ExprKind::Tuple(entries) => {
                 let node = self.g.add_node(
                     NodeKind::TupleExpression,
                     Props { code: e.code_sym(), ..Props::default() },
                     e.span,
                 );
-                let mut frag = Frag::empty();
-                for entry in entries.iter().flatten() {
-                    let v = self.expr(entry, write);
-                    self.g.add_edge(node, EdgeKind::Ast(AstRole::Arguments), v.node);
-                    self.g.add_edge(v.node, EdgeKind::Dfg, node);
-                    frag = self.seq(frag, v.frag);
-                }
+                let frag =
+                    self.arguments(node, entries.iter().flatten(), write, Frag::empty(), |_| {});
                 let frag = self.seq(frag, Frag::single(node));
                 EValue { node, frag, decl: None }
             }
@@ -1534,20 +1519,24 @@ impl<'u> Builder<'u> {
             }
         }
         // Record fields, including inherited ones.
-        let mut record = self.current_record;
-        let mut hops = 0;
-        while let Some(idx) = record {
-            if let Some(field) = self.records[idx].fields.get(&name) {
-                return Some(*field);
+        self.find_in_ancestors(self.current_record, |r| r.fields.get(&name).copied())
+    }
+
+    /// The first answer of `find` on `record` and then its ancestors, each
+    /// reached through the first of its bases that names a record of the
+    /// unit. The walk stops after 17 records, so an inheritance cycle in a
+    /// malformed snippet ends it.
+    fn find_in_ancestors<T>(
+        &self,
+        mut record: Option<usize>,
+        find: impl Fn(&RecordCtx) -> Option<T>,
+    ) -> Option<T> {
+        for _ in 0..17 {
+            let ctx = &self.records[record?];
+            if let Some(found) = find(ctx) {
+                return Some(found);
             }
-            record = self.records[idx]
-                .bases
-                .iter()
-                .find_map(|b| self.record_index.get(b).copied());
-            hops += 1;
-            if hops > 16 {
-                break; // inheritance cycle in a malformed snippet
-            }
+            record = ctx.bases.iter().find_map(|b| self.record_index.get(b).copied());
         }
         None
     }
@@ -1573,18 +1562,8 @@ impl<'u> Builder<'u> {
         field
     }
 
-    fn member(&mut self, e: &Expr, write: bool) -> EValue {
-        let ExprKind::Member { base, member } = &e.kind else {
-            // Only Member expressions are dispatched here; a drift in the
-            // dispatch degrades to an opaque leaf node, not a panic.
-            let node = self.g.add_node(
-                NodeKind::MemberExpression,
-                Props { code: e.code_sym(), ..Props::default() },
-                e.span,
-            );
-            return EValue { node, frag: Frag::single(node), decl: None };
-        };
-
+    /// `base.member`, given with the expression `e` it was taken from.
+    fn member(&mut self, e: &Expr, base: &Expr, member: Symbol, write: bool) -> EValue {
         // Builtin member chains (`msg.sender`, `block.timestamp`,
         // `msg.data.length`) become single member nodes with the full code,
         // matching Figure 2 and the Appendix B query patterns.
@@ -1601,7 +1580,7 @@ impl<'u> Builder<'u> {
                 NodeKind::MemberExpression,
                 Props {
                     code,
-                    local_name: *member,
+                    local_name: member,
                     ty: ty.map(Symbol::intern),
                     ..Props::default()
                 },
@@ -1620,7 +1599,7 @@ impl<'u> Builder<'u> {
         };
         let node = self.g.add_node(
             NodeKind::MemberExpression,
-            Props { code, local_name: *member, ty, ..Props::default() },
+            Props { code, local_name: member, ty, ..Props::default() },
             e.span,
         );
         self.g.add_edge(node, EdgeKind::Ast(AstRole::Base), base_v.node);
@@ -1635,21 +1614,17 @@ impl<'u> Builder<'u> {
         EValue { node, frag, decl: base_v.decl }
     }
 
-    fn call(&mut self, e: &Expr) -> EValue {
-        let ExprKind::Call { callee, options, args, .. } = &e.kind else {
-            // Only Call expressions are dispatched here; a drift in the
-            // dispatch degrades to an opaque leaf node, not a panic.
-            let node = self.g.add_node(
-                NodeKind::CallExpression,
-                Props { code: e.code_sym(), ..Props::default() },
-                e.span,
-            );
-            return EValue { node, frag: Frag::single(node), decl: None };
-        };
-
+    /// `callee{options}(args)`, given with the expression `e` it was taken
+    /// from.
+    fn call(
+        &mut self,
+        e: &Expr,
+        mut callee: &Expr,
+        options: &[(Symbol, Expr)],
+        args: &[Expr],
+    ) -> EValue {
         // Fold legacy `.value(x)` / `.gas(x)` chains into call options.
-        let mut options = options.clone();
-        let mut callee = callee.as_ref();
+        let mut options = options.to_vec();
         while let ExprKind::Call { callee: inner_callee, args: inner_args, .. } = &callee.kind {
             if let ExprKind::Member { base, member } = &inner_callee.kind {
                 if (*member == "value" || *member == "gas") && inner_args.len() == 1 {
@@ -1674,15 +1649,8 @@ impl<'u> Builder<'u> {
                 },
                 e.span,
             );
-            let mut frag = Frag::empty();
             let mut decl = None;
-            for arg in args {
-                let v = self.expr(arg, false);
-                self.g.add_edge(node, EdgeKind::Ast(AstRole::Arguments), v.node);
-                self.g.add_edge(v.node, EdgeKind::Dfg, node);
-                decl = decl.or(v.decl);
-                frag = self.seq(frag, v.frag);
-            }
+            let frag = self.arguments(node, args, false, Frag::empty(), |v| decl = decl.or(v.decl));
             let frag = self.seq(frag, Frag::single(node));
             return EValue { node, frag, decl };
         }
@@ -1745,15 +1713,8 @@ impl<'u> Builder<'u> {
             self.g.add_edge(base, EdgeKind::Dfg, node);
         }
 
-        let mut frag = callee_frag;
         let mut arg_nodes = Vec::new();
-        for arg in args {
-            let v = self.expr(arg, false);
-            self.g.add_edge(node, EdgeKind::Ast(AstRole::Arguments), v.node);
-            self.g.add_edge(v.node, EdgeKind::Dfg, node);
-            arg_nodes.push(v.node);
-            frag = self.seq(frag, v.frag);
-        }
+        let mut frag = self.arguments(node, args, false, callee_frag, |v| arg_nodes.push(v.node));
 
         // Call options {value: .., gas: ..} → SpecifiedExpression (§4.2.1).
         if !options.is_empty() {
@@ -1835,13 +1796,7 @@ impl<'u> Builder<'u> {
             },
             e.span,
         );
-        let mut frag = Frag::empty();
-        for arg in args {
-            let v = self.expr(arg, false);
-            self.g.add_edge(node, EdgeKind::Ast(AstRole::Arguments), v.node);
-            self.g.add_edge(v.node, EdgeKind::Dfg, node);
-            frag = self.seq(frag, v.frag);
-        }
+        let frag = self.arguments(node, args, false, Frag::empty(), |_| {});
         let frag = self.seq(frag, Frag::single(node));
         let rollback = self.g.add_node(
             NodeKind::Rollback,
@@ -1881,22 +1836,7 @@ impl<'u> Builder<'u> {
     }
 
     fn resolve_function(&self, record: Option<usize>, name: Symbol) -> Option<NodeId> {
-        let mut idx = record;
-        let mut hops = 0;
-        while let Some(i) = idx {
-            if let Some(f) = self.records[i].methods.get(&name) {
-                return Some(*f);
-            }
-            idx = self.records[i]
-                .bases
-                .iter()
-                .find_map(|b| self.record_index.get(b).copied());
-            hops += 1;
-            if hops > 16 {
-                break;
-            }
-        }
-        self.free_functions.get(&name).copied()
+        self.find_in_ancestors(record, |r| r.methods.get(&name).copied())
     }
 }
 

@@ -276,7 +276,7 @@ impl Graph {
     }
 
     /// Outgoing neighbors over edges matching `pred`.
-    pub fn out_by<'a>(
+    fn out_by<'a>(
         &'a self,
         id: NodeId,
         pred: impl Fn(EdgeKind) -> bool + 'a,
@@ -285,7 +285,7 @@ impl Graph {
     }
 
     /// Incoming neighbors over edges matching `pred`.
-    pub fn in_by<'a>(
+    fn in_by<'a>(
         &'a self,
         id: NodeId,
         pred: impl Fn(EdgeKind) -> bool + 'a,
@@ -458,45 +458,6 @@ impl Graph {
         self.reaches(from, to, |k| k == EdgeKind::Eog, usize::MAX)
     }
 
-    /// One shortest path (list of node ids, start and end inclusive) from
-    /// `from` to `to` over edges matching `pred`, if one exists.
-    pub fn shortest_path(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        pred: impl Fn(EdgeKind) -> bool,
-    ) -> Option<Vec<NodeId>> {
-        if from == to {
-            return Some(vec![from]);
-        }
-        let mut prev: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
-        while let Some(node) = queue.pop_front() {
-            for edge in self.out_edges(node) {
-                if !pred(edge.kind) || prev.contains_key(&edge.to) || edge.to == from {
-                    continue;
-                }
-                prev.insert(edge.to, node);
-                if edge.to == to {
-                    let mut path = vec![to];
-                    let mut current = to;
-                    while let Some(&parent) = prev.get(&current) {
-                        path.push(parent);
-                        current = parent;
-                        if current == from {
-                            break;
-                        }
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(edge.to);
-            }
-        }
-        None
-    }
-
     /// The declaration a reference resolves to, if resolved.
     pub fn refers_to(&self, reference: NodeId) -> Option<NodeId> {
         self.out_kind(reference, EdgeKind::RefersTo).next()
@@ -571,20 +532,6 @@ mod tests {
         let reached = g.reach_forward(a, |k| k == EdgeKind::Eog, usize::MAX);
         assert!(reached.contains(&a));
         assert!(reached.contains(&b));
-    }
-
-    #[test]
-    fn shortest_path_found() {
-        let mut g = Graph::new();
-        let a = n(&mut g, NodeKind::Literal, "a");
-        let b = n(&mut g, NodeKind::Literal, "b");
-        let c = n(&mut g, NodeKind::Literal, "c");
-        g.add_edge(a, EdgeKind::Eog, b);
-        g.add_edge(b, EdgeKind::Eog, c);
-        g.add_edge(a, EdgeKind::Dfg, c);
-        let p = g.shortest_path(a, c, |k| k == EdgeKind::Eog).unwrap();
-        assert_eq!(p, vec![a, b, c]);
-        assert!(g.shortest_path(c, a, |k| k == EdgeKind::Eog).is_none());
     }
 
     #[test]

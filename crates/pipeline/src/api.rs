@@ -43,7 +43,6 @@ pub const MAX_BATCH_ITEMS: usize = 256;
 pub struct AnalysisConfig {
     detectors: Option<Vec<QueryId>>,
     ccd: CcdParams,
-    max_path: usize,
     timeout_ms: Option<u64>,
     response_cache_capacity: usize,
 }
@@ -53,7 +52,6 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             detectors: None,
             ccd: CcdParams::best(),
-            max_path: usize::MAX,
             timeout_ms: None,
             response_cache_capacity: DEFAULT_RESPONSE_CACHE_CAPACITY,
         }
@@ -74,12 +72,6 @@ impl AnalysisConfig {
     /// CCD matching parameters for clone checks.
     pub fn with_ccd_params(mut self, params: CcdParams) -> Self {
         self.ccd = params;
-        self
-    }
-
-    /// Maximum transitive data-flow path length of the checker.
-    pub fn with_max_path(mut self, max_path: usize) -> Self {
-        self.max_path = max_path;
         self
     }
 
@@ -124,11 +116,10 @@ impl AnalysisConfig {
     }
 
     fn checker(&self) -> Checker {
-        let checker = match &self.detectors {
+        match &self.detectors {
             Some(queries) => Checker::with_queries(queries),
             None => Checker::new(),
-        };
-        checker.bounded(self.max_path)
+        }
     }
 }
 
@@ -626,12 +617,10 @@ impl AnalysisEngine {
         let cpg = Cpg::from_snippet(source)?;
         self.check_deadline(deadline, "check")?;
         let outcome = match detectors {
-            // A per-request subset gets a throwaway checker with the same
-            // path bound; results for the engine's own subset are
-            // byte-identical to the warm checker by construction.
-            Some(queries) => Checker::with_queries(queries)
-                .bounded(self.config.max_path)
-                .check_isolated(&cpg),
+            // A per-request subset gets a throwaway checker; results for
+            // the engine's own subset are byte-identical to the warm
+            // checker by construction.
+            Some(queries) => Checker::with_queries(queries).check_isolated(&cpg),
             None => self.checker.check_isolated(&cpg),
         };
         // A degraded scan must not masquerade as a clean one: a partial

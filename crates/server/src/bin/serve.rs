@@ -50,7 +50,9 @@
 //! Observability: metrics and request tracing are on by default in the
 //! daemon (`--trace off` or `TELEMETRY=0` disables everything; the kill
 //! switch always wins). `--access-log`/`--slow-log` append JSONL request
-//! records; `--slow-ms` sets the slow-request threshold (default 500).
+//! records (a slow log tees the access log's slow records, so `--slow-log`
+//! without `--access-log` exits 2); `--slow-ms` sets the slow-request
+//! threshold (default 500).
 //! Tracing tunables come from the environment: `TRACE_SLOW_US`,
 //! `TRACE_KEEP_EVERY`, `TRACE_SEED` (see `telemetry::trace`).
 //!
@@ -256,8 +258,15 @@ fn main() {
     eprintln!("[serve] corpus ready: {} fingerprinted contracts", corpus.len());
     let engine = Arc::new(AnalysisEngine::with_corpus_handle(analysis, corpus));
 
-    let server = Server::bind(&format!("127.0.0.1:{port}"), config, engine)
-        .expect("failed to bind service port");
+    let server = match Server::bind(&format!("127.0.0.1:{port}"), config, engine) {
+        Ok(server) => server,
+        // A combination of settings the server refuses is a flag error.
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+        Err(e) => panic!("failed to bind service port: {e:?}"),
+    };
     stop_on_signal(server.shutdown_handle()).expect("start the signal thread");
     let addr = server.local_addr().expect("bound listener has an address");
     if let Some(path) = port_file {

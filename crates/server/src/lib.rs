@@ -96,7 +96,8 @@ pub struct ServerConfig {
     pub breaker: BreakerConfig,
     /// JSONL access-log path (`None` disables access logging).
     pub access_log: Option<PathBuf>,
-    /// Slow-request log path (requires `access_log`).
+    /// Slow-request log path (requires `access_log`: [`Server::bind`]
+    /// refuses a slow log without one).
     pub slow_log: Option<PathBuf>,
     /// Requests at least this slow are flagged `"slow":true` and teed to
     /// the slow log.
@@ -172,9 +173,16 @@ struct ServiceState {
 
 impl ServiceState {
     fn new(config: &ServerConfig, engine: Arc<AnalysisEngine>) -> io::Result<ServiceState> {
-        let access_log = match &config.access_log {
-            Some(path) => Some(AccessLog::open(path, config.slow_log.as_deref(), config.slow_ms)?),
-            None => None,
+        let access_log = match (&config.access_log, &config.slow_log) {
+            (Some(path), slow) => Some(AccessLog::open(path, slow.as_deref(), config.slow_ms)?),
+            (None, Some(_)) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "slow_log (--slow-log) needs access_log (--access-log): \
+                     the slow log tees the access log's slow records",
+                ))
+            }
+            (None, None) => None,
         };
         let loops = reactor::Loops::new(config.workers, config.queue_capacity)?;
         Ok(ServiceState {
@@ -989,6 +997,20 @@ mod tests {
         let (status, _, body) = route(&get("/health"), &state);
         assert_eq!(status, 200);
         assert!(body.contains("\"workers\":1,\"queue_capacity\":1,"), "{body}");
+    }
+
+    #[test]
+    fn a_slow_log_without_an_access_log_is_refused() {
+        let slow = std::env::temp_dir().join(format!("slow-only-{}.jsonl", std::process::id()));
+        let config = ServerConfig { slow_log: Some(slow.clone()), ..ServerConfig::default() };
+        let engine = Arc::new(AnalysisEngine::new(AnalysisConfig::default()));
+        let Err(e) = Server::bind("127.0.0.1:0", config, engine) else {
+            panic!("a slow log without an access log was accepted");
+        };
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        let message = e.to_string();
+        assert!(message.contains("slow_log") && message.contains("access_log"), "{message}");
+        assert!(!slow.exists(), "the refused slow log was created");
     }
 
     #[test]

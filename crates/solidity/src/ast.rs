@@ -865,12 +865,6 @@ impl Expr {
         })
     }
 
-    /// Whether the expression is exactly the member chain `base.member`
-    /// given as dotted text, e.g. `is_member_path("msg.sender")`.
-    pub fn is_member_path(&self, path: &str) -> bool {
-        self.code() == path
-    }
-
     /// The rightmost name of the expression: for `a.b.c` this is `c`, for a
     /// call it is the callee's local name. Mirrors the CPG `localName`.
     pub fn local_name(&self) -> Option<Symbol> {
