@@ -40,6 +40,12 @@ crash() { kill -9 "$SERVE_PID"; wait "$SERVE_PID" 2>/dev/null || true; SERVE_PID
 cargo build --release --workspace
 cargo test -q --workspace
 
+# Test suites clean up after themselves: index-store's store and WAL unit
+# tests remove their directories when they finish, pass or fail, so none
+# may be left in $CI_TMP once the suite has run.
+LEFT=$(find "$CI_TMP" -maxdepth 1 \( -name 'sodd_store_*' -o -name 'sodd_wal_*' \) -print)
+[ -z "$LEFT" ] || { echo "index-store tests left directories behind:"; echo "$LEFT"; exit 1; }
+
 # Determinism: the pipeline suite once failed intermittently when a test
 # armed the process-global fault plan beside tests that expect none; the
 # plan-arming tests of pipeline and index-store now have binaries of their

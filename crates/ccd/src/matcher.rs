@@ -12,6 +12,7 @@ use crate::tokenize::tokenize_unit;
 use fuzzyhash::Pattern;
 use ngram_index::{DocId, NgramIndex};
 use solidity::AnalysisError;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -116,6 +117,14 @@ pub fn order_independent_similarity_pair(f1: &Fingerprint, f2: &Fingerprint) -> 
     let forward = total_rows / subs1.len() as f64;
     let backward = col_best.iter().sum::<f64>() / subs2.len() as f64;
     (forward, backward)
+}
+
+thread_local! {
+    /// Scratch of [`CloneDetector::score_slots`]: the memo row of each
+    /// sub-fingerprint id, `u32::MAX` for none. It grows to the largest
+    /// table the thread has scored against and is all `u32::MAX` between
+    /// calls.
+    static ROW_OF_SUB: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A match result: document id and its ε score.
@@ -411,18 +420,32 @@ impl CloneDetector {
             telemetry::Counter::new("ccd.matcher.delta_lookups");
         let query = patterns(query);
         let width = query.len();
-        // Memo row of each distinct piece the slots hold, by sub id; the
-        // memo holds one row of `width` δ values per distinct piece.
-        let mut row = vec![u32::MAX; self.subs.texts.len()];
+        // The memo holds one row of `width` δ values per distinct piece
+        // the slots hold, in first-seen order; `rows` lists the memo row
+        // of every piece of every slot, slot after slot. The thread's
+        // scratch maps sub ids to rows, and only the ids seen here are
+        // reset, so a call costs what the slots' pieces cost, not what
+        // the whole table does.
         let mut distinct: Vec<u32> = Vec::new();
-        for slot in slots.clone() {
-            for &id in self.subs.slot(slot) {
-                if row[id as usize] == u32::MAX {
-                    row[id as usize] = distinct.len() as u32;
-                    distinct.push(id);
+        let mut rows: Vec<u32> = Vec::new();
+        ROW_OF_SUB.with_borrow_mut(|row_of| {
+            if row_of.len() < self.subs.texts.len() {
+                row_of.resize(self.subs.texts.len(), u32::MAX);
+            }
+            for slot in slots.clone() {
+                for &id in self.subs.slot(slot) {
+                    let row = &mut row_of[id as usize];
+                    if *row == u32::MAX {
+                        *row = distinct.len() as u32;
+                        distinct.push(id);
+                    }
+                    rows.push(*row);
                 }
             }
-        }
+            for &id in &distinct {
+                row_of[id as usize] = u32::MAX;
+            }
+        });
         telemetry::trace::annotate("distinct_subs", distinct.len());
         // A floor of 0 prunes nothing, so every δ is exact; `None` would
         // mean δ ≤ 0, which is δ = 0.
@@ -435,22 +458,25 @@ impl CloneDetector {
 
         let mut best = vec![0.0f64; width];
         let mut lookups = 0;
+        let mut pieces_seen = 0;
         // Ascending slots are corpus order, the tie order of the stable
         // sort below.
         let mut matches = Vec::new();
         for slot in slots {
-            let pieces = self.subs.slot(slot);
-            let score = if width == 0 || pieces.is_empty() {
-                if width == 0 && pieces.is_empty() { 100.0 } else { 0.0 }
+            let count = self.subs.slot(slot).len();
+            let piece_rows = &rows[pieces_seen..pieces_seen + count];
+            pieces_seen += count;
+            let score = if width == 0 || count == 0 {
+                if width == 0 && count == 0 { 100.0 } else { 0.0 }
             } else {
                 best.fill(0.0);
-                for &id in pieces {
-                    let start = row[id as usize] as usize * width;
+                for &row in piece_rows {
+                    let start = row as usize * width;
                     for (max, &delta) in best.iter_mut().zip(&memo[start..start + width]) {
                         *max = max.max(delta);
                     }
                 }
-                lookups += pieces.len() * width;
+                lookups += count * width;
                 let mut total = 0.0;
                 for max in &best {
                     total += max;

@@ -44,3 +44,29 @@ pub use format::{decode, encode, FORMAT_VERSION};
 pub use journal::{Journal, Recovery, Rotation};
 pub use store::{Snapshot, SnapshotStore, CURRENT};
 pub use wal::{FsyncPolicy, WalStats, WalWriter};
+
+/// A directory the unit tests work in, removed with everything in it
+/// when dropped, so a run leaves nothing in the temp dir, pass or fail.
+#[cfg(test)]
+struct TempDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl TempDir {
+    /// `<temp dir>/<prefix>_<tag>_<pid>`, emptied if a killed run left it.
+    fn new(prefix: &str, tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("{prefix}_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+
+    fn path(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

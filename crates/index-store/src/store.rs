@@ -287,11 +287,10 @@ pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), AnalysisError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sodd_store_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn temp_dir(tag: &str) -> TempDir {
+        TempDir::new("sodd_store", tag)
     }
 
     fn sample_detector() -> CloneDetector {
@@ -312,14 +311,16 @@ mod tests {
 
     #[test]
     fn fresh_directory_has_no_current() {
-        let store = SnapshotStore::open(temp_dir("fresh")).unwrap();
+        let dir = temp_dir("fresh");
+        let store = SnapshotStore::open(dir.path()).unwrap();
         assert_eq!(store.current_generation().unwrap(), None);
         assert!(store.load_current().unwrap().is_none());
     }
 
     #[test]
     fn commit_then_load_roundtrips() {
-        let store = SnapshotStore::open(temp_dir("roundtrip")).unwrap();
+        let dir = temp_dir("roundtrip");
+        let store = SnapshotStore::open(dir.path()).unwrap();
         let d = sample_detector();
         commit(&store, &d, 1);
         assert_eq!(store.current_generation().unwrap(), Some(1));
@@ -331,7 +332,8 @@ mod tests {
 
     #[test]
     fn previous_generation_survives_an_uncommitted_next_one() {
-        let store = SnapshotStore::open(temp_dir("survive")).unwrap();
+        let dir = temp_dir("survive");
+        let store = SnapshotStore::open(dir.path()).unwrap();
         let d = sample_detector();
         commit(&store, &d, 1);
         // Simulate a crash after the gen-2 data write but before the
@@ -344,14 +346,16 @@ mod tests {
 
     #[test]
     fn malformed_current_is_typed() {
-        let store = SnapshotStore::open(temp_dir("badcurrent")).unwrap();
+        let dir = temp_dir("badcurrent");
+        let store = SnapshotStore::open(dir.path()).unwrap();
         std::fs::write(store.dir().join(CURRENT), "not a number").unwrap();
         assert_eq!(store.current_generation().unwrap_err().code(), "index_corrupt");
     }
 
     #[test]
     fn current_pointing_at_missing_file_is_typed() {
-        let store = SnapshotStore::open(temp_dir("dangling")).unwrap();
+        let dir = temp_dir("dangling");
+        let store = SnapshotStore::open(dir.path()).unwrap();
         std::fs::write(store.dir().join(CURRENT), "42\n").unwrap();
         let err = store.load_current().unwrap_err();
         assert_eq!(err.code(), "index_corrupt");
@@ -363,7 +367,8 @@ mod tests {
 
     #[test]
     fn generation_mismatch_inside_file_is_typed() {
-        let store = SnapshotStore::open(temp_dir("genmismatch")).unwrap();
+        let dir = temp_dir("genmismatch");
+        let store = SnapshotStore::open(dir.path()).unwrap();
         let d = sample_detector();
         commit(&store, &d, 1);
         // Copy gen-1's bytes to gen-5 and point CURRENT at it.
@@ -374,7 +379,8 @@ mod tests {
 
     #[test]
     fn wal_generations_are_discovered_and_retired() {
-        let store = SnapshotStore::open(temp_dir("walgens")).unwrap();
+        let dir = temp_dir("walgens");
+        let store = SnapshotStore::open(dir.path()).unwrap();
         for generation in [3u64, 1, 2] {
             std::fs::write(store.wal_path(generation), b"ignored here").unwrap();
             std::fs::write(store.generation_path(generation), b"ignored here").unwrap();
@@ -398,7 +404,8 @@ mod tests {
 
     #[test]
     fn n_mismatch_rebuilds_instead_of_failing() {
-        let store = SnapshotStore::open(temp_dir("nmismatch")).unwrap();
+        let dir = temp_dir("nmismatch");
+        let store = SnapshotStore::open(dir.path()).unwrap();
         let d = sample_detector();
         commit(&store, &d, 1);
         let other = CcdParams { ngram_size: 5, ..CcdParams::best() };

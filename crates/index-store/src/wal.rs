@@ -547,28 +547,31 @@ fn flusher_loop(shared: &WalShared, window_ms: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
     use proptest::prelude::*;
 
-    fn temp_path(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sodd_wal_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal-1.log")
+    /// A segment path in a fresh directory, removed with the returned
+    /// guard.
+    fn temp_path(tag: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("sodd_wal", tag);
+        std::fs::create_dir_all(dir.path()).unwrap();
+        let path = dir.path().join("wal-1.log");
+        (dir, path)
     }
 
     fn fp(text: &str) -> Fingerprint {
         Fingerprint(text.to_string())
     }
 
-    fn sample_segment(tag: &str, records: &[(u64, &str)]) -> (PathBuf, Vec<u8>) {
-        let path = temp_path(tag);
+    fn sample_segment(tag: &str, records: &[(u64, &str)]) -> (TempDir, PathBuf, Vec<u8>) {
+        let (dir, path) = temp_path(tag);
         let mut writer = WalWriter::create(&path, 1, FsyncPolicy::Never).unwrap();
         for (doc, text) in records {
             writer.append(*doc, &fp(text)).unwrap();
         }
         drop(writer);
         let bytes = std::fs::read(&path).unwrap();
-        (path, bytes)
+        (dir, path, bytes)
     }
 
     const RECORDS: &[(u64, &str)] =
@@ -576,7 +579,7 @@ mod tests {
 
     #[test]
     fn append_then_replay_roundtrips() {
-        let (path, _) = sample_segment("roundtrip", RECORDS);
+        let (_dir, path, _) = sample_segment("roundtrip", RECORDS);
         let replay = replay(&path, 1).unwrap().expect("segment exists");
         assert_eq!(replay.generation, 1);
         assert!(replay.truncated.is_none());
@@ -590,13 +593,13 @@ mod tests {
 
     #[test]
     fn missing_segment_is_none() {
-        let path = temp_path("missing");
+        let (_dir, path) = temp_path("missing");
         assert!(replay(&path, 1).unwrap().is_none());
     }
 
     #[test]
     fn resume_continues_after_replay() {
-        let (path, _) = sample_segment("resume", RECORDS);
+        let (_dir, path, _) = sample_segment("resume", RECORDS);
         let first = replay(&path, 1).unwrap().unwrap();
         let mut writer = WalWriter::resume(&path, FsyncPolicy::Never, &first).unwrap();
         assert_eq!(writer.stats().records, RECORDS.len() as u64);
@@ -609,13 +612,13 @@ mod tests {
 
     #[test]
     fn generation_mismatch_is_typed() {
-        let (path, _) = sample_segment("genmismatch", RECORDS);
+        let (_dir, path, _) = sample_segment("genmismatch", RECORDS);
         assert_eq!(replay(&path, 2).unwrap_err().code(), "index_corrupt");
     }
 
     #[test]
     fn wrong_version_is_typed() {
-        let (path, mut bytes) = sample_segment("version", RECORDS);
+        let (_dir, path, mut bytes) = sample_segment("version", RECORDS);
         bytes[8] = 99;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(replay(&path, 1).unwrap_err().code(), "index_version");
@@ -623,7 +626,7 @@ mod tests {
 
     #[test]
     fn foreign_bytes_are_typed_corruption() {
-        let path = temp_path("foreign");
+        let (_dir, path) = temp_path("foreign");
         std::fs::write(&path, [0x55u8; 64]).unwrap();
         assert_eq!(replay(&path, 1).unwrap_err().code(), "index_corrupt");
     }
@@ -633,7 +636,7 @@ mod tests {
     /// prefix — never a panic, never a wrong record.
     #[test]
     fn torn_tail_at_every_offset_recovers_a_prefix() {
-        let (_, bytes) = sample_segment("torn", RECORDS);
+        let (_dir, _, bytes) = sample_segment("torn", RECORDS);
         let full = replay_bytes(&bytes, 1).unwrap();
         let boundaries: Vec<u64> = record_boundaries(&full);
         for cut in 0..bytes.len() {
@@ -668,7 +671,7 @@ mod tests {
     /// a wrong record.
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let (_, bytes) = sample_segment("bitflip", RECORDS);
+        let (_dir, _, bytes) = sample_segment("bitflip", RECORDS);
         let full = replay_bytes(&bytes, 1).unwrap();
         for byte in 0..bytes.len() {
             for bit in 0..8 {
@@ -696,7 +699,7 @@ mod tests {
 
     #[test]
     fn random_garbage_tail_never_panics() {
-        let (_, mut bytes) = sample_segment("garbage", &RECORDS[..1]);
+        let (_dir, _, mut bytes) = sample_segment("garbage", &RECORDS[..1]);
         let mut state = 0x1234_5678_9abc_def0u64;
         for _ in 0..256 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -720,7 +723,7 @@ mod tests {
 
     #[test]
     fn batch_policy_appends_reach_disk() {
-        let path = temp_path("batch");
+        let (_dir, path) = temp_path("batch");
         let mut writer = WalWriter::create(&path, 1, FsyncPolicy::Batch(1)).unwrap();
         for (doc, text) in RECORDS {
             writer.append(*doc, &fp(text)).unwrap();

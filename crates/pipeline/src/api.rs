@@ -19,15 +19,16 @@
 //! }
 //! ```
 
-use crate::cache::Lru;
+use crate::cache::Cache;
 use crate::corpus_index::{CorpusBuilder, CorpusHandle};
 use ccc::{Checker, Dasp, QueryId};
 use ccd::{CcdParams, CloneDetector};
 use cpg::Cpg;
 use solidity::AnalysisError;
+use std::fmt::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use telemetry::json::{escape, Value};
+use telemetry::json::{escape, escape_into, Value};
 
 /// Version tag of the JSON wire encoding.
 pub const API_VERSION: u32 = 1;
@@ -319,13 +320,15 @@ impl AnalysisResponse {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!(
-                        "{{\"detector\":\"{}\",\"category\":\"{}\",\"line\":{},\"code\":\"{}\"}}",
+                    let _ = write!(
+                        out,
+                        "{{\"detector\":\"{}\",\"category\":\"{}\",\"line\":{},\"code\":\"",
                         f.detector.name(),
                         f.category().name(),
                         f.line,
-                        escape(&f.code)
-                    ));
+                    );
+                    escape_into(&mut out, &f.code);
+                    out.push_str("\"}");
                 }
                 out.push_str("]}");
                 out
@@ -336,7 +339,7 @@ impl AnalysisResponse {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!("{{\"doc\":{},\"score\":{}}}", hit.doc, hit.score));
+                    let _ = write!(out, "{{\"doc\":{},\"score\":{}}}", hit.doc, hit.score);
                 }
                 out.push_str("]}");
                 out
@@ -486,7 +489,7 @@ pub struct AnalysisEngine {
     config: AnalysisConfig,
     checker: Checker,
     corpus: CorpusHandle,
-    responses: Lru<Arc<str>, AnalysisResponse>,
+    responses: Cache<Arc<str>, AnalysisResponse>,
 }
 
 impl AnalysisEngine {
@@ -516,7 +519,7 @@ impl AnalysisEngine {
 
     fn assemble(config: AnalysisConfig, corpus: CorpusHandle) -> AnalysisEngine {
         let checker = config.checker();
-        let responses = Lru::new(config.response_cache_capacity);
+        let responses = Cache::new(config.response_cache_capacity);
         AnalysisEngine { config, checker, corpus, responses }
     }
 
@@ -654,7 +657,7 @@ impl AnalysisEngine {
         }
         self.check_deadline(deadline, "fingerprint")?;
         // Clone checks memoize through the corpus handle's front cache
-        // (not the response LRU): a cached answer records how many corpus
+        // (not the response cache): a cached answer records how many corpus
         // slots it covers, and a hit after an insert matches the new
         // slots before it answers, so a grown corpus is never shadowed by
         // a stale answer. Its fingerprint tier also catches near-duplicate

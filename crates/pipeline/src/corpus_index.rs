@@ -27,7 +27,7 @@
 //! records how many corpus slots it covers, and a hit matches only the
 //! slots added since.
 
-use crate::cache::Lru;
+use crate::cache::Cache;
 use ccd::{CcdParams, CloneDetector, CloneMatch, Fingerprint};
 use index_store::{FsyncPolicy, Journal, WalStats};
 use ngram_index::DocId;
@@ -537,10 +537,11 @@ impl CorpusHandle {
     /// A cached answer's clones over the whole corpus. When inserts have
     /// grown the corpus past the slots the answer covers, only the new
     /// slots are matched, under the same read guard that reads the
-    /// corpus length, and their clones are merged into the answer in
-    /// canonical order. Slots are append-only and doc ids unique, so the
-    /// grown answer is the one a fresh match gives, to the bit; it
-    /// replaces the old one in both tiers at once, which share it.
+    /// corpus length, and their clones, if any, are merged into the
+    /// answer in canonical order; without any, the answer only covers
+    /// more slots. Slots are append-only and doc ids unique, so the grown
+    /// answer is the one a fresh match gives, to the bit; it replaces the
+    /// old one in both tiers at once, which share it.
     fn complete(&self, answer: &Answer) -> Arc<Vec<CloneMatch>> {
         static REFRESHES: telemetry::Counter =
             telemetry::Counter::new("corpus.front_cache.refreshes");
@@ -551,12 +552,11 @@ impl CorpusHandle {
         let mut covered = answer.covered.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         if covered.slots < detector.len() {
             telemetry::trace::annotate("front_cache_new_slots", detector.len() - covered.slots);
-            let new = detector.matches_from(&answer.query, covered.slots);
-            let mut grown = Vec::with_capacity(covered.matches.len() + new.len());
-            grown.extend_from_slice(&covered.matches);
-            grown.extend(new);
-            sort_canonical(&mut grown);
-            covered.matches = Arc::new(grown);
+            let mut new = detector.matches_from(&answer.query, covered.slots);
+            if !new.is_empty() {
+                sort_canonical(&mut new);
+                covered.matches = Arc::new(merge_canonical(&covered.matches, &new));
+            }
             covered.slots = detector.len();
             self.inner.front.refreshes.fetch_add(1, Ordering::Relaxed);
             REFRESHES.incr();
@@ -565,15 +565,28 @@ impl CorpusHandle {
     }
 }
 
-/// Sort clones into the canonical order: descending score, ascending doc
-/// id on ties. Doc ids are unique, so the order is total.
+/// The canonical order of clones: descending score, ascending doc id on
+/// ties. Doc ids are unique, so the order is total.
+fn canonical(a: &CloneMatch, b: &CloneMatch) -> std::cmp::Ordering {
+    b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal).then(a.doc.cmp(&b.doc))
+}
+
+/// Sort clones into the canonical order.
 fn sort_canonical(matches: &mut [CloneMatch]) {
-    matches.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.doc.cmp(&b.doc))
-    });
+    matches.sort_by(canonical);
+}
+
+/// The clones of two runs in canonical order, merged into one. The order
+/// is total, so this is the sort of the two runs together.
+fn merge_canonical(old: &[CloneMatch], new: &[CloneMatch]) -> Vec<CloneMatch> {
+    let mut merged = Vec::with_capacity(old.len() + new.len());
+    let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+    while let (Some(&a), Some(&b)) = (old.peek(), new.peek()) {
+        let next = if canonical(b, a).is_lt() { new.next() } else { old.next() };
+        merged.extend(next);
+    }
+    merged.extend(old.chain(new));
+    merged
 }
 
 /// Counters of the near-duplicate front cache.
@@ -602,7 +615,7 @@ impl FrontCacheStats {
     }
 }
 
-/// Two-tier LRU front cache for clone-check results.
+/// Two-tier front cache for clone-check results.
 ///
 /// Tier 1 keys on the raw source (no parsing at all on a hit). Tier 2
 /// keys on the normalized fuzzy fingerprint — the digest `ccd` builds from
@@ -613,8 +626,8 @@ impl FrontCacheStats {
 /// insert leaves in place: a hit completes it over the slots added since
 /// ([`CorpusHandle::complete`]).
 struct FrontCache {
-    exact: Lru<Arc<str>, Arc<Answer>>,
-    near: Lru<Arc<str>, Arc<Answer>>,
+    exact: Cache<Arc<str>, Arc<Answer>>,
+    near: Cache<Arc<str>, Arc<Answer>>,
     exact_hits: AtomicU64,
     near_hits: AtomicU64,
     misses: AtomicU64,
@@ -638,8 +651,8 @@ struct Covered {
 impl FrontCache {
     fn new(capacity: usize) -> FrontCache {
         FrontCache {
-            exact: Lru::new(capacity),
-            near: Lru::new(capacity),
+            exact: Cache::new(capacity),
+            near: Cache::new(capacity),
             exact_hits: AtomicU64::new(0),
             near_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -721,6 +734,24 @@ mod tests {
         let matches = handle.matches(&fp);
         assert!(matches.iter().all(|m| m.score == matches[0].score));
         assert_eq!(matches.iter().map(|m| m.doc).collect::<Vec<_>>(), vec![3, 7, 9]);
+    }
+
+    #[test]
+    fn merging_two_canonical_runs_sorts_them_together() {
+        let run = |pairs: &[(u64, f64)]| -> Vec<CloneMatch> {
+            let mut run: Vec<CloneMatch> =
+                pairs.iter().map(|&(doc, score)| CloneMatch { doc, score }).collect();
+            sort_canonical(&mut run);
+            run
+        };
+        let old = run(&[(4, 100.0), (1, 90.0), (8, 90.0), (2, 75.5)]);
+        let new = run(&[(9, 100.0), (3, 90.0), (12, 90.0), (0, 70.0)]);
+        let mut both = [old.clone(), new.clone()].concat();
+        sort_canonical(&mut both);
+        assert_eq!(merge_canonical(&old, &new), both);
+        assert_eq!(merge_canonical(&new, &old), both);
+        assert_eq!(merge_canonical(&old, &[]), old);
+        assert_eq!(merge_canonical(&[], &new), new);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   [`corpus_index::CorpusBuilder`] builds in-memory or snapshot-backed
 //!   corpora, [`corpus_index::CorpusHandle`] serves matching,
 //!   incremental insert, compaction, and the near-duplicate front cache,
-//! * [`cache`] — [`cache::Lru`], the full-key LRU behind the response
-//!   cache and both front-cache tiers.
+//! * [`cache`] — [`cache::Cache`], the full-key S3-FIFO cache behind the
+//!   response cache and both front-cache tiers: popular answers outlive
+//!   one-time keys.
 
 
 #![warn(missing_docs)]

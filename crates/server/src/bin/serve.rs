@@ -51,8 +51,8 @@
 //! daemon (`--trace off` or `TELEMETRY=0` disables everything; the kill
 //! switch always wins). `--access-log`/`--slow-log` append JSONL request
 //! records (a slow log tees the access log's slow records, so `--slow-log`
-//! without `--access-log` exits 2); `--slow-ms` sets the slow-request
-//! threshold (default 500).
+//! without `--access-log` exits 2 before any corpus is built); `--slow-ms`
+//! sets the slow-request threshold (default 500).
 //! Tracing tunables come from the environment: `TRACE_SLOW_US`,
 //! `TRACE_KEEP_EVERY`, `TRACE_SEED` (see `telemetry::trace`).
 //!
@@ -179,6 +179,12 @@ fn main() {
             }
         }
     }
+    // A combination of settings the server refuses is a flag error, told
+    // before the corpus is built.
+    if let Err(e) = config.check() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
 
     faultinject::init_from_env();
     if faultinject::active() {
@@ -258,15 +264,8 @@ fn main() {
     eprintln!("[serve] corpus ready: {} fingerprinted contracts", corpus.len());
     let engine = Arc::new(AnalysisEngine::with_corpus_handle(analysis, corpus));
 
-    let server = match Server::bind(&format!("127.0.0.1:{port}"), config, engine) {
-        Ok(server) => server,
-        // A combination of settings the server refuses is a flag error.
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        Err(e) => panic!("failed to bind service port: {e:?}"),
-    };
+    let server = Server::bind(&format!("127.0.0.1:{port}"), config, engine)
+        .unwrap_or_else(|e| panic!("failed to bind service port: {e:?}"));
     stop_on_signal(server.shutdown_handle()).expect("start the signal thread");
     let addr = server.local_addr().expect("bound listener has an address");
     if let Some(path) = port_file {

@@ -96,8 +96,8 @@ pub struct ServerConfig {
     pub breaker: BreakerConfig,
     /// JSONL access-log path (`None` disables access logging).
     pub access_log: Option<PathBuf>,
-    /// Slow-request log path (requires `access_log`: [`Server::bind`]
-    /// refuses a slow log without one).
+    /// Slow-request log path (requires `access_log`: see
+    /// [`ServerConfig::check`]).
     pub slow_log: Option<PathBuf>,
     /// Requests at least this slow are flagged `"slow":true` and teed to
     /// the slow log.
@@ -121,6 +121,23 @@ impl Default for ServerConfig {
             slow_ms: 500,
             compact_after: None,
         }
+    }
+}
+
+impl ServerConfig {
+    /// Refuse a combination of settings the server cannot honour: a slow
+    /// log without an access log, whose slow records it tees. An
+    /// `InvalidInput` error names the settings. [`Server::bind`] asks
+    /// this before it binds; `serve` asks it before it builds a corpus.
+    pub fn check(&self) -> io::Result<()> {
+        if self.slow_log.is_some() && self.access_log.is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "slow_log (--slow-log) needs access_log (--access-log): \
+                 the slow log tees the access log's slow records",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -173,16 +190,9 @@ struct ServiceState {
 
 impl ServiceState {
     fn new(config: &ServerConfig, engine: Arc<AnalysisEngine>) -> io::Result<ServiceState> {
-        let access_log = match (&config.access_log, &config.slow_log) {
-            (Some(path), slow) => Some(AccessLog::open(path, slow.as_deref(), config.slow_ms)?),
-            (None, Some(_)) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "slow_log (--slow-log) needs access_log (--access-log): \
-                     the slow log tees the access log's slow records",
-                ))
-            }
-            (None, None) => None,
+        let access_log = match &config.access_log {
+            Some(path) => Some(AccessLog::open(path, config.slow_log.as_deref(), config.slow_ms)?),
+            None => None,
         };
         let loops = reactor::Loops::new(config.workers, config.queue_capacity)?;
         Ok(ServiceState {
@@ -228,6 +238,7 @@ impl Server {
         config: ServerConfig,
         engine: Arc<AnalysisEngine>,
     ) -> io::Result<Server> {
+        config.check()?;
         let listener = TcpListener::bind(addr)?;
         Ok(Server {
             listener,

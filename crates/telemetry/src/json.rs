@@ -8,6 +8,7 @@
 //! standard escapes, and trailing garbage is an error.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +65,13 @@ impl Value {
 /// literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`] `s` onto the end of `out`, for emitters that build a whole
+/// document in one string.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -71,11 +79,12 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Parse a complete JSON document.
